@@ -104,7 +104,8 @@ class CpmmMarket:
     def quote(self, i: int, wager) -> Quote:
         if self.ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
-        K = self.spec.k
+        spec, pool = self.spec, self.pool
+        K = spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
         d = float(wager)
@@ -113,14 +114,12 @@ class CpmmMarket:
         f = self.fair.probs
         if d == 0.0:
             return Quote(
-                self.engine, self.spec.market_id, i, 0.0, 0.0, f[i - 1], 0.0,
-                0.0, tuple(float(x) for x in self.pool.r), 0.0, f,
+                self.engine, spec.market_id, i, 0.0, 0.0, f[i - 1], 0.0,
+                0.0, tuple(map(float, pool.r)), 0.0, f,
             )
-        r = [float(x) for x in self.pool.r]
-        c = r[0]
+        c = float(pool.r[0])
+        r = [float(x) + c for x in pool.r]
         r[0] = 0.0
-        for k in range(1, K + 1):
-            r[k] += c
         odd = d
         for j in range(1, K + 1):
             if j == i:
@@ -134,19 +133,18 @@ class CpmmMarket:
             r[i] -= s
             odd += s
         m = min(r[1:])
-        r[0] = m
-        for k in range(1, K + 1):
-            r[k] -= m
         implied = d / odd
         return Quote(
-            self.engine, self.spec.market_id, i, d, odd, implied,
-            implied - f[i - 1], float(self.spec.fee_rate) * d, tuple(r), 0.0, f,
+            self.engine, spec.market_id, i, d, odd, implied,
+            implied - f[i - 1], float(spec.fee_rate) * d,
+            (m, *[x - m for x in r[1:]]), 0.0, f,
         )
 
     def buy(self, account: str, i: int, wager) -> BetRecord:
-        if self.ledger.phase is not Phase.OPEN:
+        ledger, pool, spec = self.ledger, self.pool, self.spec
+        if ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
-        K = self.spec.k
+        K = spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
         d = amount(wager)
@@ -154,27 +152,25 @@ class CpmmMarket:
             raise ValueError("wager must be non-negative")
         if d == 0:
             return BetRecord(
-                len(self.bets), self.spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
-                self.fair.of(i), 0.0, tuple(float(x) for x in self.pool.r),
+                len(self.bets), spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
+                self.fair.of(i), 0.0, tuple(map(float, pool.r)),
             )
-        fee = d * self.spec.fee_rate
-        if self.ledger.balance(account) < d + fee:
+        fee = d * spec.fee_rate
+        cost = d + fee
+        if ledger.balance(account) < cost:
             raise InsufficientBalance(
                 f"{account} cannot cover wager {d} plus fee {fee}"
             )
         fi = self.fair.of(i)
-        rw = list(self.pool.r)
-        locked_delta = d
-        c = rw[0]
-        locked_delta += c
-        rw[0] = ZERO
-        for k in range(1, K + 1):
-            rw[k] += c
+        c = pool.r[0]
+        rw = [ZERO] + [x + c for x in pool.r[1:]]
+        df = float(d)
         odd = d
         for j in range(1, K + 1):
             if j == i:
                 continue
-            s = amount(cpmm_swap(float(d), float(rw[j]), float(rw[i])))
+            # the product rule reads r_in before the bettor's d is added
+            s = amount(cpmm_swap(df, float(rw[j]), float(rw[i])))
             rw[j] += d
             if s < 0 or s > rw[i]:
                 raise UnfillableQuote(
@@ -183,27 +179,16 @@ class CpmmMarket:
             rw[i] -= s
             odd += s
         m = min(rw[1:])
-        rw[0] = m
-        for k in range(1, K + 1):
-            rw[k] -= m
-        locked_delta -= m
-        self.ledger.debit(account, COLLATERAL, d + fee)
-        self.ledger.credit(account, i, odd)
-        self.ledger.locked += locked_delta
-        self.pool.r = rw
-        self.pool.fee_accrued += fee
-        implied = float(d) / float(odd)
+        rw = [m] + [x - m for x in rw[1:]]
+        ledger.debit(account, COLLATERAL, cost)
+        ledger.credit(account, i, odd)
+        ledger.locked += d + c - m
+        pool.r = rw
+        pool.fee_accrued += fee
+        implied = df / float(odd)
         record = BetRecord(
-            index=len(self.bets),
-            market_id=self.spec.market_id,
-            outcome=i,
-            wager=d,
-            fee=fee,
-            odd=odd,
-            s_lp=ZERO,
-            implied_price=implied,
-            slippage=implied - fi,
-            post_r=tuple(float(x) for x in rw),
+            len(self.bets), spec.market_id, i, d, fee, odd, ZERO,
+            implied, implied - fi, tuple(map(float, rw)),
         )
         self.bets.append(record)
         return record

@@ -145,16 +145,18 @@ def _market_row(r) -> dict:
     }
 
 
-def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> None:
+def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list[dict]:
+    """Write bets.csv, markets.csv and summary.csv; return the markets rows."""
     bet_rows = []
     for r in results:
         for row in r.bet_log:
             bet_rows.append({"engine": r.engine, "market_id": r.market_id, **row})
     _write_csv(out / "bets.csv", BETS_FIELDS, bet_rows)
-    _write_csv(out / "markets.csv", MARKETS_FIELDS,
-               [_market_row(r) for r in results])
+    market_rows = [_market_row(r) for r in results]
+    _write_csv(out / "markets.csv", MARKETS_FIELDS, market_rows)
     summary = {"mode": mode, "seed": seed, **report.csv_row()}
     _write_csv(out / "summary.csv", list(summary), [summary])
+    return market_rows
 
 
 def cmd_simulate(args) -> int:
@@ -192,12 +194,10 @@ def cmd_simulate(args) -> int:
     elif args.mode in ("multi", "full"):
         runner = sim.run_full_market if args.mode == "full" else sim.run_multi_market
         results, report = runner(cfg, keep_log=True)
-        _write_run_outputs(out, results, report, args.mode, cfg.seed)
-        rows = [{"market_index": i,
-                 "eip": _market_row(r)["eip"],
-                 "epp": _market_row(r)["epp"],
-                 "ev_final": _market_row(r)["ev_final"]}
-                for i, r in enumerate(results)]
+        market_rows = _write_run_outputs(out, results, report, args.mode, cfg.seed)
+        rows = [{"market_index": i, "eip": row["eip"], "epp": row["epp"],
+                 "ev_final": row["ev_final"]}
+                for i, row in enumerate(market_rows)]
         _write_csv(out / "plot_markets.csv",
                    ["market_index", "eip", "epp", "ev_final"], rows)
     else:  # sweep

@@ -58,7 +58,7 @@ class MarketSpec:
         if self.k < 2:
             raise ValueError("a market needs at least two outcomes")
         fee = Decimal(str(self.fee_rate))
-        if not (0 <= fee < 1):
+        if not (fee.is_finite() and 0 <= fee < 1):
             raise ValueError("fee_rate must be in [0, 1)")
         object.__setattr__(self, "fee_rate", fee)
 

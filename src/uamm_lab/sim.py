@@ -24,7 +24,13 @@ from .baseline import CpmmMarket
 from .fixedpoint import ZERO, amount
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
-from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
+from .uamm import (
+    BetRecord,
+    FairPriceVector,
+    UammMarket,
+    UnfillableQuote,
+    frozen_record,
+)
 
 LP = "lp"
 BETTOR = "bettor"
@@ -147,7 +153,7 @@ def load_config(path) -> SimConfig:
 # -- bettor behaviour ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BettorDraw:
     wager: float
     side: int
@@ -186,8 +192,8 @@ def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[BettorDraw]:
         sides = rng.choice(np.arange(1, k + 1), size=n, p=probs)
     thresholds = rng.normal(cfg.rej_mean, cfg.rej_std, n)
     return [
-        BettorDraw(float(w), int(s), float(t))
-        for w, s, t in zip(wagers, sides, thresholds)
+        BettorDraw(w, s, t)
+        for w, s, t in zip(wagers.tolist(), sides.tolist(), thresholds.tolist())
     ]
 
 

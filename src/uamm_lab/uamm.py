@@ -19,7 +19,7 @@ The engine keeps two faces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from decimal import Decimal
 
 from .fixedpoint import ZERO, amount
@@ -35,6 +35,28 @@ from .ledger import (
 
 class UnfillableQuote(Exception):
     """The requested wager would drain the output pool below zero."""
+
+
+def frozen_record(cls):
+    """``@dataclass(frozen=True, slots=True)`` with a cheaper constructor.
+
+    A frozen dataclass's own ``__init__`` looks up and calls
+    ``object.__setattr__`` once per field; this one calls each field's slot
+    setter, bound once here.  Assignment still raises
+    ``FrozenInstanceError``, and ``repr``, equality, hashing, ``fields`` and
+    ``replace`` are the dataclass's own.  Fields may not have defaults.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    source = f"def __init__(self, {', '.join(names)}):\n" + "".join(
+        f"    _set_{n}(self, {n})\n" for n in names
+    )
+    exec(compile(source, f"<frozen_record {cls.__name__}>", "exec"), setters)
+    init = setters["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 class FairPriceVector:
@@ -56,10 +78,16 @@ class FairPriceVector:
         p = [x / s for x in p]
         p[-1] = 1.0 - math.fsum(p[:-1])
         self._p = tuple(p)
+        self._d = tuple(map(Decimal, p))
 
     @property
     def probs(self) -> tuple[float, ...]:
         return self._p
+
+    @property
+    def decimals(self) -> tuple[Decimal, ...]:
+        """The probabilities as exact Decimals (``Decimal(float)``)."""
+        return self._d
 
     def of(self, k: int) -> float:
         """Probability of outcome ``k`` (1-based)."""
@@ -137,9 +165,10 @@ class PoolState:
 
     def total_value(self, fair: FairPriceVector) -> Decimal:
         """Expected collateral value of pool holdings: r0 + sum f_k * r_k."""
-        tv = self.r[0]
-        for k in range(1, self.k + 1):
-            tv += Decimal(fair.of(k)) * self.r[k]
+        r = self.r
+        tv = r[0]
+        for k, f in enumerate(fair.decimals, 1):
+            tv += f * r[k]
         return tv
 
     def add(self, d: Decimal, fair: FairPriceVector) -> Decimal:
@@ -179,7 +208,7 @@ class PoolState:
         return payout
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Quote:
     """An indicative (non-mutating) odds quotation for one wager."""
 
@@ -236,15 +265,13 @@ def calc_odds(
     if d == 0.0:
         return Quote(
             engine, market_id, i, 0.0, 0.0, f[i - 1], 0.0, 0.0,
-            tuple(float(x) for x in pool.r), float(pool.tb), f,
+            tuple(map(float, pool.r)), float(pool.tb), f,
         )
-    r = [float(x) for x in pool.r]
     tb = float(pool.tb)
     # combine collateral liquidity into every conditional pool
-    c = r[0]
+    c = float(pool.r[0])
+    r = [float(x) + c for x in pool.r]
     r[0] = 0.0
-    for k in range(1, K + 1):
-        r[k] += c
     odd = d
     fi = f[i - 1]
     for j in range(1, K + 1):
@@ -258,14 +285,12 @@ def calc_odds(
             )
         r[i] -= s
         odd += s
+    # merge the uniform set every conditional pool holds back into collateral
     m = min(r[1:])
-    r[0] = m
-    for k in range(1, K + 1):
-        r[k] -= m
     implied = d / odd
     return Quote(
         engine, market_id, i, d, odd, implied, implied - fi,
-        float(fee_rate) * d, tuple(r), tb, f,
+        float(fee_rate) * d, (m, *[x - m for x in r[1:]]), tb, f,
     )
 
 
@@ -275,7 +300,7 @@ def spot_price(pool: PoolState, fair: FairPriceVector, i: int, eps: float = 1e-4
     return calc_odds(pool, fair, i, eps).implied_price
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BetRecord:
     """An executed bet and the pool state it left behind."""
 
@@ -360,9 +385,10 @@ class UammMarket:
         Treasury LP shares minted by the operation accrue to the pool's
         treasury tally, not to the bettor.
         """
-        if self.ledger.phase is not Phase.OPEN:
+        ledger, pool, spec = self.ledger, self.pool, self.spec
+        if ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
-        K = self.spec.k
+        K = spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
         d = amount(wager)
@@ -370,67 +396,55 @@ class UammMarket:
             raise ValueError("wager must be non-negative")
         if d == 0:
             return BetRecord(
-                len(self.bets), self.spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
-                self.fair.of(i), 0.0, tuple(float(x) for x in self.pool.r),
+                len(self.bets), spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
+                self.fair.of(i), 0.0, tuple(map(float, pool.r)),
             )
-        fee = d * self.spec.fee_rate
-        if self.ledger.balance(account) < d + fee:
+        fee = d * spec.fee_rate
+        cost = d + fee
+        if ledger.balance(account) < cost:
             raise InsufficientBalance(
                 f"{account} cannot cover wager {d} plus fee {fee}"
             )
         f = self.fair.probs
         fi = f[i - 1]
         # Work on a scratch copy; commit only if every leg is fillable.
-        rw = list(self.pool.r)
-        locked_delta = d  # the bettor's working set
-        c = rw[0]
-        locked_delta += c  # combine: collateral pool minted into K sets
-        rw[0] = ZERO
-        for k in range(1, K + 1):
-            rw[k] += c
-        tbf = float(self.pool.tb)
+        # combine: the collateral pool is minted into K uniform sets
+        c = pool.r[0]
+        rw = [ZERO] + [x + c for x in pool.r[1:]]
+        df = float(d)
+        tbf = float(pool.tb)
         odd = d
         for j in range(1, K + 1):
             if j == i:
                 continue
             rw[j] += d
-            s = amount(swap_out(float(d), f[j - 1], fi, float(rw[i]), tbf))
+            s = amount(swap_out(df, f[j - 1], fi, float(rw[i]), tbf))
             if s < 0 or s > rw[i]:
                 raise UnfillableQuote(
                     f"wager {d} on outcome {i} would drain the pool"
                 )
             rw[i] -= s
             odd += s
+        # merge the uniform set every conditional pool holds back into collateral
         m = min(rw[1:])
-        rw[0] = m
-        for k in range(1, K + 1):
-            rw[k] -= m
-        locked_delta -= m
-        # commit
-        self.ledger.debit(account, COLLATERAL, d + fee)
-        self.ledger.credit(account, i, odd)
-        self.ledger.locked += locked_delta
-        self.pool.r = rw
-        self.pool.fee_accrued += fee
-        tv = self.pool.total_value(self.fair)
-        if self.pool.ts > 0 and tv > 0:
-            s_lp = d * self.pool.ts / tv
+        rw = [m] + [x - m for x in rw[1:]]
+        # commit; the bettor's working set d plus the combined c, less the merge
+        ledger.debit(account, COLLATERAL, cost)
+        ledger.credit(account, i, odd)
+        ledger.locked += d + c - m
+        pool.r = rw
+        pool.fee_accrued += fee
+        tv = pool.total_value(self.fair)
+        if pool.ts > 0 and tv > 0:
+            s_lp = d * pool.ts / tv
         else:
             s_lp = ZERO
-        self.pool.ts += s_lp
-        self.pool.treasury_shares += s_lp
-        implied = float(d) / float(odd)
+        pool.ts += s_lp
+        pool.treasury_shares += s_lp
+        implied = df / float(odd)
         record = BetRecord(
-            index=len(self.bets),
-            market_id=self.spec.market_id,
-            outcome=i,
-            wager=d,
-            fee=fee,
-            odd=odd,
-            s_lp=s_lp,
-            implied_price=implied,
-            slippage=implied - fi,
-            post_r=tuple(float(x) for x in rw),
+            len(self.bets), spec.market_id, i, d, fee, odd, s_lp,
+            implied, implied - fi, tuple(map(float, rw)),
         )
         self.bets.append(record)
         return record

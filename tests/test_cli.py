@@ -67,6 +67,19 @@ def test_missing_subcommand_exits_one():
     assert cli.main([]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--wager", "nan"), ("--wager", "inf"), ("--funding", "nan"),
+    ("--funding", "inf"), ("--funding", "-inf"), ("--fee-rate", "nan"),
+])
+def test_quote_rejects_non_finite_input(capsys, flag, value):
+    # a repeated option overrides the earlier one
+    assert cli.main(QUOTE_ARGS + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_single_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -94,7 +107,11 @@ def test_simulate_multi_outputs(tmp_path, capsys):
     bets = read_rows(out / "bets.csv")
     assert len(bets) == 150
     plot = read_rows(out / "plot_markets.csv")
-    assert len(plot) == 3
+    assert plot == [
+        {"market_index": str(i), "eip": m["eip"], "epp": m["epp"],
+         "ev_final": m["ev_final"]}
+        for i, m in enumerate(markets)
+    ]
 
 
 def test_simulate_full_mode_defaults(tmp_path, capsys):

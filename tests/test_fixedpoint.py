@@ -1,6 +1,8 @@
-from decimal import Decimal
+import math
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uamm_lab.fixedpoint import PRECISION, ZERO, amount
 
@@ -37,3 +39,74 @@ def test_half_even_rounding():
 @pytest.mark.parametrize("a,b", [("0.1", "0.2"), ("1.000001", "2.999999")])
 def test_addition_is_exact(a, b):
     assert amount(a) + amount(b) == amount(Decimal(a) + Decimal(b))
+
+
+# -- the float path ---------------------------------------------------------
+#
+# amount() rounds most floats through a fast micro-unit path; it must agree
+# with the exact Decimal quantization in value and in str for every float.
+
+#: Where the fast path ends: larger floats have micro-unit products of at
+#: least 2**50 and take the exact Decimal path.
+FAST_EDGE = 2.0 ** 50 / 1e6
+
+
+def _assert_matches_decimal(x):
+    try:
+        expected = Decimal(x).quantize(PRECISION, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:
+        # too many digits for the context: both paths must refuse
+        with pytest.raises(InvalidOperation):
+            amount(x)
+        return
+    got = amount(x)
+    assert got == expected, x
+    assert str(got) == str(expected), x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_amount_float_matches_decimal_quantize(x):
+    _assert_matches_decimal(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2 * FAST_EDGE))
+def test_amount_float_matches_decimal_quantize_in_range(x):
+    _assert_matches_decimal(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=10**15))
+def test_amount_float_near_ties_matches_decimal_quantize(k):
+    # k/1e6 + 5e-7 lands on or next to a half-micro-unit tie
+    x = k / 1e6 + 5e-7
+    for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+        _assert_matches_decimal(y)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 1e-7, 5e-7, 0.0000005, 1.5e-6, 2.5e-6, 3.5e-6,
+    1.0000005, 123.4565005, 0.1, 0.3, 12.34, 19.99001,
+    5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    -5e-324, -1e-7, -5e-7, -1.5e-6, -2.5e-6, -12.34, -1e9,
+    FAST_EDGE, math.nextafter(FAST_EDGE, 0.0),
+    math.nextafter(FAST_EDGE, math.inf), FAST_EDGE - 5e-7, FAST_EDGE + 5e-7,
+    1e15, 9.999999999999999e20, 1e22, 1.7976931348623157e308,
+])
+def test_amount_float_edge_cases(x):
+    _assert_matches_decimal(x)
+
+
+def test_amount_float_exact_ties_match_decimal_quantize():
+    for k in range(2000):
+        _assert_matches_decimal(k / 1e6 + 5e-7)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"),
+    Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), "nan", "inf",
+])
+def test_amount_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        amount(bad)

@@ -336,3 +336,44 @@ def test_snapshot_is_sorted_and_replayable():
     assert text == b.snapshot()
     keys = [line.split("=", 1)[0] for line in text.strip().splitlines()]
     assert keys == sorted(keys)
+
+
+def _records():
+    """One Quote, BetRecord and BettorDraw each, with their field values."""
+    from uamm_lab.sim import BettorDraw
+    from uamm_lab.uamm import BetRecord, Quote
+
+    return [
+        (Quote, ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25,
+                 (0.0, 1.0, 2.0), 100.0, (0.5, 0.5))),
+        (BetRecord, (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
+                     Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0,
+                     (0.0, 1.0, 2.0))),
+        (BettorDraw, (12.34, 1, 0.045)),
+    ]
+
+
+@pytest.mark.parametrize("cls,values", _records(),
+                         ids=lambda v: getattr(v, "__name__", ""))
+def test_records_are_frozen_dataclasses(cls, values):
+    import dataclasses
+
+    names = [f.name for f in dataclasses.fields(cls)]
+    rec = cls(*values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, names[0], values[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(rec, names[-1])
+    # field by field: positional and keyword construction agree, equal
+    # records hash alike, and any one differing field breaks equality
+    twin = cls(**dict(zip(names, values)))
+    assert rec == twin and hash(rec) == hash(twin)
+    assert dataclasses.astuple(rec) == tuple(values)
+    assert repr(rec) == (
+        f"{cls.__name__}("
+        + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    )
+    for n in names:
+        assert dataclasses.replace(rec, **{n: "other"}) != rec
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
