@@ -26,7 +26,7 @@ from .ledger import (
     Phase,
     PhaseError,
 )
-from .uamm import BetRecord, FairPriceVector, Quote, UnfillableQuote
+from .uamm import BetRecord, FairPriceVector, FloatView, Quote, UnfillableQuote
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
@@ -39,8 +39,14 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
 
 
 @dataclass
-class CpmmPool:
-    """Reserve balances; r[0] holds merged collateral between bets."""
+class CpmmPool(FloatView):
+    """Reserve balances; r[0] holds merged collateral between bets.
+
+    Quoting reads the reserves through :meth:`float_view`, which stays valid
+    while ``r`` compares equal to the copy taken with it (see
+    :class:`~uamm_lab.uamm.FloatView`).  A product-rule pool has no target
+    balance; its view and its quotes report 0.0.
+    """
 
     r: list[Decimal]
     fee_accrued: Decimal = ZERO
@@ -67,6 +73,7 @@ class CpmmMarket:
             self.fair = FairPriceVector(self.fair)
         if len(self.fair) != self.spec.k:
             raise ValueError("fair-price vector length must equal K")
+        self._fee_float = float(self.spec.fee_rate)
         self.ledger = ConditionalLedger(self.spec)
         self.pool = CpmmPool.empty(self.spec.k)
         self.lp_shares: dict[str, Decimal] = {}
@@ -112,14 +119,13 @@ class CpmmMarket:
         if d < 0:
             raise ValueError("wager must be non-negative")
         f = self.fair.probs
+        rf, tb, comb = pool.float_view()
         if d == 0.0:
             return Quote(
                 self.engine, spec.market_id, i, 0.0, 0.0, f[i - 1], 0.0,
-                0.0, tuple(map(float, pool.r)), 0.0, f,
+                0.0, rf, tb, f,
             )
-        c = float(pool.r[0])
-        r = [float(x) + c for x in pool.r]
-        r[0] = 0.0
+        r = list(comb)
         odd = d
         for j in range(1, K + 1):
             if j == i:
@@ -136,8 +142,8 @@ class CpmmMarket:
         implied = d / odd
         return Quote(
             self.engine, spec.market_id, i, d, odd, implied,
-            implied - f[i - 1], float(spec.fee_rate) * d,
-            (m, *[x - m for x in r[1:]]), 0.0, f,
+            implied - f[i - 1], self._fee_float * d,
+            (m, *[x - m for x in r[1:]]), tb, f,
         )
 
     def buy(self, account: str, i: int, wager) -> BetRecord:
@@ -185,10 +191,12 @@ class CpmmMarket:
         ledger.locked += d + c - m
         pool.r = rw
         pool.fee_accrued += fee
+        post = tuple(map(float, rw))
+        pool.seed_float_view(post, 0.0)
         implied = df / float(odd)
         record = BetRecord(
             len(self.bets), spec.market_id, i, d, fee, odd, ZERO,
-            implied, implied - fi, tuple(map(float, rw)),
+            implied, implied - fi, post,
         )
         self.bets.append(record)
         return record

@@ -27,7 +27,9 @@ micro-units when that provably gives the same result as
 
 Everything else (zero and ``-0.0``, negatives, values near a tie, values of
 ``2**50 / 1e6`` (about 1.1e9) and more, other types) takes the exact Decimal
-path, which also rejects NaN and infinities.
+path, which also rejects NaN and infinities.  A finite ``Decimal``, the
+other common case (balances and wagers re-rounded on their way into the
+ledger), is quantized straight away.
 """
 
 from decimal import Decimal, ROUND_HALF_EVEN
@@ -54,6 +56,9 @@ def amount(value) -> Decimal:
                 return PRECISION * n
         d = Decimal(value)
     elif isinstance(value, Decimal):
+        # re-rounding a balance or wager that is already a Decimal
+        if value.is_finite():
+            return value.quantize(PRECISION, ROUND_HALF_EVEN)
         d = value
     elif isinstance(value, float):
         d = Decimal(value)

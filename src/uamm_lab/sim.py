@@ -24,13 +24,7 @@ from .baseline import CpmmMarket
 from .fixedpoint import ZERO, amount
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
-from .uamm import (
-    BetRecord,
-    FairPriceVector,
-    UammMarket,
-    UnfillableQuote,
-    frozen_record,
-)
+from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
 
 LP = "lp"
 BETTOR = "bettor"
@@ -83,6 +77,9 @@ class SimConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.n_markets < 1:
             raise ConfigError("n_markets must be >= 1")
+        for key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.funding <= 0:
             raise ConfigError("funding must be positive")
         if isinstance(self.n_bets, int) and self.n_bets < 0:
@@ -153,13 +150,6 @@ def load_config(path) -> SimConfig:
 # -- bettor behaviour ---------------------------------------------------------
 
 
-@frozen_record
-class BettorDraw:
-    wager: float
-    side: int
-    threshold: float
-
-
 def draw_wager(rng, mu: float, sigma: float) -> float:
     """One log-normal wager in dollars, rounded to cents (min one cent)."""
     w = math.exp(rng.normal(mu, sigma)) if sigma > 0 else math.exp(mu)
@@ -180,7 +170,8 @@ def decide_rejection(quote, rng, mean: float, std: float) -> bool:
     return quote.slippage > threshold
 
 
-def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[BettorDraw]:
+def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[tuple[float, int, float]]:
+    """``n`` bettors as ``(wager, side, threshold)`` tuples."""
     wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n)) if cfg.wager_sigma > 0 \
         else np.full(n, math.exp(cfg.wager_mu))
     wagers = np.maximum(np.round(wagers, 2), 0.01)
@@ -191,10 +182,7 @@ def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[BettorDraw]:
     else:
         sides = rng.choice(np.arange(1, k + 1), size=n, p=probs)
     thresholds = rng.normal(cfg.rej_mean, cfg.rej_std, n)
-    return [
-        BettorDraw(w, s, t)
-        for w, s, t in zip(wagers.tolist(), sides.tolist(), thresholds.tolist())
-    ]
+    return list(zip(wagers.tolist(), sides.tolist(), thresholds.tolist()))
 
 
 def _sample_market_params(rng, cfg: SimConfig):
@@ -251,7 +239,9 @@ def build_market(engine: str, market_id: str, k: int, probs, funding, fee_rate):
         fee_rate=Decimal(str(fee_rate)), oracle_id=ORACLE,
     )
     cls = UammMarket if engine == "uamm" else CpmmMarket
-    market = cls(spec, FairPriceVector(probs))
+    # a FairPriceVector passes through as is: normalizing it again can move a
+    # probability by one ulp away from the vector the bettors were drawn from
+    market = cls(spec, probs)
     funding = amount(funding)
     market.deposit(LP, funding)
     market.add_liquidity(LP, funding)
@@ -270,7 +260,7 @@ def _overround(market) -> float:
 
 def run_market(
     market,
-    draws: list[BettorDraw],
+    draws: list[tuple[float, int, float]],
     winner: int,
     *,
     funding: float | None = None,
@@ -278,7 +268,8 @@ def run_market(
     keep_log: bool = False,
     trajectory: bool = False,
 ) -> MarketResult:
-    """Stream bettor draws through quote -> rejection -> buy and settle."""
+    """Stream ``(wager, side, threshold)`` draws through quote -> rejection
+    -> buy and settle."""
     fair = market.fair.probs
     r_start = tuple(float(x) for x in market.pool.r)
     volume = ZERO
@@ -287,11 +278,11 @@ def run_market(
     log: list[dict] = []
     traj: list[dict] = []
 
-    def log_row(idx, draw, quote, status):
+    def log_row(idx, side, w, quote, status):
         log.append({
             "bet_index": idx,
-            "outcome": draw.side,
-            "wager": repr(draw.wager),
+            "outcome": side,
+            "wager": repr(w),
             "odd": "" if quote is None else repr(quote.odd),
             "implied_price": "" if quote is None else repr(quote.implied_price),
             "slippage": "" if quote is None else repr(quote.slippage),
@@ -300,36 +291,37 @@ def run_market(
             "reject_reason": "" if status == "accepted" else status,
         })
 
-    for idx, draw in enumerate(draws):
-        wager = amount(draw.wager)
+    quote_bet, buy, deposit = market.quote, market.buy, market.deposit
+    fee_rate = market.spec.fee_rate
+    for idx, (w, side, threshold) in enumerate(draws):
+        wager = amount(w)
         try:
-            quote = market.quote(draw.side, wager)
+            quote = quote_bet(side, wager)
         except UnfillableQuote:
             unfillable += 1
             if keep_log:
-                log_row(idx, draw, None, "unfillable")
+                log_row(idx, side, w, None, "unfillable")
         else:
-            if quote.slippage > draw.threshold:
+            if quote.slippage > threshold:
                 rejected += 1
                 if keep_log:
-                    log_row(idx, draw, quote, "threshold")
+                    log_row(idx, side, w, quote, "threshold")
             else:
-                need = wager + wager * market.spec.fee_rate
-                market.deposit(BETTOR, need)
+                deposit(BETTOR, wager + wager * fee_rate)
                 try:
-                    record = market.buy(BETTOR, draw.side, wager)
+                    record = buy(BETTOR, side, wager)
                 except UnfillableQuote:
                     # fixed-point execution can hit the pool edge the float
                     # quote just cleared
                     unfillable += 1
                     if keep_log:
-                        log_row(idx, draw, quote, "unfillable")
+                        log_row(idx, side, w, quote, "unfillable")
                 else:
                     accepted += 1
                     volume += record.wager
                     fee += record.fee
                     if keep_log:
-                        log_row(idx, draw, quote, "accepted")
+                        log_row(idx, side, w, quote, "accepted")
         if trajectory:
             r = [float(x) for x in market.pool.r]
             traj.append({

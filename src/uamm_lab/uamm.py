@@ -129,8 +129,47 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
     return r_out - tb * tb / (x + delta)
 
 
+class FloatView:
+    """A pool's reserves as floats, converted once and reused by every quote.
+
+    :meth:`float_view` returns ``(rf, tbf, comb)``: ``float(r_k)`` for every
+    ``k``, the float target balance (0.0 for a pool without one), and the
+    combined reserves ``(0.0, float(r_1) + float(r_0), ...)`` that the bet
+    pipeline starts from.  The view stays valid while a list copy of ``r``
+    taken with it still equals ``r`` and the pool's target balance is the
+    same object.  List equality tests identity first, so the check is cheap,
+    and any in-place edit or rebinding of ``r`` or ``tb`` rebuilds the view
+    on the next call.  (Equal Decimals convert to equal floats; the one
+    exception, a zero whose sign flips in place, no pool operation produces.)
+    """
+
+    _view_r = None
+    _view_tb = None
+    _view = None
+
+    def _target_balance(self) -> Decimal | None:
+        """The target balance the view depends on; ``None`` if the pool has none."""
+        return None
+
+    def float_view(self) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+        tb = self._target_balance()
+        if self._view_r == self.r and self._view_tb is tb:
+            return self._view
+        tbf = 0.0 if tb is None else float(tb)
+        return self.seed_float_view(tuple(map(float, self.r)), tbf)
+
+    def seed_float_view(self, rf: tuple[float, ...], tbf: float):
+        """Install ``rf``/``tbf``, already converted from the current reserves
+        and target balance."""
+        c = rf[0]
+        self._view_r = list(self.r)
+        self._view_tb = self._target_balance()
+        self._view = view = (rf, tbf, (0.0, *[x + c for x in rf[1:]]))
+        return view
+
+
 @dataclass
-class PoolState:
+class PoolState(FloatView):
     """Mutable AMM pool: collateral + K conditional balances, LP bookkeeping.
 
     ``r[0]`` is the collateral pool, ``r[k]`` the pool of outcome token ``k``.
@@ -138,6 +177,10 @@ class PoolState:
     at fair prices (the target balance).  Shares and TB are bookkeeping
     quantities and stay at full Decimal precision; only token movements are
     quantized, and only at the ledger boundary.
+
+    Quoting reads the reserves through :meth:`float_view`, which stays valid
+    while ``r`` compares equal to the copy taken with it and ``tb`` is the
+    same object (see :class:`FloatView`).
     """
 
     r: list[Decimal]
@@ -153,6 +196,9 @@ class PoolState:
     @property
     def k(self) -> int:
         return len(self.r) - 1
+
+    def _target_balance(self) -> Decimal:
+        return self.tb
 
     def copy(self) -> "PoolState":
         return PoolState(
@@ -262,16 +308,13 @@ def calc_odds(
     if d < 0:
         raise ValueError("wager must be non-negative")
     f = fair.probs
+    rf, tb, comb = pool.float_view()
     if d == 0.0:
         return Quote(
-            engine, market_id, i, 0.0, 0.0, f[i - 1], 0.0, 0.0,
-            tuple(map(float, pool.r)), float(pool.tb), f,
+            engine, market_id, i, 0.0, 0.0, f[i - 1], 0.0, 0.0, rf, tb, f,
         )
-    tb = float(pool.tb)
-    # combine collateral liquidity into every conditional pool
-    c = float(pool.r[0])
-    r = [float(x) + c for x in pool.r]
-    r[0] = 0.0
+    # collateral liquidity combined into every conditional pool
+    r = list(comb)
     odd = d
     fi = f[i - 1]
     for j in range(1, K + 1):
@@ -333,6 +376,7 @@ class UammMarket:
             self.fair = FairPriceVector(self.fair)
         if len(self.fair) != self.spec.k:
             raise ValueError("fair-price vector length must equal K")
+        self._fee_float = float(self.spec.fee_rate)
         self.ledger = ConditionalLedger(self.spec)
         self.pool = PoolState.empty(self.spec.k)
         self.lp_shares: dict[str, Decimal] = {}
@@ -375,8 +419,7 @@ class UammMarket:
         if self.ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
         return calc_odds(
-            self.pool, self.fair, i, wager,
-            fee_rate=self.spec.fee_rate, market_id=self.spec.market_id,
+            self.pool, self.fair, i, wager, self._fee_float, self.spec.market_id,
         )
 
     def buy(self, account: str, i: int, wager) -> BetRecord:
@@ -412,7 +455,7 @@ class UammMarket:
         c = pool.r[0]
         rw = [ZERO] + [x + c for x in pool.r[1:]]
         df = float(d)
-        tbf = float(pool.tb)
+        tbf = pool.float_view()[1]
         odd = d
         for j in range(1, K + 1):
             if j == i:
@@ -441,10 +484,12 @@ class UammMarket:
             s_lp = ZERO
         pool.ts += s_lp
         pool.treasury_shares += s_lp
+        post = tuple(map(float, rw))
+        pool.seed_float_view(post, tbf)
         implied = df / float(odd)
         record = BetRecord(
             len(self.bets), spec.market_id, i, d, fee, odd, s_lp,
-            implied, implied - fi, tuple(map(float, rw)),
+            implied, implied - fi, post,
         )
         self.bets.append(record)
         return record

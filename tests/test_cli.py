@@ -149,6 +149,13 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     assert "bankroll" in capsys.readouterr().err
 
 
+def test_simulate_rejects_non_finite_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_CFG + "rej_mean = nan\n")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rej_mean" in err
+
+
 def test_simulate_missing_config_file(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -85,6 +85,15 @@ def test_amount_float_near_ties_matches_decimal_quantize(k):
         _assert_matches_decimal(y)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.decimals(allow_nan=False, allow_infinity=False)
+       | st.decimals(allow_nan=False, allow_infinity=False, places=6)
+       | st.decimals(allow_nan=False, allow_infinity=False, places=9))
+def test_amount_decimal_matches_decimal_quantize(x):
+    # a Decimal takes its own branch; on-grid values are the common case
+    _assert_matches_decimal(x)
+
+
 @pytest.mark.parametrize("x", [
     0.0, -0.0, 1e-7, 5e-7, 0.0000005, 1.5e-6, 2.5e-6, 3.5e-6,
     1.0000005, 123.4565005, 0.1, 0.3, 12.34, 19.99001,
@@ -106,6 +115,7 @@ def test_amount_float_exact_ties_match_decimal_quantize():
 @pytest.mark.parametrize("bad", [
     float("nan"), float("inf"), float("-inf"),
     Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), "nan", "inf",
+    Decimal("-NaN"), Decimal("sNaN"),
 ])
 def test_amount_rejects_non_finite(bad):
     with pytest.raises(ValueError):

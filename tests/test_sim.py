@@ -144,6 +144,13 @@ def test_invalid_values_rejected():
         SimConfig(probs=(0.9, 0.9))
 
 
+@pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        SimConfig(**{key: value})
+
+
 def test_full_config_samples_hyperparameters():
     cfg = full_config(seed=3)
     assert cfg.k == (2, 3)
@@ -153,6 +160,37 @@ def test_full_config_samples_hyperparameters():
 
 
 # -- orchestration -----------------------------------------------------------------
+
+
+def test_markets_price_with_the_vector_their_bettors_were_drawn_from(monkeypatch):
+    drawn, priced = [], []
+    draw_streams, run_market = sim._draw_streams, sim.run_market
+
+    def spy_draws(rng, cfg, fair, n):
+        drawn.append(fair)
+        return draw_streams(rng, cfg, fair, n)
+
+    def spy_run(market, *args, **kwargs):
+        priced.append(market.fair)
+        return run_market(market, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_draw_streams", spy_draws)
+    monkeypatch.setattr(sim, "run_market", spy_run)
+    cfg = full_config(seed=4, n_markets=30)
+    for m in range(cfg.n_markets):
+        simulate_one(cfg, m)
+    assert len(priced) == len(drawn) == cfg.n_markets
+    assert all(p is d for p, d in zip(priced, drawn))
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_build_market_keeps_a_fair_price_vector(engine):
+    # normalizing this vector a second time moves its first probability by
+    # one ulp, so a market must price with the vector exactly as given
+    fair = FairPriceVector((0.10793776849199223, 0.27110557694836346, 0.6209566545596444))
+    assert FairPriceVector(fair).probs != fair.probs
+    market = sim.build_market(engine, "m", 3, fair, 1_000.0, 0.025)
+    assert market.fair is fair
 
 
 def test_zero_bet_run_leaves_pool_at_initial_state():

@@ -339,8 +339,7 @@ def test_snapshot_is_sorted_and_replayable():
 
 
 def _records():
-    """One Quote, BetRecord and BettorDraw each, with their field values."""
-    from uamm_lab.sim import BettorDraw
+    """One Quote and one BetRecord, with their field values."""
     from uamm_lab.uamm import BetRecord, Quote
 
     return [
@@ -349,7 +348,6 @@ def _records():
         (BetRecord, (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
                      Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0,
                      (0.0, 1.0, 2.0))),
-        (BettorDraw, (12.34, 1, 0.045)),
     ]
 
 
