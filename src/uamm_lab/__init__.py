@@ -28,7 +28,7 @@ from .ledger import (
     Phase,
     PhaseError,
 )
-from .metrics import MetricsReport, eip, epp, ev, summarize, vigorish
+from .metrics import MetricsReport, eip, epp, ev, summarize
 from .probes import continuity_report, property_report
 from .sim import (
     ConfigError,
@@ -37,7 +37,6 @@ from .sim import (
     build_market,
     full_config,
     load_config,
-    run_full_market,
     run_multi_market,
     run_prob_sweep,
     run_rejection_sweep,
@@ -91,7 +90,6 @@ __all__ = [
     "full_config",
     "load_config",
     "property_report",
-    "run_full_market",
     "run_multi_market",
     "run_prob_sweep",
     "run_rejection_sweep",
@@ -99,5 +97,4 @@ __all__ = [
     "spot_price",
     "summarize",
     "swap_out",
-    "vigorish",
 ]

@@ -192,8 +192,7 @@ def cmd_simulate(args) -> int:
             rows.append(row)
         _write_csv(out / "plot_single_market.csv", fields, rows)
     elif args.mode in ("multi", "full"):
-        runner = sim.run_full_market if args.mode == "full" else sim.run_multi_market
-        results, report = runner(cfg, keep_log=True)
+        results, report = sim.run_multi_market(cfg, keep_log=True)
         market_rows = _write_run_outputs(out, results, report, args.mode, cfg.seed)
         rows = [{"market_index": i, "eip": row["eip"], "epp": row["epp"],
                  "ev_final": row["ev_final"]}

@@ -27,12 +27,13 @@ micro-units when that provably gives the same result as
 
 Everything else (zero and ``-0.0``, negatives, values near a tie, values of
 ``2**50 / 1e6`` (about 1.1e9) and more, other types) takes the exact Decimal
-path, which also rejects NaN and infinities.  A finite ``Decimal``, the
-other common case (balances and wagers re-rounded on their way into the
-ledger), is quantized straight away.
+path, which also rejects NaN and infinities, and values too large to carry
+six decimals in the 28-digit Decimal context (1e22 and more).  A
+``Decimal``, the other common case (balances and wagers re-rounded on their
+way into the ledger), is quantized straight away.
 """
 
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
 PRECISION = Decimal("0.000001")
 ZERO = Decimal("0.000000")
@@ -46,7 +47,7 @@ _PRODUCT_ERROR = 2.0 ** -52
 def amount(value) -> Decimal:
     """Coerce ``value`` to a 6-decimal fixed-point Decimal (half-even).
 
-    Raises ``ValueError`` for NaN and infinities.
+    Raises ``ValueError`` for NaN, infinities and magnitudes of 1e22 or more.
     """
     if type(value) is float:
         y = value * 1e6
@@ -57,8 +58,6 @@ def amount(value) -> Decimal:
         d = Decimal(value)
     elif isinstance(value, Decimal):
         # re-rounding a balance or wager that is already a Decimal
-        if value.is_finite():
-            return value.quantize(PRECISION, ROUND_HALF_EVEN)
         d = value
     elif isinstance(value, float):
         d = Decimal(value)
@@ -66,4 +65,9 @@ def amount(value) -> Decimal:
         d = Decimal(str(value))
     if not d.is_finite():
         raise ValueError(f"amount must be finite, got {value!r}")
-    return d.quantize(PRECISION, rounding=ROUND_HALF_EVEN)
+    try:
+        return d.quantize(PRECISION, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:
+        raise ValueError(
+            f"amount {value!r} has too many digits for 6-decimal fixed point"
+        ) from None

@@ -14,8 +14,6 @@ from decimal import Decimal
 
 import numpy as np
 
-from .uamm import FairPriceVector, PoolState, Quote, spot_price
-
 
 def ev(r_cond, fair) -> float:
     """Expected value of conditional pool balances under the fair prices.
@@ -76,21 +74,6 @@ def tv_pnl_values(results) -> list[float]:
         tv1 = r.r_end[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_end[1:]))
         out.append(tv1 - tv0)
     return out
-
-
-def vigorish(quotes: list[Quote]) -> float:
-    """Mean overround: sum of marginal implied prices minus 1, per quote."""
-    if not quotes:
-        raise ValueError("need at least one quote")
-    vals = []
-    for q in quotes:
-        pool = PoolState(r=[Decimal(repr(x)) for x in q.post_r], tb=Decimal(repr(q.post_tb)))
-        fair = FairPriceVector(q.fair)
-        total = math.fsum(
-            spot_price(pool, fair, i) for i in range(1, len(q.fair) + 1)
-        )
-        vals.append(total - 1.0)
-    return float(np.mean(vals))
 
 
 @dataclass

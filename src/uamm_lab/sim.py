@@ -150,26 +150,6 @@ def load_config(path) -> SimConfig:
 # -- bettor behaviour ---------------------------------------------------------
 
 
-def draw_wager(rng, mu: float, sigma: float) -> float:
-    """One log-normal wager in dollars, rounded to cents (min one cent)."""
-    w = math.exp(rng.normal(mu, sigma)) if sigma > 0 else math.exp(mu)
-    return max(round(w, 2), 0.01)
-
-
-def draw_side(rng, mode: str, fair) -> int:
-    probs = tuple(fair)
-    k = len(probs)
-    if mode == "uniform":
-        return int(rng.integers(1, k + 1))
-    return int(rng.choice(np.arange(1, k + 1), p=probs))
-
-
-def decide_rejection(quote, rng, mean: float, std: float) -> bool:
-    """True if the bettor walks away: quoted slippage above their threshold."""
-    threshold = rng.normal(mean, std) if std > 0 else mean
-    return quote.slippage > threshold
-
-
 def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[tuple[float, int, float]]:
     """``n`` bettors as ``(wager, side, threshold)`` tuples."""
     wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n)) if cfg.wager_sigma > 0 \
@@ -391,13 +371,6 @@ def full_config(**overrides) -> SimConfig:
     values = dict(FULL_DEFAULTS)
     values.update(overrides)
     return config_from_dict(values)
-
-
-def run_full_market(cfg: SimConfig, **run_opts) -> tuple[list[MarketResult], MetricsReport]:
-    """The uncontrolled experiment; pass a :func:`full_config` for the
-    sampled-hyperparameter defaults.  A fixed single-market config degenerates
-    to :func:`run_single_market` on the same substream."""
-    return run_multi_market(cfg, **run_opts)
 
 
 # -- sweep experiments ----------------------------------------------------------

@@ -8,12 +8,19 @@ rate is fair (``rho = f_in / f_out``) while the output pool sits above the
 LP target balance TB, and charges constant-product-style slippage once the
 pool dips below TB.
 
-The engine keeps two faces:
+:class:`Market` owns what every engine shares: the conditional-token
+ledger, the market lifecycle (deposit, close, resolve, redeem, settle the
+pool, snapshot) and the bet pipeline, which has two faces:
 
 * pure quoting (:func:`calc_odds`, :func:`spot_price`) in float arithmetic,
   never touching live state;
-* execution (:meth:`UammMarket.buy`) in fixed-point arithmetic against the
-  conditional-token ledger, so conservation stays exact.
+* execution (:meth:`Market.buy`) in fixed-point arithmetic against the
+  ledger, so conservation stays exact.
+
+An engine is a subclass that supplies its pool type, its one-leg swap rule
+and its genesis.  :class:`UammMarket` is the fair-price engine; it also
+removes liquidity and mints treasury LP shares on every bet.  The
+constant-product engine is :class:`uamm_lab.baseline.CpmmMarket`.
 """
 
 from __future__ import annotations
@@ -287,19 +294,30 @@ class Quote:
         }
 
 
+def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
+             tb: float) -> float:
+    """One swap leg under the fair-price rule; the input pool ``r_in`` plays
+    no part in it."""
+    return swap_out(d, f_in, f_out, r_out, tb)
+
+
 def calc_odds(
-    pool: PoolState,
+    pool,
     fair: FairPriceVector,
     i: int,
     wager,
     fee_rate=0,
     market_id: str = "",
     engine: str = "uamm",
+    leg=fair_leg,
 ) -> Quote:
     """Quote the payout for betting ``wager`` collateral on outcome ``i``.
 
     Runs the buy pipeline (mint, combine, swap each other leg, merge) on a
-    float scratch copy of the pool; the live pool is never mutated.
+    float scratch copy of the pool (either engine's); the live pool is never
+    mutated.  ``leg`` is the engine's one-leg swap rule, called as
+    ``leg(d, f_in, f_out, r_in, r_out, tb)`` with ``r_in`` read before the
+    bettor's ``d`` is added.
     """
     K = pool.k
     if not 1 <= i <= K:
@@ -320,8 +338,8 @@ def calc_odds(
     for j in range(1, K + 1):
         if j == i:
             continue
+        s = leg(d, f[j - 1], fi, r[j], r[i], tb)
         r[j] += d
-        s = swap_out(d, f[j - 1], fi, r[i], tb)
         if s > r[i]:
             raise UnfillableQuote(
                 f"wager {d} on outcome {i} would drain the pool"
@@ -360,16 +378,18 @@ class BetRecord:
 
 
 @dataclass
-class UammMarket:
-    """One betting market: ledger + fair-price AMM pool, single writer.
+class Market:
+    """One betting market: ledger + AMM pool + bet pipeline, single writer.
 
     All mutations of a market are serialized through this object; distinct
-    markets share no state and may run in parallel.
+    markets share no state and may run in parallel.  An engine subclass
+    supplies ``engine`` (its name), ``pool_type``, ``_leg`` (its one-leg swap
+    rule, see :func:`calc_odds`) and ``_fund`` (its genesis: what adding
+    liquidity puts into the pool); everything else is shared.
     """
 
     spec: MarketSpec
     fair: FairPriceVector
-    engine = "uamm"
 
     def __post_init__(self):
         if not isinstance(self.fair, FairPriceVector):
@@ -378,7 +398,7 @@ class UammMarket:
             raise ValueError("fair-price vector length must equal K")
         self._fee_float = float(self.spec.fee_rate)
         self.ledger = ConditionalLedger(self.spec)
-        self.pool = PoolState.empty(self.spec.k)
+        self.pool = self.pool_type.empty(self.spec.k)
         self.lp_shares: dict[str, Decimal] = {}
         self.bets: list[BetRecord] = []
 
@@ -394,24 +414,20 @@ class UammMarket:
     # -- liquidity provision --------------------------------------------------
 
     def add_liquidity(self, account: str, d) -> Decimal:
+        """Fund the pool with ``d`` of ``account``'s collateral; returns the
+        LP shares credited to ``account``."""
         if self.ledger.phase is not Phase.OPEN:
             raise PhaseError("liquidity can only be added while betting is open")
         d = amount(d)
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
-        self.ledger.debit(account, COLLATERAL, d)
-        s_lp = self.pool.add(d, self.fair)
+        s_lp = self._fund(account, d)
         self.lp_shares[account] = self.lp_shares.get(account, ZERO) + s_lp
         return s_lp
 
-    def remove_liquidity(self, account: str, s_lp: Decimal) -> Decimal:
-        held = self.lp_shares.get(account, ZERO)
-        if s_lp > held:
-            raise InsufficientBalance(f"{account} holds {held} shares, needs {s_lp}")
-        payout = self.pool.remove(s_lp, quantize=amount)
-        self.lp_shares[account] = held - s_lp
-        self.ledger.credit(account, COLLATERAL, payout)
-        return payout
+    def _mint_treasury(self, d: Decimal) -> Decimal:
+        """LP shares minted to the treasury by a committed bet of ``d``."""
+        return ZERO
 
     # -- betting ----------------------------------------------------------------
 
@@ -419,15 +435,12 @@ class UammMarket:
         if self.ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
         return calc_odds(
-            self.pool, self.fair, i, wager, self._fee_float, self.spec.market_id,
+            self.pool, self.fair, i, wager, self._fee_float,
+            self.spec.market_id, self.engine, self._leg,
         )
 
     def buy(self, account: str, i: int, wager) -> BetRecord:
-        """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.
-
-        Treasury LP shares minted by the operation accrue to the pool's
-        treasury tally, not to the bettor.
-        """
+        """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out."""
         ledger, pool, spec = self.ledger, self.pool, self.spec
         if ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
@@ -450,6 +463,7 @@ class UammMarket:
             )
         f = self.fair.probs
         fi = f[i - 1]
+        leg = self._leg
         # Work on a scratch copy; commit only if every leg is fillable.
         # combine: the collateral pool is minted into K uniform sets
         c = pool.r[0]
@@ -460,8 +474,8 @@ class UammMarket:
         for j in range(1, K + 1):
             if j == i:
                 continue
+            s = amount(leg(df, f[j - 1], fi, float(rw[j]), float(rw[i]), tbf))
             rw[j] += d
-            s = amount(swap_out(df, f[j - 1], fi, float(rw[i]), tbf))
             if s < 0 or s > rw[i]:
                 raise UnfillableQuote(
                     f"wager {d} on outcome {i} would drain the pool"
@@ -477,13 +491,7 @@ class UammMarket:
         ledger.locked += d + c - m
         pool.r = rw
         pool.fee_accrued += fee
-        tv = pool.total_value(self.fair)
-        if pool.ts > 0 and tv > 0:
-            s_lp = d * pool.ts / tv
-        else:
-            s_lp = ZERO
-        pool.ts += s_lp
-        pool.treasury_shares += s_lp
+        s_lp = self._mint_treasury(d)
         post = tuple(map(float, rw))
         pool.seed_float_view(post, tbf)
         implied = df / float(odd)
@@ -522,12 +530,47 @@ class UammMarket:
         """Canonical key/value text of full market state, sorted by key."""
         items = dict(self.ledger.snapshot_items())
         items["engine"] = self.engine
-        for k, v in enumerate(self.pool.r):
-            items[f"pool/r{k}"] = str(v)
-        items["pool/ts"] = str(self.pool.ts)
-        items["pool/tb"] = str(self.pool.tb)
-        items["pool/fee_accrued"] = str(self.pool.fee_accrued)
-        items["pool/treasury_shares"] = str(self.pool.treasury_shares)
+        for field in fields(self.pool):
+            value = getattr(self.pool, field.name)
+            if field.name == "r":
+                for k, v in enumerate(value):
+                    items[f"pool/r{k}"] = str(v)
+            else:
+                items[f"pool/{field.name}"] = str(value)
         for account, s in self.lp_shares.items():
             items[f"lp/{account}"] = str(s)
         return "\n".join(f"{k}={items[k]}" for k in sorted(items)) + "\n"
+
+
+class UammMarket(Market):
+    """Fair-price betting market: the UAMM swap rule over a :class:`PoolState`."""
+
+    engine = "uamm"
+    pool_type = PoolState
+    # own attributes, so restoring a traced method by setattr changes nothing
+    quote = Market.quote
+    buy = Market.buy
+    _leg = staticmethod(fair_leg)
+
+    def _fund(self, account: str, d: Decimal) -> Decimal:
+        self.ledger.debit(account, COLLATERAL, d)
+        return self.pool.add(d, self.fair)
+
+    def _mint_treasury(self, d: Decimal) -> Decimal:
+        """A bet mints LP shares worth ``d`` at the post-trade share price;
+        they accrue to the pool's treasury tally, not to the bettor."""
+        pool = self.pool
+        tv = pool.total_value(self.fair)
+        s_lp = d * pool.ts / tv if pool.ts > 0 and tv > 0 else ZERO
+        pool.ts += s_lp
+        pool.treasury_shares += s_lp
+        return s_lp
+
+    def remove_liquidity(self, account: str, s_lp: Decimal) -> Decimal:
+        held = self.lp_shares.get(account, ZERO)
+        if s_lp > held:
+            raise InsufficientBalance(f"{account} holds {held} shares, needs {s_lp}")
+        payout = self.pool.remove(s_lp, quantize=amount)
+        self.lp_shares[account] = held - s_lp
+        self.ledger.credit(account, COLLATERAL, payout)
+        return payout

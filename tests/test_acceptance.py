@@ -224,7 +224,7 @@ def test_criterion_08_full_simulation_summary():
     stake, and total bets within +-20% of 1203.  Under 2 minutes."""
     start = time.monotonic()
     cfg = sim.full_config(seed=0)
-    _, report = sim.run_full_market(cfg, keep_records=False)
+    _, report = sim.run_multi_market(cfg, keep_records=False)
     elapsed = time.monotonic() - start
     fee_exact = report.fee_revenue == Decimal("0.025") * report.volume
     at_stake = report.n_markets * cfg.funding
@@ -259,7 +259,7 @@ def test_criterion_10_metrics_oracle_equivalence():
     """EV/EIP/EPP from the streaming implementation agree with a brute-force
     recomputation from raw bet records to 1e-9 relative on 100 trajectories."""
     cfg = sim.full_config(seed=5)
-    results, report = sim.run_full_market(cfg)
+    results, report = sim.run_multi_market(cfg)
     raw = metrics.recompute_from_records(results)
     errs = {
         key: abs(raw[key] - got) / max(1.0, abs(got))

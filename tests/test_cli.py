@@ -80,6 +80,16 @@ def test_quote_rejects_non_finite_input(capsys, flag, value):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--wager", "--funding"])
+def test_quote_rejects_huge_amounts(capsys, flag):
+    # 1e22 needs more than the 28 digits Decimal carries at six decimals
+    assert cli.main(QUOTE_ARGS + [flag, "1e22"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1e+22" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_single_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -154,6 +164,14 @@ def test_simulate_rejects_non_finite_config(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "rej_mean" in err
+
+
+def test_simulate_rejects_huge_funding(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_CFG + "funding = 1e22\n")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1e+22" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_missing_config_file(tmp_path):

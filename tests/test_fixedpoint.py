@@ -55,9 +55,11 @@ def _assert_matches_decimal(x):
     try:
         expected = Decimal(x).quantize(PRECISION, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:
-        # too many digits for the context: both paths must refuse
-        with pytest.raises(InvalidOperation):
+        # too many digits for the context: both paths refuse with a
+        # ValueError that names the value
+        with pytest.raises(ValueError, match="too many digits") as info:
             amount(x)
+        assert repr(x) in str(info.value)
         return
     got = amount(x)
     assert got == expected, x

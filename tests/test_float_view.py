@@ -21,7 +21,7 @@ from hypothesis.stateful import (
 from uamm_lab import sim
 from uamm_lab.baseline import CpmmPool
 from uamm_lab.fixedpoint import ZERO, amount
-from uamm_lab.ledger import InsufficientBalance
+from uamm_lab.ledger import InsufficientBalance, Phase
 from uamm_lab.uamm import PoolState, UammMarket, UnfillableQuote, calc_odds
 
 ENGINES = ("uamm", "cpmm")
@@ -182,19 +182,34 @@ WAGER = st.decimals(min_value="0.01", max_value="3000", places=2)
 
 
 class PoolMachine(RuleBasedStateMachine):
-    """Deposit, add, remove, quote and buy on one market; after every step
-    each quote equals a fresh pool's and every outcome token is conserved."""
+    """Deposit, add, remove, quote and buy on one market, then close,
+    resolve, redeem and settle the pool; after every step each quote (or,
+    once betting has closed, the float view) equals a fresh pool's, outcome
+    tokens are conserved and so is collateral."""
 
     engine = "uamm"
 
     @initialize(k=st.sampled_from((2, 3)), funding=st.sampled_from((300.0, 5_000.0)))
     def start(self, k, funding):
         self.market = funded(self.engine, k, funding)
+        self.collateral = self.collateral_in_market()
+
+    def is_open(self):
+        return self.market.phase is Phase.OPEN
+
+    def collateral_in_market(self):
+        """Collateral held by accounts, the pool and its fees, plus the
+        collateral locked behind outcome tokens."""
+        ledger, pool = self.market.ledger, self.market.pool
+        held = sum((ledger.balance(a) for a in ledger.accounts()), ZERO)
+        return held + pool.r[0] + pool.fee_accrued + ledger.locked
 
     @rule(account=st.sampled_from(ACCOUNTS), d=WAGER)
     def deposit(self, account, d):
         self.market.deposit(account, d)
+        self.collateral += amount(d)
 
+    @precondition(is_open)
     @rule(account=st.sampled_from(ACCOUNTS), d=WAGER)
     def add(self, account, d):
         try:
@@ -209,12 +224,14 @@ class PoolMachine(RuleBasedStateMachine):
         if held > 0:
             self.market.remove_liquidity(account, held * Decimal(frac))
 
+    @precondition(is_open)
     @rule(i=st.integers(1, 3), w=WAGER)
     def quote(self, i, w):
         i = min(i, self.market.spec.k)
         twin = fresh_twin(self.market)
         assert outcome_of(self.market.quote, i, w) == outcome_of(twin.quote, i, w)
 
+    @precondition(is_open)
     @rule(account=st.sampled_from(ACCOUNTS), i=st.integers(1, 3), w=WAGER)
     def buy(self, account, i, w):
         try:
@@ -222,16 +239,47 @@ class PoolMachine(RuleBasedStateMachine):
         except (InsufficientBalance, UnfillableQuote):
             pass
 
+    # settle traded markets only, so settlement sees pools that bets moved
+    @precondition(lambda self: self.is_open() and self.market.bets)
+    @rule()
+    def close(self):
+        self.market.close_betting()
+
+    @precondition(lambda self: self.market.phase is Phase.CLOSED)
+    @rule(winner=st.integers(1, 3))
+    def resolve(self, winner):
+        self.market.resolve("oracle", min(winner, self.market.spec.k))
+
+    @precondition(lambda self: self.market.phase is Phase.RESOLVED)
+    @rule(account=st.sampled_from(ACCOUNTS))
+    def redeem(self, account):
+        self.market.redeem(account)
+
+    @precondition(lambda self: self.market.phase is Phase.RESOLVED)
+    @rule()
+    def redeem_pool(self):
+        self.market.redeem_pool()
+
     @invariant()
     def quotes_match_a_fresh_pool(self):
-        assert_quotes_fresh(self.market)
+        if self.is_open():
+            assert_quotes_fresh(self.market)
+        else:
+            assert_view_fresh(self.market.pool)
 
     @invariant()
     def outcome_tokens_are_conserved(self):
+        # after resolution only winning tokens are backed: redeeming burns
+        # the losing ones
         ledger, pool = self.market.ledger, self.market.pool
-        for k in self.market.spec.outcomes:
+        backed = self.market.spec.outcomes if ledger.winner is None else (ledger.winner,)
+        for k in backed:
             held = sum((ledger.balance(a, k) for a in ledger.accounts()), ZERO)
             assert held + pool.r[k] == ledger.locked, k
+
+    @invariant()
+    def collateral_is_conserved(self):
+        assert self.collateral_in_market() == self.collateral
 
 
 class CpmmPoolMachine(PoolMachine):

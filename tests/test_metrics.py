@@ -105,34 +105,6 @@ def test_eip_is_expected_epp_under_winner_resampling():
     assert abs(mean - report.eip_mean) < 3 * se + 1e-9
 
 
-# -- vigorish -----------------------------------------------------------------------
-
-
-def test_vigorish_zero_in_surplus():
-    from uamm_lab.uamm import FairPriceVector, PoolState, calc_odds
-    from uamm_lab.fixedpoint import ZERO, amount
-
-    pool = PoolState(r=[ZERO, amount(1e6), amount(1e6)],
-                     ts=amount(1_000), tb=amount(1_000))
-    q = calc_odds(pool, FairPriceVector((0.5, 0.5)), 1, 10.0)
-    assert metrics.vigorish([q]) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_vigorish_positive_in_deficit():
-    from uamm_lab.uamm import FairPriceVector, PoolState, calc_odds
-    from uamm_lab.fixedpoint import ZERO, amount
-
-    pool = PoolState(r=[ZERO, amount(4_000), amount(4_000)],
-                     ts=amount(10_000), tb=amount(10_000))
-    q = calc_odds(pool, FairPriceVector((0.5, 0.5)), 1, 10.0)
-    assert metrics.vigorish([q]) > 0.0
-
-
-def test_vigorish_requires_quotes():
-    with pytest.raises(ValueError):
-        metrics.vigorish([])
-
-
 # -- cross-check oracle ----------------------------------------------------------------
 
 

@@ -9,9 +9,11 @@ and must be made on purpose.
 
 import hashlib
 import json
+from decimal import Decimal
 
 import pytest
 
+from uamm_lab import CpmmMarket, MarketSpec, UammMarket
 from uamm_lab.sim import SimConfig, run_multi_market, simulate_one
 
 
@@ -157,3 +159,74 @@ def test_per_bet_outputs_are_pinned(engine):
     quotes = [(row["odd"], row["slippage"], row["reject_reason"])
               for row in result.bet_log]
     assert quotes == QUOTES[engine]
+
+
+#: ``snapshot()`` of each engine's market after the lifecycle in
+#: :func:`test_lifecycle_snapshot_is_pinned`, recorded before the engines were
+#: folded into one market class.
+SNAPSHOTS = {
+    "uamm": (
+        "balance/bettor/collateral=531.638835000\n"
+        "balance/bettor/outcome1=0.000000\n"
+        "balance/bettor/outcome2=0.000000\n"
+        "balance/bettor/outcome3=0.000000\n"
+        "balance/lp/collateral=0.000000\n"
+        "balance/lp/outcome1=0.000000\n"
+        "balance/lp/outcome2=0.000000\n"
+        "balance/lp/outcome3=0.000000\n"
+        "engine=uamm\n"
+        "locked=0.000000\n"
+        "lp/lp=1000.000000\n"
+        "market=pin\n"
+        "phase=resolved\n"
+        "pool/fee_accrued=4.321000000\n"
+        "pool/r0=964.040165\n"
+        "pool/r1=0.000000\n"
+        "pool/r2=0.000000\n"
+        "pool/r3=0.000000\n"
+        "pool/tb=1000.000000\n"
+        "pool/treasury_shares=176.6624974659584350971379423\n"
+        "pool/ts=1176.662497465958435097137942\n"
+        "winner=3\n"
+    ),
+    "cpmm": (
+        "balance/bettor/collateral=553.746116000\n"
+        "balance/bettor/outcome1=0.000000\n"
+        "balance/bettor/outcome2=0.000000\n"
+        "balance/bettor/outcome3=0.000000\n"
+        "balance/lp/collateral=600.000000\n"
+        "balance/lp/outcome1=0.000000\n"
+        "balance/lp/outcome2=0.000000\n"
+        "balance/lp/outcome3=0.000000\n"
+        "engine=cpmm\n"
+        "locked=0.000000\n"
+        "lp/lp=1000.000000\n"
+        "market=pin\n"
+        "phase=resolved\n"
+        "pool/fee_accrued=4.321000000\n"
+        "pool/r0=341.932884\n"
+        "pool/r1=0.000000\n"
+        "pool/r2=0.000000\n"
+        "pool/r3=0.000000\n"
+        "winner=3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_lifecycle_snapshot_is_pinned(engine):
+    """deposit -> add -> three buys -> close -> resolve -> redeem ->
+    redeem_pool on each engine leaves exactly the recorded state."""
+    cls = UammMarket if engine == "uamm" else CpmmMarket
+    market = cls(MarketSpec("pin", 3, Decimal("0.025"), "oracle"), (0.2, 0.3, 0.5))
+    market.deposit("lp", 1000)
+    market.add_liquidity("lp", 1000)
+    market.deposit("bettor", 500)
+    for i, w in ((1, "40"), (3, "120.5"), (2, "12.34")):
+        market.buy("bettor", i, Decimal(w))
+    market.close_betting()
+    market.resolve("oracle", 3)
+    market.redeem("bettor")
+    market.redeem("lp")
+    market.redeem_pool()
+    assert market.snapshot() == SNAPSHOTS[engine]

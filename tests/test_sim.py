@@ -8,12 +8,8 @@ from uamm_lab import sim
 from uamm_lab.sim import (
     ConfigError,
     SimConfig,
-    decide_rejection,
-    draw_side,
-    draw_wager,
     full_config,
     load_config,
-    run_full_market,
     run_multi_market,
     run_rejection_sweep,
     run_single_market,
@@ -23,67 +19,59 @@ from uamm_lab.uamm import FairPriceVector
 
 
 # -- bettor draws -----------------------------------------------------------------
+#
+# ``_draw_streams`` is what the simulator runs: one (wager, side, threshold)
+# tuple per bettor, and a bettor walks away when the quoted slippage exceeds
+# the threshold (``run_market``).
+
+
+def _draws(seed, n, fair=(0.8, 0.2), **cfg):
+    return sim._draw_streams(np.random.default_rng(seed), SimConfig(**cfg),
+                             FairPriceVector(fair), n)
 
 
 def test_wager_sample_mean_near_45_dollars():
-    rng = np.random.default_rng(0)
-    mean = np.mean([draw_wager(rng, 3.2, 1.2) for _ in range(100_000)])
+    mean = np.mean([w for w, _, _ in _draws(0, 100_000)])
     assert abs(mean - 45.0) / 45.0 < 0.15
 
 
 def test_degenerate_sigma_gives_constant_wager():
-    rng = np.random.default_rng(0)
-    w = draw_wager(rng, 3.2, 0.0)
-    assert w == round(math.exp(3.2), 2)
-    assert draw_wager(rng, 3.2, 0.0) == w
+    wagers = [w for w, _, _ in _draws(0, 2, wager_sigma=0.0)]
+    assert wagers == [round(math.exp(3.2), 2)] * 2
 
 
 def test_wager_draws_replay_identically():
-    a = [draw_wager(np.random.default_rng(42), 3.2, 1.2) for _ in range(10)]
-    b = [draw_wager(np.random.default_rng(42), 3.2, 1.2) for _ in range(10)]
-    assert a == b
+    assert _draws(42, 10) == _draws(42, 10)
 
 
 def test_uniform_side_frequency():
-    rng = np.random.default_rng(1)
-    fair = FairPriceVector((0.8, 0.2))
-    freq = np.mean([draw_side(rng, "uniform", fair) == 1 for _ in range(10_000)])
+    draws = _draws(1, 10_000, side_mode="uniform")
+    freq = np.mean([side == 1 for _, side, _ in draws])
     assert abs(freq - 0.5) < 0.02
 
 
 def test_true_prob_side_frequency():
-    rng = np.random.default_rng(2)
-    fair = FairPriceVector((0.8, 0.2))
-    freq = np.mean([draw_side(rng, "true-prob", fair) == 1 for _ in range(10_000)])
+    freq = np.mean([side == 1 for _, side, _ in _draws(2, 10_000)])
     assert abs(freq - 0.8) < 0.02
 
 
 def test_three_way_true_prob_side_frequencies():
-    rng = np.random.default_rng(3)
-    fair = FairPriceVector((0.7, 0.2, 0.1))
-    draws = [draw_side(rng, "true-prob", fair) for _ in range(10_000)]
+    draws = [side for _, side, _ in _draws(3, 10_000, fair=(0.7, 0.2, 0.1))]
     for k, f in ((1, 0.7), (2, 0.2), (3, 0.1)):
         assert abs(np.mean([d == k for d in draws]) - f) < 0.02
 
 
-class _Slip:
-    def __init__(self, slippage):
-        self.slippage = slippage
-
-
 def test_zero_slippage_acceptance_probability():
-    rng = np.random.default_rng(4)
-    accepted = np.mean([
-        not decide_rejection(_Slip(0.0), rng, 0.045, 0.05) for _ in range(100_000)
-    ])
+    draws = _draws(4, 100_000, rej_mean=0.045, rej_std=0.05)
+    accepted = np.mean([not 0.0 > threshold for _, _, threshold in draws])
     assert abs(accepted - 0.8159) < 0.01  # P(N(0.045, 0.05) >= 0)
 
 
 def test_fixed_threshold_one_rejects_nothing():
-    rng = np.random.default_rng(5)
+    draws = _draws(5, 100, rej_mean=1.0, rej_std=0.0)
     assert not any(
-        decide_rejection(_Slip(float(s)), rng, 1.0, 0.0)
-        for s in np.linspace(0.0, 1.0, 100)
+        float(s) > threshold
+        for s, (_, _, threshold) in zip(np.linspace(0.0, 1.0, 100), draws)
     )
 
 
@@ -224,7 +212,7 @@ def test_markets_are_order_independent():
 
 def test_full_run_degenerates_to_single_market():
     cfg = SimConfig(k=2, probs=(0.5, 0.5), n_bets=100, n_markets=1, seed=17)
-    results, _ = run_full_market(cfg)
+    results, _ = run_multi_market(cfg)
     single = run_single_market(cfg)
     assert results[0].r_end == single.r_end
     assert results[0].volume == single.volume
