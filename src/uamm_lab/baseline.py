@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .fixedpoint import ZERO, amount
+from .fixedpoint import PRECISION, ZERO, to_micro
 from .uamm import FloatView, Market
 
 
@@ -31,26 +31,23 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     return r_out - (r_in * r_out) / (r_in + d_in)
 
 
-@dataclass
+@dataclass(init=False)
 class CpmmPool(FloatView):
-    """Reserve balances; r[0] holds merged collateral between bets.
+    """Reserve balances in micro-units; ``r_micro[0]`` holds merged
+    collateral between bets.
 
     Quoting reads the reserves through :meth:`float_view`, which stays valid
-    while ``r`` compares equal to the copy taken with it (see
+    while ``r_micro`` compares equal to the copy taken with it (see
     :class:`~uamm_lab.uamm.FloatView`).  A product-rule pool has no target
     balance; its view and its quotes report 0.0.
     """
 
-    r: list[Decimal]
-    fee_accrued: Decimal = ZERO
+    r_micro: list
+    fee_accrued: Decimal
 
-    @classmethod
-    def empty(cls, k: int) -> "CpmmPool":
-        return cls(r=[ZERO] * (k + 1))
-
-    @property
-    def k(self) -> int:
-        return len(self.r) - 1
+    def __init__(self, r, fee_accrued=ZERO):
+        self.r = r
+        self.fee_accrued = fee_accrued
 
 
 class CpmmMarket(Market):
@@ -79,7 +76,7 @@ class CpmmMarket(Market):
         fmin = min(f)
         self.ledger.mint(account, funding)
         for k in self.spec.outcomes:
-            reserve = amount(float(funding) * fmin / f[k - 1])
-            self.ledger.debit(account, k, reserve)
-            self.pool.r[k] += reserve
+            reserve = to_micro(float(funding) * fmin / f[k - 1])
+            self.ledger.debit(account, k, PRECISION * reserve)
+            self.pool.r_micro[k] += reserve
         return funding

@@ -9,6 +9,9 @@ minted and merged uniformly, the ledger maintains, for every outcome ``k``::
 
 at every step.  After the oracle resolves the market, winning tokens redeem
 1:1 for collateral and losing tokens are burned.
+
+Balances and ``locked`` are stored as int micro-units (see
+:mod:`uamm_lab.fixedpoint`) and read back as 6-place Decimals.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .fixedpoint import ZERO, amount
+from .fixedpoint import PRECISION, ZERO, format_micro, to_micro
 
 #: Token id of the base (collateral) currency.  Outcome tokens use 1..K.
 COLLATERAL = 0
@@ -37,6 +40,10 @@ class PhaseError(LedgerError):
 
 class OracleError(LedgerError):
     pass
+
+
+class InvariantViolation(Exception):
+    """The books do not balance: a token or collateral went missing."""
 
 
 class Phase(Enum):
@@ -69,46 +76,78 @@ class MarketSpec:
 
 @dataclass
 class ConditionalLedger:
-    """Per-account token balances plus the market lifecycle state."""
+    """Per-account token balances plus the market lifecycle state.
+
+    ``bal_micro[account][token]``, ``locked_micro`` and ``deposited_micro``
+    (collateral credited from outside by :meth:`deposit`) are int
+    micro-units; :meth:`balance` and :attr:`locked` read them as Decimals.
+    An account in ``fee_payers`` paid a fee of exactly ``wager * fee_rate``,
+    so its collateral reads at that fee's exponent, as Decimal arithmetic on
+    the fee would leave it (``531.638835000`` at a 0.025 rate).
+    """
 
     spec: MarketSpec
     phase: Phase = Phase.OPEN
     winner: int | None = None
-    locked: Decimal = ZERO
-    _bal: dict[str, dict[int, Decimal]] = field(default_factory=dict)
+    locked_micro: int = 0
+    deposited_micro: int = 0
+    bal_micro: dict[str, list[int]] = field(default_factory=dict)
+    fee_payers: set[str] = field(default_factory=set)
 
     # -- balance plumbing ---------------------------------------------------
 
-    def _account(self, account: str) -> dict[int, Decimal]:
-        acct = self._bal.get(account)
+    def _account(self, account: str) -> list[int]:
+        acct = self.bal_micro.get(account)
         if acct is None:
-            acct = {t: ZERO for t in range(self.spec.k + 1)}
-            self._bal[account] = acct
+            acct = self.bal_micro[account] = [0] * (self.spec.k + 1)
         return acct
 
+    def _read(self, account: str, token: int) -> Decimal:
+        n = self.bal_micro[account][token]
+        if token == COLLATERAL and account in self.fee_payers:
+            exp = self.spec.fee_rate.as_tuple().exponent - 6
+            return Decimal(n * 10 ** (-6 - exp)).scaleb(exp)
+        return PRECISION * n
+
     def balance(self, account: str, token: int = COLLATERAL) -> Decimal:
-        return self._bal.get(account, {}).get(token, ZERO)
+        if account not in self.bal_micro or not 0 <= token <= self.spec.k:
+            return ZERO
+        return self._read(account, token)
 
     def accounts(self):
-        return self._bal.keys()
+        return self.bal_micro.keys()
 
-    def credit(self, account: str, token: int, d: Decimal) -> None:
-        self._account(account)[token] += d
+    @property
+    def locked(self) -> Decimal:
+        """Collateral locked behind outcome-token sets."""
+        return PRECISION * self.locked_micro
 
-    def debit(self, account: str, token: int, d: Decimal) -> None:
+    @locked.setter
+    def locked(self, value) -> None:
+        self.locked_micro = to_micro(value)
+
+    def credit(self, account: str, token: int, d) -> None:
+        self._account(account)[token] += to_micro(d)
+
+    def debit(self, account: str, token: int, d) -> None:
+        self._take(account, token, to_micro(d))
+
+    def _take(self, account: str, token: int, n: int) -> None:
         acct = self._account(account)
-        if acct[token] < d:
+        if acct[token] < n:
             raise InsufficientBalance(
-                f"{account} holds {acct[token]} of token {token}, needs {d}"
+                f"{account} holds {self._read(account, token)} of token {token}, "
+                f"needs {PRECISION * n}"
             )
-        acct[token] -= d
+        acct[token] -= n
 
     def deposit(self, account: str, d) -> None:
         """Credit external collateral to an account (off-market funding)."""
-        d = amount(d)
-        if d < 0:
+        n = to_micro(d)
+        if n < 0:
             raise ValueError("deposit must be non-negative")
-        self.credit(account, COLLATERAL, d)
+        self._account(account)[COLLATERAL] += n
+        self.deposited_micro += n
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -137,34 +176,35 @@ class ConditionalLedger:
     def mint(self, account: str, d) -> None:
         """Lock ``d`` collateral, credit ``d`` of every outcome token."""
         self._require_open()
-        d = amount(d)
-        if d < 0:
+        n = to_micro(d)
+        if n < 0:
             raise ValueError("mint amount must be non-negative")
-        if d == 0:
+        if n == 0:
             return
-        self.debit(account, COLLATERAL, d)
-        acct = self._account(account)
+        self._take(account, COLLATERAL, n)
+        acct = self.bal_micro[account]
         for k in self.spec.outcomes:
-            acct[k] += d
-        self.locked += d
+            acct[k] += n
+        self.locked_micro += n
 
     def merge(self, account: str, d) -> None:
         """Burn a uniform set of ``d`` of each outcome token for collateral."""
-        d = amount(d)
-        if d < 0:
+        n = to_micro(d)
+        if n < 0:
             raise ValueError("merge amount must be non-negative")
-        if d == 0:
+        if n == 0:
             return
         acct = self._account(account)
         for k in self.spec.outcomes:
-            if acct[k] < d:
+            if acct[k] < n:
                 raise InsufficientBalance(
-                    f"{account} holds {acct[k]} of token {k}, needs {d}"
+                    f"{account} holds {self._read(account, k)} of token {k}, "
+                    f"needs {PRECISION * n}"
                 )
         for k in self.spec.outcomes:
-            acct[k] -= d
-        acct[COLLATERAL] += d
-        self.locked -= d
+            acct[k] -= n
+        acct[COLLATERAL] += n
+        self.locked_micro -= n
 
     def redeem(self, account: str) -> Decimal:
         """Convert winning tokens 1:1 to collateral; burn losing tokens."""
@@ -173,10 +213,58 @@ class ConditionalLedger:
         acct = self._account(account)
         w = acct[self.winner]
         for k in self.spec.outcomes:
-            acct[k] = ZERO
+            acct[k] = 0
         acct[COLLATERAL] += w
-        self.locked -= w
-        return w
+        self.locked_micro -= w
+        return PRECISION * w
+
+    # -- checks ---------------------------------------------------------------
+
+    def check_invariants(self, reserves=None, fees: Decimal = ZERO) -> None:
+        """Raise :class:`InvariantViolation` naming every book that does not
+        balance.
+
+        ``reserves`` are a pool's micro-unit reserves (collateral first) and
+        ``fees`` the collateral it has charged as fees; by default there is
+        no pool.  The checks:
+
+        * every stored balance, reserve and ``locked`` is an int >= 0;
+        * outcome-token conservation: holdings + pool == locked, for every
+          outcome before resolution and for the winner after it (redeeming
+          burns the losing tokens);
+        * collateral conservation: deposits == account collateral + pool
+          collateral + locked + fees.
+        """
+        reserves = [0] * (self.spec.k + 1) if reserves is None else reserves
+        problems = []
+        stored = [("locked", self.locked_micro)]
+        stored += [(f"pool r{k}", n) for k, n in enumerate(reserves)]
+        stored += [(f"balance {a}/{t}", n) for a, acct in self.bal_micro.items()
+                   for t, n in enumerate(acct)]
+        for name, n in stored:
+            if type(n) is not int or n < 0:
+                problems.append(f"{name} is {n!r}, not an int >= 0 of micro-units")
+        backed = self.spec.outcomes if self.winner is None else (self.winner,)
+        for k in backed:
+            held = sum(acct[k] for acct in self.bal_micro.values()) + reserves[k]
+            if held != self.locked_micro:
+                problems.append(
+                    f"outcome {k}: holdings + pool = {held} micro-units, "
+                    f"locked = {self.locked_micro}"
+                )
+        fee_micro = fees.scaleb(6)
+        if fee_micro != int(fee_micro):
+            problems.append(f"fees {fees} are off the 6-decimal grid")
+        collateral = (sum(acct[COLLATERAL] for acct in self.bal_micro.values())
+                      + reserves[COLLATERAL] + self.locked_micro + int(fee_micro))
+        if collateral != self.deposited_micro:
+            problems.append(
+                f"collateral: accounts + pool + locked + fees = {collateral} "
+                f"micro-units, deposited = {self.deposited_micro}"
+            )
+        if problems:
+            raise InvariantViolation(
+                f"market {self.spec.market_id}: " + "; ".join(problems))
 
     # -- snapshotting ---------------------------------------------------------
 
@@ -185,10 +273,10 @@ class ConditionalLedger:
             ("market", self.spec.market_id),
             ("phase", self.phase.value),
             ("winner", "-" if self.winner is None else str(self.winner)),
-            ("locked", str(self.locked)),
+            ("locked", format_micro(self.locked_micro)),
         ]
-        for account in self._bal:
-            for token, v in self._bal[account].items():
+        for account, acct in self.bal_micro.items():
+            for token in range(len(acct)):
                 name = "collateral" if token == COLLATERAL else f"outcome{token}"
-                items.append((f"balance/{account}/{name}", str(v)))
+                items.append((f"balance/{account}/{name}", str(self._read(account, token))))
         return items

@@ -21,7 +21,7 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import ZERO, amount
+from .fixedpoint import PRECISION, UNIT, ZERO, amount, to_micro
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
 from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
@@ -251,7 +251,7 @@ def run_market(
     """Stream ``(wager, side, threshold)`` draws through quote -> rejection
     -> buy and settle."""
     fair = market.fair.probs
-    r_start = tuple(float(x) for x in market.pool.r)
+    r_start = tuple([x / UNIT for x in market.pool.r_micro])
     volume = ZERO
     fee = ZERO
     accepted = rejected = unfillable = 0
@@ -271,10 +271,13 @@ def run_market(
             "reject_reason": "" if status == "accepted" else status,
         })
 
-    quote_bet, buy, deposit = market.quote, market.buy, market.deposit
+    quote_bet, buy, deposit = market.quote, market.buy, market.ledger.deposit
     fee_rate = market.spec.fee_rate
     for idx, (w, side, threshold) in enumerate(draws):
-        wager = amount(w)
+        # the draw's one rounding to the grid; quote and buy take it as the
+        # float n / UNIT, which rounds back to exactly n
+        n = to_micro(w)
+        wager = n / UNIT
         try:
             quote = quote_bet(side, wager)
         except UnfillableQuote:
@@ -287,7 +290,8 @@ def run_market(
                 if keep_log:
                     log_row(idx, side, w, quote, "threshold")
             else:
-                deposit(BETTOR, wager + wager * fee_rate)
+                stake = PRECISION * n
+                deposit(BETTOR, stake + stake * fee_rate)
                 try:
                     record = buy(BETTOR, side, wager)
                 except UnfillableQuote:
@@ -303,7 +307,7 @@ def run_market(
                     if keep_log:
                         log_row(idx, side, w, quote, "accepted")
         if trajectory:
-            r = [float(x) for x in market.pool.r]
+            r = [x / UNIT for x in market.pool.r_micro]
             traj.append({
                 "step": idx,
                 "balances": tuple(r[0] + r[k] for k in range(1, len(r))),
@@ -314,7 +318,7 @@ def run_market(
             })
 
     overround = _overround(market)
-    r_end = tuple(float(x) for x in market.pool.r)
+    r_end = tuple([x / UNIT for x in market.pool.r_micro])
     market.close_betting()
     market.resolve(ORACLE, winner)
     return MarketResult(

@@ -14,7 +14,7 @@ pool, snapshot) and the bet pipeline, which has two faces:
 
 * pure quoting (:func:`calc_odds`, :func:`spot_price`) in float arithmetic,
   never touching live state;
-* execution (:meth:`Market.buy`) in fixed-point arithmetic against the
+* execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.
 
 An engine is a subclass that supplies its pool type, its one-leg swap rule
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
 
-from .fixedpoint import ZERO, amount
+from .fixedpoint import PRECISION, UNIT, ZERO, amount, format_micro, to_micro
 from .ledger import (
     COLLATERAL,
     ConditionalLedger,
@@ -136,23 +136,53 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
     return r_out - tb * tb / (x + delta)
 
 
-class FloatView:
-    """A pool's reserves as floats, converted once and reused by every quote.
+def _exact_micro(value):
+    """The exact micro-unit count of a collateral amount: an int on the
+    6-decimal grid, an exact Decimal off it."""
+    n = to_micro(value)
+    return n if PRECISION * n == value else Decimal(value).scaleb(6)
 
-    :meth:`float_view` returns ``(rf, tbf, comb)``: ``float(r_k)`` for every
-    ``k``, the float target balance (0.0 for a pool without one), and the
-    combined reserves ``(0.0, float(r_1) + float(r_0), ...)`` that the bet
-    pipeline starts from.  The view stays valid while a list copy of ``r``
-    taken with it still equals ``r`` and the pool's target balance is the
-    same object.  List equality tests identity first, so the check is cheap,
-    and any in-place edit or rebinding of ``r`` or ``tb`` rebuilds the view
-    on the next call.  (Equal Decimals convert to equal floats; the one
-    exception, a zero whose sign flips in place, no pool operation produces.)
+
+class FloatView:
+    """Base of both pool types: reserves in micro-units, and their floats.
+
+    ``r_micro[k]`` holds reserve ``k`` (collateral first) as a count of
+    micro-units: an int in every market, whose pools only ever move whole
+    micro-units.  A bare pool keeps an exact Decimal count instead when it is
+    handed off-grid collateral, so that the LP share algebra can be probed
+    exactly (see :meth:`PoolState.remove`).  :attr:`r` reads and replaces the
+    reserves as collateral Decimals.
+
+    :meth:`float_view` returns ``(rf, tbf, comb)``: the float of every
+    reserve, the float target balance (0.0 for a pool without one), and the
+    combined reserves ``(0.0, rf[1] + rf[0], ...)`` that the bet pipeline
+    starts from.  It is converted once and reused by every quote while a
+    list copy of ``r_micro`` taken with it still equals ``r_micro`` and the
+    pool's target balance is the same object, so any in-place edit or
+    rebinding of the reserves or ``tb`` rebuilds the view on the next call.
     """
 
     _view_r = None
     _view_tb = None
     _view = None
+
+    @classmethod
+    def empty(cls, k: int):
+        return cls(r=[0] * (k + 1))
+
+    @property
+    def k(self) -> int:
+        return len(self.r_micro) - 1
+
+    @property
+    def r(self) -> list[Decimal]:
+        """The reserves as collateral Decimals (a copy; assign ``r`` to
+        replace them)."""
+        return [PRECISION * n for n in self.r_micro]
+
+    @r.setter
+    def r(self, values) -> None:
+        self.r_micro = [_exact_micro(v) for v in values]
 
     def _target_balance(self) -> Decimal | None:
         """The target balance the view depends on; ``None`` if the pool has none."""
@@ -160,69 +190,71 @@ class FloatView:
 
     def float_view(self) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
         tb = self._target_balance()
-        if self._view_r == self.r and self._view_tb is tb:
+        if self._view_r == self.r_micro and self._view_tb is tb:
             return self._view
+        self._view_tb = tb
         tbf = 0.0 if tb is None else float(tb)
-        return self.seed_float_view(tuple(map(float, self.r)), tbf)
+        return self.seed_float_view(tuple(float(n / UNIT) for n in self.r_micro), tbf)
 
     def seed_float_view(self, rf: tuple[float, ...], tbf: float):
-        """Install ``rf``/``tbf``, already converted from the current reserves
-        and target balance."""
+        """Install ``rf``, already converted from the current reserves, and
+        ``tbf``, the float target balance of the last :meth:`float_view`
+        call (the target balance must not have changed since)."""
         c = rf[0]
-        self._view_r = list(self.r)
-        self._view_tb = self._target_balance()
-        self._view = view = (rf, tbf, (0.0, *[x + c for x in rf[1:]]))
+        comb = [x + c for x in rf]
+        comb[0] = 0.0
+        self._view_r = list(self.r_micro)
+        self._view = view = (rf, tbf, tuple(comb))
         return view
 
 
-@dataclass
+@dataclass(init=False)
 class PoolState(FloatView):
     """Mutable AMM pool: collateral + K conditional balances, LP bookkeeping.
 
-    ``r[0]`` is the collateral pool, ``r[k]`` the pool of outcome token ``k``.
-    ``ts`` is the total LP-share supply, ``tb`` the net LP investment valued
-    at fair prices (the target balance).  Shares and TB are bookkeeping
-    quantities and stay at full Decimal precision; only token movements are
-    quantized, and only at the ledger boundary.
-
-    Quoting reads the reserves through :meth:`float_view`, which stays valid
-    while ``r`` compares equal to the copy taken with it and ``tb`` is the
-    same object (see :class:`FloatView`).
+    ``r_micro[0]`` is the collateral pool, ``r_micro[k]`` the pool of outcome
+    token ``k``, both in micro-units (see :class:`FloatView`).  ``ts`` is the
+    total LP-share supply, ``tb`` the net LP investment valued at fair prices
+    (the target balance).  Shares and TB are bookkeeping quantities and stay
+    at full Decimal precision; only token movements are quantized, and only
+    at the ledger boundary.
     """
 
-    r: list[Decimal]
-    ts: Decimal = ZERO
-    tb: Decimal = ZERO
-    fee_accrued: Decimal = ZERO
-    treasury_shares: Decimal = ZERO
+    r_micro: list
+    ts: Decimal
+    tb: Decimal
+    fee_accrued: Decimal
+    treasury_shares: Decimal
 
-    @classmethod
-    def empty(cls, k: int) -> "PoolState":
-        return cls(r=[ZERO] * (k + 1))
-
-    @property
-    def k(self) -> int:
-        return len(self.r) - 1
+    def __init__(self, r, ts=ZERO, tb=ZERO, fee_accrued=ZERO, treasury_shares=ZERO):
+        self.r = r
+        self.ts = ts
+        self.tb = tb
+        self.fee_accrued = fee_accrued
+        self.treasury_shares = treasury_shares
 
     def _target_balance(self) -> Decimal:
         return self.tb
 
     def copy(self) -> "PoolState":
-        return PoolState(
-            r=list(self.r),
-            ts=self.ts,
-            tb=self.tb,
-            fee_accrued=self.fee_accrued,
-            treasury_shares=self.treasury_shares,
-        )
+        pool = PoolState([], self.ts, self.tb, self.fee_accrued, self.treasury_shares)
+        pool.r_micro = list(self.r_micro)
+        return pool
 
-    def total_value(self, fair: FairPriceVector) -> Decimal:
-        """Expected collateral value of pool holdings: r0 + sum f_k * r_k."""
-        r = self.r
+    def value_micro(self, fair: FairPriceVector) -> Decimal:
+        """:meth:`total_value` in micro-units: r0 + sum f_k * r_k.
+
+        Decimal rounding commutes with scaling by a power of ten, so this is
+        ``total_value`` with its exponent raised by six, digit for digit."""
+        r = self.r_micro
         tv = r[0]
         for k, f in enumerate(fair.decimals, 1):
             tv += f * r[k]
         return tv
+
+    def total_value(self, fair: FairPriceVector) -> Decimal:
+        """Expected collateral value of pool holdings: r0 + sum f_k * r_k."""
+        return Decimal(self.value_micro(fair)).scaleb(-6)
 
     def add(self, d: Decimal, fair: FairPriceVector) -> Decimal:
         """Deposit ``d`` collateral; mint shares at the pre-add share price.
@@ -231,11 +263,12 @@ class PoolState(FloatView):
         """
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
+        n = _exact_micro(d)
         if self.ts == 0:
             s_lp = d
         else:
-            s_lp = d * self.ts / self.total_value(fair)
-        self.r[0] += d
+            s_lp = n * self.ts / self.value_micro(fair)
+        self.r_micro[0] += n
         self.tb += d
         self.ts += s_lp
         return s_lp
@@ -246,17 +279,20 @@ class PoolState(FloatView):
         Conditional-token balances are locked until resolution, so only
         ``r0 * s_lp / ts`` pays out.  TB scales down by the same share
         fraction.  ``quantize`` (e.g. :func:`uamm_lab.fixedpoint.amount`)
-        rounds the payout when it is leaving toward a real account.
+        rounds the payout when it is leaving toward a real account; without
+        it the payout is exact, and so is the collateral left in the pool.
         """
         if s_lp <= 0:
             raise ValueError("share amount must be positive")
         if s_lp > self.ts:
             raise InsufficientBalance(f"pool supply {self.ts} < {s_lp}")
-        payout = self.r[0] * s_lp / self.ts
+        paid = self.r_micro[0] * s_lp / self.ts
+        payout = PRECISION * paid
         if quantize is not None:
             payout = quantize(payout)
+            paid = to_micro(payout)
         self.tb -= self.tb * s_lp / self.ts
-        self.r[0] -= payout
+        self.r_micro[0] -= paid
         self.ts -= s_lp
         return payout
 
@@ -397,6 +433,7 @@ class Market:
         if len(self.fair) != self.spec.k:
             raise ValueError("fair-price vector length must equal K")
         self._fee_float = float(self.spec.fee_rate)
+        self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
         self.ledger = ConditionalLedger(self.spec)
         self.pool = self.pool_type.empty(self.spec.k)
         self.lp_shares: dict[str, Decimal] = {}
@@ -425,8 +462,9 @@ class Market:
         self.lp_shares[account] = self.lp_shares.get(account, ZERO) + s_lp
         return s_lp
 
-    def _mint_treasury(self, d: Decimal) -> Decimal:
-        """LP shares minted to the treasury by a committed bet of ``d``."""
+    def _mint_treasury(self, n: int) -> Decimal:
+        """LP shares minted to the treasury by a committed bet of ``n``
+        micro-units."""
         return ZERO
 
     # -- betting ----------------------------------------------------------------
@@ -440,24 +478,41 @@ class Market:
         )
 
     def buy(self, account: str, i: int, wager) -> BetRecord:
-        """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out."""
+        """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.
+
+        Tokens move as int micro-units: each leg reads its reserves as
+        ``n / UNIT`` floats, exactly the floats a quote reads, and its output
+        is rounded half-even to micro-units before the next leg.  The fee is
+        ``wager * fee_rate`` exactly when that lies on the grid (any
+        whole-cent wager at a 0.025 rate), and is otherwise rounded half-even
+        to the grid, so that the ledger can hold what the bettor is charged.
+        """
         ledger, pool, spec = self.ledger, self.pool, self.spec
         if ledger.phase is not Phase.OPEN:
             raise PhaseError("market is not open for betting")
         K = spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
-        d = amount(wager)
-        if d < 0:
+        n = to_micro(wager)
+        if n < 0:
             raise ValueError("wager must be non-negative")
-        if d == 0:
+        if n == 0:
             return BetRecord(
                 len(self.bets), spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
-                self.fair.of(i), 0.0, tuple(map(float, pool.r)),
+                self.fair.of(i), 0.0, tuple([x / UNIT for x in pool.r_micro]),
             )
-        fee = d * spec.fee_rate
-        cost = d + fee
-        if ledger.balance(account) < cost:
+        d = PRECISION * n
+        num, den = self._fee_ratio
+        fee_n, rest = divmod(n * num, den)
+        if rest:  # off the grid: round half-even
+            if 2 * rest > den or (2 * rest == den and fee_n & 1):
+                fee_n += 1
+            fee = PRECISION * fee_n
+        else:
+            fee = d * spec.fee_rate
+        cost = n + fee_n
+        acct = ledger.bal_micro.get(account)
+        if acct is None or acct[COLLATERAL] < cost:
             raise InsufficientBalance(
                 f"{account} cannot cover wager {d} plus fee {fee}"
             )
@@ -466,16 +521,17 @@ class Market:
         leg = self._leg
         # Work on a scratch copy; commit only if every leg is fillable.
         # combine: the collateral pool is minted into K uniform sets
-        c = pool.r[0]
-        rw = [ZERO] + [x + c for x in pool.r[1:]]
-        df = float(d)
+        c = pool.r_micro[0]
+        rw = [x + c for x in pool.r_micro]
+        rw[0] = 0
+        df = n / UNIT
         tbf = pool.float_view()[1]
-        odd = d
+        odd = n
         for j in range(1, K + 1):
             if j == i:
                 continue
-            s = amount(leg(df, f[j - 1], fi, float(rw[j]), float(rw[i]), tbf))
-            rw[j] += d
+            s = to_micro(leg(df, f[j - 1], fi, rw[j] / UNIT, rw[i] / UNIT, tbf))
+            rw[j] += n
             if s < 0 or s > rw[i]:
                 raise UnfillableQuote(
                     f"wager {d} on outcome {i} would drain the pool"
@@ -484,19 +540,22 @@ class Market:
             odd += s
         # merge the uniform set every conditional pool holds back into collateral
         m = min(rw[1:])
-        rw = [m] + [x - m for x in rw[1:]]
-        # commit; the bettor's working set d plus the combined c, less the merge
-        ledger.debit(account, COLLATERAL, cost)
-        ledger.credit(account, i, odd)
-        ledger.locked += d + c - m
-        pool.r = rw
+        rw = [x - m for x in rw]
+        rw[0] = m
+        # commit; the bettor's working set n plus the combined c, less the merge
+        acct[COLLATERAL] -= cost
+        acct[i] += odd
+        if not rest:
+            ledger.fee_payers.add(account)
+        ledger.locked_micro += n + c - m
+        pool.r_micro = rw
         pool.fee_accrued += fee
-        s_lp = self._mint_treasury(d)
-        post = tuple(map(float, rw))
+        s_lp = self._mint_treasury(n)
+        post = tuple([x / UNIT for x in rw])
         pool.seed_float_view(post, tbf)
-        implied = df / float(odd)
+        implied = df / (odd / UNIT)
         record = BetRecord(
-            len(self.bets), spec.market_id, i, d, fee, odd, s_lp,
+            len(self.bets), spec.market_id, i, d, fee, PRECISION * odd, s_lp,
             implied, implied - fi, post,
         )
         self.bets.append(record)
@@ -517,12 +576,21 @@ class Market:
         """Settle the pool's own conditional holdings after resolution."""
         if self.ledger.phase is not Phase.RESOLVED:
             raise PhaseError("market is not resolved")
-        w = self.pool.r[self.ledger.winner]
+        r = self.pool.r_micro
+        w = r[self.ledger.winner]
         for k in self.spec.outcomes:
-            self.pool.r[k] = ZERO
-        self.pool.r[0] += w
-        self.ledger.locked -= w
-        return w
+            r[k] = 0
+        r[0] += w
+        self.ledger.locked_micro -= w
+        return PRECISION * w
+
+    def check_invariants(self) -> None:
+        """Raise :class:`~uamm_lab.ledger.InvariantViolation` unless the
+        market's books balance: outcome tokens and collateral are conserved
+        across the accounts, the pool, ``locked`` and the fees, and every
+        stored balance is an int >= 0 of micro-units (see
+        :meth:`ConditionalLedger.check_invariants`)."""
+        self.ledger.check_invariants(self.pool.r_micro, self.pool.fee_accrued)
 
     # -- snapshot -------------------------------------------------------------------
 
@@ -532,9 +600,9 @@ class Market:
         items["engine"] = self.engine
         for field in fields(self.pool):
             value = getattr(self.pool, field.name)
-            if field.name == "r":
-                for k, v in enumerate(value):
-                    items[f"pool/r{k}"] = str(v)
+            if field.name == "r_micro":
+                for k, n in enumerate(value):
+                    items[f"pool/r{k}"] = format_micro(n)
             else:
                 items[f"pool/{field.name}"] = str(value)
         for account, s in self.lp_shares.items():
@@ -556,12 +624,14 @@ class UammMarket(Market):
         self.ledger.debit(account, COLLATERAL, d)
         return self.pool.add(d, self.fair)
 
-    def _mint_treasury(self, d: Decimal) -> Decimal:
-        """A bet mints LP shares worth ``d`` at the post-trade share price;
-        they accrue to the pool's treasury tally, not to the bettor."""
+    def _mint_treasury(self, n: int) -> Decimal:
+        """A bet mints LP shares worth its ``n`` micro-units at the
+        post-trade share price; they accrue to the pool's treasury tally, not
+        to the bettor.  Both value and wager are in micro-units, so the share
+        count is the one a collateral-unit division gives, digit for digit."""
         pool = self.pool
-        tv = pool.total_value(self.fair)
-        s_lp = d * pool.ts / tv if pool.ts > 0 and tv > 0 else ZERO
+        tv = pool.value_micro(self.fair)
+        s_lp = n * pool.ts / tv if pool.ts > 0 and tv > 0 else ZERO
         pool.ts += s_lp
         pool.treasury_shares += s_lp
         return s_lp

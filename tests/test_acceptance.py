@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import spearmanr
 
-from conftest import announce, conservation_gap
+from conftest import announce
 from uamm_lab import cli, metrics, sim
 from uamm_lab.fixedpoint import ZERO, amount
-from uamm_lab.ledger import InsufficientBalance, MarketSpec
+from uamm_lab.ledger import InsufficientBalance, InvariantViolation, MarketSpec
 from uamm_lab.probes import property_report
 from uamm_lab.sim import SimConfig
 from uamm_lab.uamm import (
@@ -32,7 +32,8 @@ from uamm_lab.uamm import (
 
 def test_criterion_01_conservation_fuzz():
     """10^5 random mixed ledger/pool operations keep holdings+pool == locked
-    exactly, across 2- and 3-outcome markets, in under 30 seconds."""
+    exactly (and collateral, checked by ``Market.check_invariants``), across
+    2- and 3-outcome markets, in under 30 seconds."""
     start = time.monotonic()
     rng = np.random.default_rng(2024)
     n_ops = 100_000
@@ -71,9 +72,10 @@ def test_criterion_01_conservation_fuzz():
         except (InsufficientBalance, UnfillableQuote):
             pass
         ops_done += 1
-        gap = conservation_gap(market)
-        if gap != 0:
-            announce(1, "conservation fuzz", False, f"gap {gap} after op {ops_done}")
+        try:
+            market.check_invariants()
+        except InvariantViolation as broken:
+            announce(1, "conservation fuzz", False, f"{broken} after op {ops_done}")
     elapsed = time.monotonic() - start
     announce(1, "conservation fuzz", elapsed < 30.0,
              f"{n_ops} ops exact, {elapsed:.1f}s")

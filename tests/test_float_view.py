@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 
 from uamm_lab import sim
 from uamm_lab.baseline import CpmmPool
-from uamm_lab.fixedpoint import ZERO, amount
+from uamm_lab.fixedpoint import ZERO, amount, to_micro
 from uamm_lab.ledger import InsufficientBalance, Phase
 from uamm_lab.uamm import PoolState, UammMarket, UnfillableQuote, calc_odds
 
@@ -131,9 +131,9 @@ def test_view_after_redeem_pool(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_quote_after_in_place_reserve_edit(engine):
     market = funded(engine)
-    market.pool.r[2] += Decimal("333.000001")
+    market.pool.r_micro[2] += 333_000_001
     assert_quotes_fresh(market)
-    market.pool.r[0] = Decimal("50.5")
+    market.pool.r_micro[0] = 50_500_000
     assert_quotes_fresh(market)
 
 
@@ -184,30 +184,23 @@ WAGER = st.decimals(min_value="0.01", max_value="3000", places=2)
 class PoolMachine(RuleBasedStateMachine):
     """Deposit, add, remove, quote and buy on one market, then close,
     resolve, redeem and settle the pool; after every step each quote (or,
-    once betting has closed, the float view) equals a fresh pool's, outcome
-    tokens are conserved and so is collateral."""
+    once betting has closed, the float view) equals a fresh pool's and the
+    market's books balance."""
 
     engine = "uamm"
 
     @initialize(k=st.sampled_from((2, 3)), funding=st.sampled_from((300.0, 5_000.0)))
     def start(self, k, funding):
         self.market = funded(self.engine, k, funding)
-        self.collateral = self.collateral_in_market()
+        self.deposited = to_micro(funding) + to_micro(100_000)
 
     def is_open(self):
         return self.market.phase is Phase.OPEN
 
-    def collateral_in_market(self):
-        """Collateral held by accounts, the pool and its fees, plus the
-        collateral locked behind outcome tokens."""
-        ledger, pool = self.market.ledger, self.market.pool
-        held = sum((ledger.balance(a) for a in ledger.accounts()), ZERO)
-        return held + pool.r[0] + pool.fee_accrued + ledger.locked
-
     @rule(account=st.sampled_from(ACCOUNTS), d=WAGER)
     def deposit(self, account, d):
         self.market.deposit(account, d)
-        self.collateral += amount(d)
+        self.deposited += to_micro(d)
 
     @precondition(is_open)
     @rule(account=st.sampled_from(ACCOUNTS), d=WAGER)
@@ -268,18 +261,9 @@ class PoolMachine(RuleBasedStateMachine):
             assert_view_fresh(self.market.pool)
 
     @invariant()
-    def outcome_tokens_are_conserved(self):
-        # after resolution only winning tokens are backed: redeeming burns
-        # the losing ones
-        ledger, pool = self.market.ledger, self.market.pool
-        backed = self.market.spec.outcomes if ledger.winner is None else (ledger.winner,)
-        for k in backed:
-            held = sum((ledger.balance(a, k) for a in ledger.accounts()), ZERO)
-            assert held + pool.r[k] == ledger.locked, k
-
-    @invariant()
-    def collateral_is_conserved(self):
-        assert self.collateral_in_market() == self.collateral
+    def books_balance(self):
+        self.market.check_invariants()
+        assert self.market.ledger.deposited_micro == self.deposited
 
 
 class CpmmPoolMachine(PoolMachine):

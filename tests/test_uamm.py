@@ -257,14 +257,45 @@ def test_post_buy_minimum_pool_is_swept_to_zero():
 
 
 def test_fee_accrual_matches_volume_exactly():
+    """Whole-cent wagers: every fee is exactly wager x rate, so the fees
+    accrued equal rate x volume.  Micro-unit wagers: every fee is wager x
+    rate rounded half-even to the grid, and the pool accrues their sum."""
     market = make_market()
     rng = np.random.default_rng(3)
     volume = ZERO
     for _ in range(100):
         record = market.buy("bettor", int(rng.integers(1, 3)),
-                            amount(float(rng.uniform(0.01, 200))))
+                            amount(round(float(rng.uniform(0.01, 200)), 2)))
         volume += record.wager
     assert market.pool.fee_accrued == Decimal("0.025") * volume
+    fees = market.pool.fee_accrued
+    for _ in range(100):
+        record = market.buy("bettor", int(rng.integers(1, 3)),
+                            amount(float(rng.uniform(0.01, 200))))
+        assert record.fee == amount(record.wager * Decimal("0.025"))
+        fees += record.fee
+    assert market.pool.fee_accrued == fees
+    assert_conserved(market)
+
+
+def test_off_grid_fee_is_rounded_half_even_to_the_grid():
+    market = UammMarket(MarketSpec(market_id="m", k=2, fee_rate=Decimal("0.025")),
+                        FairPriceVector((0.5, 0.5)))
+    market.deposit("lp", 10_000)
+    market.add_liquidity("lp", 10_000)
+    market.deposit("bettor", 100)
+    record = market.buy("bettor", 1, Decimal("12.345671"))
+    # 12.345671 x 0.025 = 0.308641775
+    assert str(record.fee) == "0.308642"
+    assert str(market.ledger.balance("bettor")) == "87.345687"
+    assert market.pool.fee_accrued == Decimal("0.308642")
+    assert_conserved(market)
+    # a tie rounds to even: 0.00002 x 0.025 = 0.0000005
+    record = market.buy("bettor", 1, Decimal("0.00002"))
+    assert record.fee == ZERO
+    record = market.buy("bettor", 1, Decimal("0.00006"))
+    assert record.fee == Decimal("0.000002")
+    assert_conserved(market)
 
 
 def test_share_supply_equals_lp_plus_treasury():
