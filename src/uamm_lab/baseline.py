@@ -39,7 +39,7 @@ class CpmmPool(FloatView):
     Quoting reads the reserves through :meth:`float_view`, which stays valid
     while ``r_micro`` compares equal to the copy taken with it (see
     :class:`~uamm_lab.uamm.FloatView`).  A product-rule pool has no target
-    balance; its view and its quotes report 0.0.
+    balance; its view reports 0.0.
     """
 
     r_micro: list

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -135,7 +134,7 @@ def _market_row(r) -> dict:
         "n_unfillable": r.n_unfillable,
         "volume": str(r.volume),
         "fee": str(r.fee),
-        "eip": repr(math.fsum(f * d for f, d in zip(r.fair, deltas))),
+        "eip": repr(metrics.eip_values([r])[0]),
         "epp": repr(deltas[r.winner - 1]),
         "tv_pnl": repr(metrics.tv_pnl_values([r])[0]),
         "ev_final": repr(metrics.ev(r.r_end[1:], r.fair)),

@@ -125,9 +125,6 @@ class ContinuityReport:
     def max_gap(self) -> float:
         return max(g for _, _, g in self.rows)
 
-    def gap_at(self, rho: float) -> float:
-        return max(g for r, _, g in self.rows if math.isclose(r, rho))
-
 
 def continuity_report(
     rhos=(0.25, 0.5, 1.0, 2.0, 4.0),

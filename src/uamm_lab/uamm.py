@@ -13,7 +13,8 @@ ledger, the market lifecycle (deposit, close, resolve, redeem, settle the
 pool, snapshot) and the bet pipeline, which has two faces:
 
 * pure quoting (:func:`calc_odds`, :func:`spot_price`) in float arithmetic,
-  never touching live state;
+  never touching live state: a quote moves only its output pool, on a
+  scalar, and returns the figures a bettor reads (no post-trade pool);
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.
 
@@ -153,13 +154,14 @@ class FloatView:
     exactly (see :meth:`PoolState.remove`).  :attr:`r` reads and replaces the
     reserves as collateral Decimals.
 
-    :meth:`float_view` returns ``(rf, tbf, comb)``: the float of every
-    reserve, the float target balance (0.0 for a pool without one), and the
-    combined reserves ``(0.0, rf[1] + rf[0], ...)`` that the bet pipeline
-    starts from.  It is converted once and reused by every quote while a
-    list copy of ``r_micro`` taken with it still equals ``r_micro`` and the
-    pool's target balance is the same object, so any in-place edit or
-    rebinding of the reserves or ``tb`` rebuilds the view on the next call.
+    :meth:`float_view` returns ``(tbf, comb)``: the float target balance
+    (0.0 for a pool without one) and the combined reserves
+    ``(0.0, rf[1] + rf[0], ...)`` that the bet pipeline starts from, where
+    ``rf`` is the float of every reserve.  It is converted once and reused
+    by every quote while a list copy of ``r_micro`` taken with it still
+    equals ``r_micro`` and the pool's target balance is the same object, so
+    any in-place edit or rebinding of the reserves or ``tb`` rebuilds the
+    view on the next call.
     """
 
     _view_r = None
@@ -188,7 +190,7 @@ class FloatView:
         """The target balance the view depends on; ``None`` if the pool has none."""
         return None
 
-    def float_view(self) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
+    def float_view(self) -> tuple[float, tuple[float, ...]]:
         tb = self._target_balance()
         if self._view_r == self.r_micro and self._view_tb is tb:
             return self._view
@@ -197,14 +199,15 @@ class FloatView:
         return self.seed_float_view(tuple(float(n / UNIT) for n in self.r_micro), tbf)
 
     def seed_float_view(self, rf: tuple[float, ...], tbf: float):
-        """Install ``rf``, already converted from the current reserves, and
-        ``tbf``, the float target balance of the last :meth:`float_view`
-        call (the target balance must not have changed since)."""
+        """Install the view of ``rf``, the float of every current reserve
+        (``buy`` has them at hand as its record's ``post_r``), and ``tbf``,
+        the float target balance of the last :meth:`float_view` call (the
+        target balance must not have changed since)."""
         c = rf[0]
         comb = [x + c for x in rf]
         comb[0] = 0.0
         self._view_r = list(self.r_micro)
-        self._view = view = (rf, tbf, tuple(comb))
+        self._view = view = (tbf, tuple(comb))
         return view
 
 
@@ -299,7 +302,9 @@ class PoolState(FloatView):
 
 @frozen_record
 class Quote:
-    """An indicative (non-mutating) odds quotation for one wager."""
+    """An indicative (non-mutating) odds quotation for one wager: what a
+    bettor reads to accept or walk away, and nothing of the pool it would
+    leave behind (an executed bet's :class:`BetRecord` carries that)."""
 
     engine: str
     market_id: str
@@ -309,9 +314,6 @@ class Quote:
     implied_price: float
     slippage: float
     fee: float
-    post_r: tuple[float, ...]
-    post_tb: float
-    fair: tuple[float, ...]
 
     @property
     def decimal_odds(self) -> float:
@@ -349,11 +351,13 @@ def calc_odds(
 ) -> Quote:
     """Quote the payout for betting ``wager`` collateral on outcome ``i``.
 
-    Runs the buy pipeline (mint, combine, swap each other leg, merge) on a
-    float scratch copy of the pool (either engine's); the live pool is never
-    mutated.  ``leg`` is the engine's one-leg swap rule, called as
-    ``leg(d, f_in, f_out, r_in, r_out, tb)`` with ``r_in`` read before the
-    bettor's ``d`` is added.
+    Runs the swap legs of the buy pipeline in float on the pool's combined
+    reserves (either engine's) and returns only what a bettor reads: the
+    odd, the implied price, the slippage and the fee.  The live pool is
+    never mutated, and no post-trade pool is built: each input pool is read
+    once, so only the output pool ``ri`` moves.  ``leg`` is the engine's
+    one-leg swap rule, called as ``leg(d, f_in, f_out, r_in, r_out, tb)``
+    with ``r_in`` read before the bettor's ``d`` is added.
     """
     K = pool.k
     if not 1 <= i <= K:
@@ -362,32 +366,27 @@ def calc_odds(
     if d < 0:
         raise ValueError("wager must be non-negative")
     f = fair.probs
-    rf, tb, comb = pool.float_view()
-    if d == 0.0:
-        return Quote(
-            engine, market_id, i, 0.0, 0.0, f[i - 1], 0.0, 0.0, rf, tb, f,
-        )
-    # collateral liquidity combined into every conditional pool
-    r = list(comb)
-    odd = d
     fi = f[i - 1]
+    if d == 0.0:
+        return Quote(engine, market_id, i, 0.0, 0.0, fi, 0.0, 0.0)
+    # collateral liquidity combined into every conditional pool; each input
+    # pool comb[j] is read once, before the bettor's d would be added to it
+    tb, comb = pool.float_view()
+    ri = comb[i]
+    odd = d
     for j in range(1, K + 1):
         if j == i:
             continue
-        s = leg(d, f[j - 1], fi, r[j], r[i], tb)
-        r[j] += d
-        if s > r[i]:
+        s = leg(d, f[j - 1], fi, comb[j], ri, tb)
+        if s > ri:
             raise UnfillableQuote(
                 f"wager {d} on outcome {i} would drain the pool"
             )
-        r[i] -= s
+        ri -= s
         odd += s
-    # merge the uniform set every conditional pool holds back into collateral
-    m = min(r[1:])
     implied = d / odd
     return Quote(
-        engine, market_id, i, d, odd, implied, implied - fi,
-        float(fee_rate) * d, (m, *[x - m for x in r[1:]]), tb, f,
+        engine, market_id, i, d, odd, implied, implied - fi, float(fee_rate) * d,
     )
 
 
@@ -525,7 +524,7 @@ class Market:
         rw = [x + c for x in pool.r_micro]
         rw[0] = 0
         df = n / UNIT
-        tbf = pool.float_view()[1]
+        tbf = pool.float_view()[0]
         odd = n
         for j in range(1, K + 1):
             if j == i:

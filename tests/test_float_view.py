@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 
 from uamm_lab import sim
 from uamm_lab.baseline import CpmmPool
-from uamm_lab.fixedpoint import ZERO, amount, to_micro
+from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.ledger import InsufficientBalance, Phase
 from uamm_lab.uamm import PoolState, UammMarket, UnfillableQuote, calc_odds
 
@@ -125,7 +125,9 @@ def test_view_after_redeem_pool(engine):
     market.resolve("oracle", 1)
     market.redeem_pool()
     assert_view_fresh(market.pool)
-    assert market.pool.float_view()[0][1:] == (0.0,) * market.spec.k
+    # every outcome reserve is 0, so each combined reserve is the collateral
+    r0 = market.pool.r_micro[0] / UNIT
+    assert market.pool.float_view()[1] == (0.0,) + (r0,) * market.spec.k
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -156,22 +158,34 @@ def test_quote_after_rebinding_target_balance():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_buy_seeds_the_view_it_leaves_behind(engine):
+def test_buy_seeds_the_view_it_leaves_behind(engine, monkeypatch):
     market = funded(engine)
+    pool = market.pool
+    seeds = []
+    seed = pool.seed_float_view
+
+    def spy(rf, tbf):
+        view = seed(rf, tbf)
+        seeds.append((rf, view))
+        return view
+
+    monkeypatch.setattr(pool, "seed_float_view", spy)
     record = market.buy("bettor", 1, amount(60))
-    rf, _, comb = market.pool.float_view()
-    assert rf is record.post_r  # served from the seed, not rebuilt
-    assert comb == (0.0, *[x + rf[0] for x in rf[1:]])
-    assert_view_fresh(market.pool)
+    [(rf, view)] = seeds
+    assert rf is record.post_r  # seeded from the record's floats
+    # served from the seed, not rebuilt
+    assert pool.float_view() is view and len(seeds) == 1
+    assert view[1] == (0.0, *[x + rf[0] for x in rf[1:]])
+    assert_view_fresh(pool)
 
 
 def test_float_view_contents():
     pool = PoolState(r=[Decimal("1.5"), Decimal("2.25"), Decimal("4")],
                      tb=Decimal("3.125"))
-    assert pool.float_view() == ((1.5, 2.25, 4.0), 3.125, (0.0, 3.75, 5.5))
+    assert pool.float_view() == (3.125, (0.0, 3.75, 5.5))
     assert pool.float_view() is pool.float_view()
     assert CpmmPool(r=[ZERO, Decimal("2"), Decimal("3")]).float_view() == (
-        (0.0, 2.0, 3.0), 0.0, (0.0, 2.0, 3.0))
+        0.0, (0.0, 2.0, 3.0))
 
 
 # -- stateful: any sequence of operations --------------------------------------

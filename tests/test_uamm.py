@@ -374,8 +374,7 @@ def _records():
     from uamm_lab.uamm import BetRecord, Quote
 
     return [
-        (Quote, ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25,
-                 (0.0, 1.0, 2.0), 100.0, (0.5, 0.5))),
+        (Quote, ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25)),
         (BetRecord, (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
                      Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0,
                      (0.0, 1.0, 2.0))),
