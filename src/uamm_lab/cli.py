@@ -9,7 +9,9 @@ Subcommands::
 ``simulate`` writes fixed-schema CSVs into the output directory:
 
 * ``bets.csv``      -- engine, market_id, bet_index, outcome, wager, odd,
-  implied_price, slippage, fee, accepted, reject_reason
+  implied_price, slippage, fee, accepted, reject_reason (each row is one
+  ``MarketResult.bet_log`` tuple; the four quote figures are empty for a bet
+  unfillable at quote time)
 * ``markets.csv``   -- engine, market_id, k, probs, winner, n_attempts,
   n_accepted, n_rejected, n_unfillable, volume, fee, eip, epp, tv_pnl,
   ev_final, overround_final, r_start, r_end (vectors ';'-joined)
@@ -17,7 +19,9 @@ Subcommands::
 * per-mode plot-data files (x/y columns ready for any external plotter)
 
 The ``UAMM_LAB_SEED`` environment variable overrides the configured seed.
-Exit codes: 0 success, 1 usage/config error, 2 invariant violation.
+Exit codes: 0 success, 1 usage/config error, 2 invariant violation (a
+failed property probe), 3 unfillable quote (the ``quote`` wager would drain
+the pool; an ``error:`` line says so).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import csv
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import metrics, sim
@@ -80,10 +85,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """A header and rows of cells; ``csv`` writes a float as its ``repr``,
+    ``None`` as an empty cell and anything else as its ``str``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -112,49 +119,30 @@ def cmd_quote(args) -> int:
     return 0
 
 
-BETS_FIELDS = ["engine", "market_id", "bet_index", "outcome", "wager", "odd",
-               "implied_price", "slippage", "fee", "accepted", "reject_reason"]
-MARKETS_FIELDS = ["engine", "market_id", "k", "probs", "winner", "n_attempts",
+MARKETS_FIELDS = ("engine", "market_id", "k", "probs", "winner", "n_attempts",
                   "n_accepted", "n_rejected", "n_unfillable", "volume", "fee",
                   "eip", "epp", "tv_pnl", "ev_final", "overround_final",
-                  "r_start", "r_end"]
+                  "r_start", "r_end")
+PLOT_MARKETS_FIELDS = ("market_index", "eip", "epp", "ev_final")
 
 
-def _market_row(r) -> dict:
-    deltas = metrics.pool_deltas(r)
-    return {
-        "engine": r.engine,
-        "market_id": r.market_id,
-        "k": r.k,
-        "probs": ";".join(repr(p) for p in r.fair),
-        "winner": r.winner,
-        "n_attempts": r.n_attempts,
-        "n_accepted": r.n_accepted,
-        "n_rejected": r.n_rejected,
-        "n_unfillable": r.n_unfillable,
-        "volume": str(r.volume),
-        "fee": str(r.fee),
-        "eip": repr(metrics.eip_values([r])[0]),
-        "epp": repr(deltas[r.winner - 1]),
-        "tv_pnl": repr(metrics.tv_pnl_values([r])[0]),
-        "ev_final": repr(metrics.ev(r.r_end[1:], r.fair)),
-        "overround_final": repr(r.overround_final),
-        "r_start": ";".join(repr(x) for x in r.r_start),
-        "r_end": ";".join(repr(x) for x in r.r_end),
-    }
+def _market_row(r) -> tuple:
+    """One ``markets.csv`` row, in :data:`MARKETS_FIELDS` order."""
+    return (r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
+            r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
+            str(r.volume), str(r.fee), *metrics.market_pnl(r),
+            r.overround_final, ";".join(map(repr, r.r_start)),
+            ";".join(map(repr, r.r_end)))
 
 
-def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list[dict]:
+def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list[tuple]:
     """Write bets.csv, markets.csv and summary.csv; return the markets rows."""
-    bet_rows = []
-    for r in results:
-        for row in r.bet_log:
-            bet_rows.append({"engine": r.engine, "market_id": r.market_id, **row})
-    _write_csv(out / "bets.csv", BETS_FIELDS, bet_rows)
+    _write_csv(out / "bets.csv", sim.BETS_FIELDS,
+               chain.from_iterable(r.bet_log for r in results))
     market_rows = [_market_row(r) for r in results]
     _write_csv(out / "markets.csv", MARKETS_FIELDS, market_rows)
     summary = {"mode": mode, "seed": seed, **report.csv_row()}
-    _write_csv(out / "summary.csv", list(summary), [summary])
+    _write_csv(out / "summary.csv", summary.keys(), [summary.values()])
     return market_rows
 
 
@@ -179,45 +167,31 @@ def cmd_simulate(args) -> int:
         result = sim.run_single_market(cfg)
         report = metrics.summarize([result], cfg.engine)
         _write_run_outputs(out, [result], report, args.mode, cfg.seed)
-        k = result.k
-        fields = (["step"] + [f"balance_{j}" for j in range(1, k + 1)]
+        fields = (["step"] + [f"balance_{j}" for j in range(1, result.k + 1)]
                   + ["rejected_cum", "eip"])
-        rows = []
-        for t in result.trajectory:
-            row = {"step": t["step"], "rejected_cum": t["rejected_cum"],
-                   "eip": repr(t["eip"])}
-            for j in range(1, k + 1):
-                row[f"balance_{j}"] = repr(t["balances"][j - 1])
-            rows.append(row)
+        rows = [(t["step"], *t["balances"], t["rejected_cum"], t["eip"])
+                for t in result.trajectory]
         _write_csv(out / "plot_single_market.csv", fields, rows)
     elif args.mode in ("multi", "full"):
-        results, report = sim.run_multi_market(cfg, keep_log=True)
+        results, report = sim.run_multi_market(cfg, keep_log=True, keep_records=False)
         market_rows = _write_run_outputs(out, results, report, args.mode, cfg.seed)
-        rows = [{"market_index": i, "eip": row["eip"], "epp": row["epp"],
-                 "ev_final": row["ev_final"]}
-                for i, row in enumerate(market_rows)]
-        _write_csv(out / "plot_markets.csv",
-                   ["market_index", "eip", "epp", "ev_final"], rows)
+        columns = [MARKETS_FIELDS.index(f) for f in PLOT_MARKETS_FIELDS[1:]]
+        rows = [(i, *(row[c] for c in columns)) for i, row in enumerate(market_rows)]
+        _write_csv(out / "plot_markets.csv", PLOT_MARKETS_FIELDS, rows)
     else:  # sweep
         sweep = sim.run_prob_sweep(cfg, keep_records=False)
-        rows = [{k: (repr(v) if isinstance(v, float) else v) for k, v in r.items()}
-                for r in sweep.rows]
-        _write_csv(out / "plot_prob_sweep.csv",
-                   ["prob", "side_mode", "eip_mean", "epp_mean", "epp_std",
-                    "epp_se", "ev_mean", "epp_norm"], rows)
-        band_rows = [{"side_mode": m,
-                      "epp_spread_band": repr(b["epp_spread_band"]),
-                      "epp_spread_observed": repr(b["epp_spread_observed"])}
-                     for m, b in sweep.bands.items()]
+        fields = ("prob", "side_mode", "eip_mean", "epp_mean", "epp_std",
+                  "epp_se", "ev_mean", "epp_norm")
+        _write_csv(out / "plot_prob_sweep.csv", fields,
+                   [[r[f] for f in fields] for r in sweep.rows])
         _write_csv(out / "sweep_bands.csv",
                    ["side_mode", "epp_spread_band", "epp_spread_observed"],
-                   band_rows)
+                   [(m, b["epp_spread_band"], b["epp_spread_observed"])
+                    for m, b in sweep.bands.items()])
         rej = sim.run_rejection_sweep(cfg, keep_records=False)
-        _write_csv(out / "plot_rejection_sweep.csv",
-                   ["threshold", "acceptance_rate", "eip_mean", "epp_mean",
-                    "volume"],
-                   [{k: (repr(v) if isinstance(v, float) else v)
-                     for k, v in r.items()} for r in rej])
+        fields = ("threshold", "acceptance_rate", "eip_mean", "epp_mean", "volume")
+        _write_csv(out / "plot_rejection_sweep.csv", fields,
+                   [[r[f] for f in fields] for r in rej])
         for m, b in sweep.bands.items():
             print(f"sweep[{m}]: epp spread {b['epp_spread_observed']:.6g} "
                   f"(declared band {b['epp_spread_band']:.6g})")
@@ -268,7 +242,7 @@ def main(argv=None) -> int:
         return 1
     except UnfillableQuote as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -38,22 +38,39 @@ def pool_deltas(result) -> list[float]:
     ]
 
 
+def _eip(fair, deltas) -> float:
+    return math.fsum(f * d for f, d in zip(fair, deltas))
+
+
+def _epp(result, deltas) -> float:
+    if result.winner is None:
+        raise ValueError(f"market {result.market_id} has no sampled winner")
+    return deltas[result.winner - 1]
+
+
+def _tv_pnl(r) -> float:
+    tv0 = r.r_start[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_start[1:]))
+    tv1 = r.r_end[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_end[1:]))
+    return tv1 - tv0
+
+
+def market_pnl(result) -> tuple[float, float, float, float]:
+    """``(eip, epp, tv_pnl, ev_final)`` of one market, its pool deltas taken
+    once: each is the figure the matching ``*_values`` function (or
+    :func:`ev` of the final conditional pools) gives for it."""
+    deltas = pool_deltas(result)
+    return (_eip(result.fair, deltas), _epp(result, deltas), _tv_pnl(result),
+            ev(result.r_end[1:], result.fair))
+
+
 def eip_values(results) -> list[float]:
     """Impermanent PnL per market: pool deltas valued at fair prices."""
-    return [
-        math.fsum(f * d for f, d in zip(r.fair, pool_deltas(r)))
-        for r in results
-    ]
+    return [_eip(r.fair, pool_deltas(r)) for r in results]
 
 
 def epp_values(results) -> list[float]:
     """Permanent PnL per market: the sampled winner's pool delta."""
-    vals = []
-    for r in results:
-        if r.winner is None:
-            raise ValueError(f"market {r.market_id} has no sampled winner")
-        vals.append(pool_deltas(r)[r.winner - 1])
-    return vals
+    return [_epp(r, pool_deltas(r)) for r in results]
 
 
 def eip(results) -> tuple[float, float]:
@@ -68,12 +85,7 @@ def epp(results) -> tuple[float, float]:
 
 def tv_pnl_values(results) -> list[float]:
     """Expected-value PnL including the collateral pool: TV_end - TV_start."""
-    out = []
-    for r in results:
-        tv0 = r.r_start[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_start[1:]))
-        tv1 = r.r_end[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_end[1:]))
-        out.append(tv1 - tv0)
-    return out
+    return [_tv_pnl(r) for r in results]
 
 
 @dataclass
@@ -133,9 +145,9 @@ def summarize(results, engine: str) -> MetricsReport:
     """Fold per-market results into a :class:`MetricsReport`."""
     if not results:
         raise ValueError("no market results to summarize")
-    eip_mean, eip_std = eip(results)
-    epp_mean, epp_std = epp(results)
-    ev_mean = float(np.mean([ev(r.r_end[1:], r.fair) for r in results]))
+    eip_vals, epp_vals, tv_vals, ev_vals = zip(*map(market_pnl, results))
+    eip_mean, eip_std = float(np.mean(eip_vals)), float(np.std(eip_vals))
+    epp_mean, epp_std = float(np.mean(epp_vals)), float(np.std(epp_vals))
     volume = sum((r.volume for r in results), Decimal(0))
     fee = sum((r.fee for r in results), Decimal(0))
     return MetricsReport(
@@ -147,13 +159,13 @@ def summarize(results, engine: str) -> MetricsReport:
         unfillable=sum(r.n_unfillable for r in results),
         volume=volume,
         fee_revenue=fee,
-        ev_mean=ev_mean,
+        ev_mean=float(np.mean(ev_vals)),
         eip_mean=eip_mean,
         eip_std=eip_std,
         epp_mean=epp_mean,
         epp_std=epp_std,
         tp=len(results) * epp_mean,
-        tv_pnl_mean=float(np.mean(tv_pnl_values(results))),
+        tv_pnl_mean=float(np.mean(tv_vals)),
         vigorish=float(np.mean([r.overround_final for r in results])),
     )
 

@@ -10,11 +10,16 @@ bet-for-bet and markets can be simulated in any order or in parallel.
 Bettor draws never depend on the engine, so a fair-price run and a
 constant-product run with the same config and seed consume identical wager /
 side / threshold streams (paired comparison).
+
+With ``keep_log=True`` a market keeps its bet log: one ``bets.csv`` row per
+bet, a tuple in :data:`BETS_FIELDS` order (engine and market id included,
+floats raw) that ``csv.writer`` writes as it is.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 
@@ -37,6 +42,11 @@ CONFIG_KEYS = (
     "k", "funding", "probs", "n_bets", "n_markets", "wager_mu", "wager_sigma",
     "side_mode", "rej_mean", "rej_std", "fee_rate", "seed", "engine",
 )
+
+#: The columns of ``bets.csv``, and the order of each ``MarketResult.bet_log``
+#: row.
+BETS_FIELDS = ("engine", "market_id", "bet_index", "outcome", "wager", "odd",
+               "implied_price", "slippage", "fee", "accepted", "reject_reason")
 
 SIDE_MODES = ("true-prob", "uniform")
 ENGINES = ("uamm", "cpmm")
@@ -150,25 +160,36 @@ def load_config(path) -> SimConfig:
 # -- bettor behaviour ---------------------------------------------------------
 
 
-def _draw_streams(rng, cfg: SimConfig, fair, n: int) -> list[tuple[float, int, float]]:
-    """``n`` bettors as ``(wager, side, threshold)`` tuples."""
+def _draw_streams(rng, cfg: SimConfig, fair: FairPriceVector,
+                  n: int) -> list[tuple[float, int, float]]:
+    """``n`` bettors as ``(wager, side, threshold)`` tuples.
+
+    A true-probability side inverts ``fair.cdf`` at one uniform per bettor:
+    the stream and the values of ``rng.choice(range(1, k + 1), size=n,
+    p=fair.probs)``, without re-validating and re-summing ``p`` per call.
+    """
     wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n)) if cfg.wager_sigma > 0 \
         else np.full(n, math.exp(cfg.wager_mu))
     wagers = np.maximum(np.round(wagers, 2), 0.01)
-    probs = tuple(fair)
-    k = len(probs)
     if cfg.side_mode == "uniform":
-        sides = rng.integers(1, k + 1, n)
+        sides = rng.integers(1, len(fair) + 1, n)
     else:
-        sides = rng.choice(np.arange(1, k + 1), size=n, p=probs)
+        sides = fair.cdf.searchsorted(rng.random(n), side="right") + 1
     thresholds = rng.normal(cfg.rej_mean, cfg.rej_std, n)
     return list(zip(wagers.tolist(), sides.tolist(), thresholds.tolist()))
+
+
+def _draw_winner(rng, fair: FairPriceVector) -> int:
+    """The outcome the oracle resolves to, drawn at the fair prices: the
+    stream and the value of ``rng.choice(range(1, k + 1), p=fair.probs)``."""
+    return bisect_right(fair.cdf, rng.random()) + 1
 
 
 def _sample_market_params(rng, cfg: SimConfig):
     k = cfg.k
     if isinstance(k, tuple):
-        k = int(rng.choice(k))
+        # the stream and the value of rng.choice(k)
+        k = int(k[rng.integers(0, len(k), dtype=np.int64)])
     probs = cfg.probs
     if isinstance(probs, tuple) and probs and probs[0] == "uniform":
         _, lo, hi = probs
@@ -191,7 +212,14 @@ def _sample_market_params(rng, cfg: SimConfig):
 
 @dataclass
 class MarketResult:
-    """Everything a finished market contributes to the metrics."""
+    """Everything a finished market contributes to the metrics.
+
+    ``bet_log`` (kept with ``keep_log=True``) holds one ``bets.csv`` row per
+    bet, a tuple in :data:`BETS_FIELDS` order: the wager and the quote's
+    odd, implied price, slippage and fee are raw floats (``csv`` writes a
+    float as its ``repr``), and a bet unfillable at quote time has ``None``
+    (an empty cell) for the four quote figures.
+    """
 
     market_id: str
     engine: str
@@ -209,7 +237,7 @@ class MarketResult:
     fee: Decimal
     overround_final: float
     records: list[BetRecord] = field(default_factory=list)
-    bet_log: list[dict] = field(default_factory=list)
+    bet_log: list[tuple] = field(default_factory=list)
     trajectory: list[dict] = field(default_factory=list)
 
 
@@ -255,21 +283,18 @@ def run_market(
     volume = ZERO
     fee = ZERO
     accepted = rejected = unfillable = 0
-    log: list[dict] = []
+    log: list[tuple] = []
     traj: list[dict] = []
+    engine, market_id = market.engine, market.spec.market_id
 
-    def log_row(idx, side, w, quote, status):
-        log.append({
-            "bet_index": idx,
-            "outcome": side,
-            "wager": repr(w),
-            "odd": "" if quote is None else repr(quote.odd),
-            "implied_price": "" if quote is None else repr(quote.implied_price),
-            "slippage": "" if quote is None else repr(quote.slippage),
-            "fee": "" if quote is None else repr(quote.fee),
-            "accepted": int(status == "accepted"),
-            "reject_reason": "" if status == "accepted" else status,
-        })
+    def log_row(idx, side, w, quote, accepted, reason):
+        if quote is None:
+            log.append((engine, market_id, idx, side, w, None, None, None, None,
+                        accepted, reason))
+        else:
+            log.append((engine, market_id, idx, side, w, quote.odd,
+                        quote.implied_price, quote.slippage, quote.fee,
+                        accepted, reason))
 
     quote_bet, buy, deposit = market.quote, market.buy, market.ledger.deposit
     fee_rate = market.spec.fee_rate
@@ -283,12 +308,12 @@ def run_market(
         except UnfillableQuote:
             unfillable += 1
             if keep_log:
-                log_row(idx, side, w, None, "unfillable")
+                log_row(idx, side, w, None, 0, "unfillable")
         else:
             if quote.slippage > threshold:
                 rejected += 1
                 if keep_log:
-                    log_row(idx, side, w, quote, "threshold")
+                    log_row(idx, side, w, quote, 0, "threshold")
             else:
                 stake = PRECISION * n
                 deposit(BETTOR, stake + stake * fee_rate)
@@ -299,13 +324,13 @@ def run_market(
                     # quote just cleared
                     unfillable += 1
                     if keep_log:
-                        log_row(idx, side, w, quote, "unfillable")
+                        log_row(idx, side, w, quote, 0, "unfillable")
                 else:
                     accepted += 1
                     volume += record.wager
                     fee += record.fee
                     if keep_log:
-                        log_row(idx, side, w, quote, "accepted")
+                        log_row(idx, side, w, quote, 1, "")
         if trajectory:
             r = [x / UNIT for x in market.pool.r_micro]
             traj.append({
@@ -322,8 +347,8 @@ def run_market(
     market.close_betting()
     market.resolve(ORACLE, winner)
     return MarketResult(
-        market_id=market.spec.market_id,
-        engine=market.engine,
+        market_id=market_id,
+        engine=engine,
         k=market.spec.k,
         fair=fair,
         funding=float(sum(market.lp_shares.values())) if funding is None else funding,
@@ -349,7 +374,7 @@ def simulate_one(cfg: SimConfig, index: int, **run_opts) -> MarketResult:
     k, probs, n = _sample_market_params(rng, cfg)
     fair = FairPriceVector(probs)
     draws = _draw_streams(rng, cfg, fair, n)
-    winner = int(rng.choice(np.arange(1, k + 1), p=fair.probs))
+    winner = _draw_winner(rng, fair)
     market = build_market(
         cfg.engine, f"m{index:05d}", k, fair, cfg.funding, cfg.fee_rate,
     )

@@ -29,6 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
+from functools import cached_property
+
+import numpy as np
 
 from .fixedpoint import PRECISION, UNIT, ZERO, amount, format_micro, to_micro
 from .ledger import (
@@ -96,6 +99,16 @@ class FairPriceVector:
     def decimals(self) -> tuple[Decimal, ...]:
         """The probabilities as exact Decimals (``Decimal(float)``)."""
         return self._d
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative distribution a seeded draw inverts, computed once
+        and bit for bit as ``Generator.choice(..., p=probs)`` computes it:
+        outcome ``k`` is drawn for a uniform ``u`` when ``k - 1`` entries
+        are ``<= u``."""
+        cdf = np.array(self._p).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def of(self, k: int) -> float:
         """Probability of outcome ``k`` (1-based)."""

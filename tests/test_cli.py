@@ -90,6 +90,18 @@ def test_quote_rejects_huge_amounts(capsys, flag):
     assert "Traceback" not in captured.err
 
 
+def test_draining_quote_exits_three(capsys):
+    # against a fresh 1,000 pool the float swap output of a 1e20 wager rounds
+    # above the output pool: an unfillable quote, not an invariant violation
+    args = ["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "1000",
+            "--outcome", "1", "--wager", "1e20"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "drain the pool" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_single_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

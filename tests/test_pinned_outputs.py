@@ -14,7 +14,7 @@ from decimal import Decimal
 import pytest
 
 from uamm_lab import CpmmMarket, MarketSpec, UammMarket, UnfillableQuote, uamm
-from uamm_lab.sim import SimConfig, run_multi_market, simulate_one
+from uamm_lab.sim import BETS_FIELDS, SimConfig, run_multi_market, simulate_one
 
 
 def _k3(engine):
@@ -130,12 +130,24 @@ QUOTES = {
 }
 
 
+def _log_cells(row, *columns):
+    """The ``bets.csv`` text of ``columns`` of one bet-log row: a row is a
+    tuple in ``BETS_FIELDS`` order, a float is written as its ``repr`` and
+    ``None`` as an empty cell."""
+    cells = []
+    for column in columns:
+        value = row[BETS_FIELDS.index(column)]
+        cells.append("" if value is None else
+                     repr(value) if isinstance(value, float) else value)
+    return cells
+
+
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_k3_summary_row_is_pinned(engine):
     results, report = run_multi_market(_k3(engine), keep_log=True)
     assert report.csv_row() == K3_SUMMARY[engine]
-    quotes = [[row[k] for k in ("odd", "implied_price", "slippage", "fee",
-                                "reject_reason")]
+    quotes = [_log_cells(row, "odd", "implied_price", "slippage", "fee",
+                         "reject_reason")
               for r in results for row in r.bet_log]
     records = [[str(x.odd), str(x.fee), str(x.s_lp), repr(x.post_r)]
                for r in results for x in r.records]
@@ -156,7 +168,7 @@ def test_per_bet_outputs_are_pinned(engine):
     records = [(str(r.odd), str(r.fee), str(r.s_lp), repr(r.post_r))
                for r in result.records]
     assert records == RECORDS[engine]
-    quotes = [(row["odd"], row["slippage"], row["reject_reason"])
+    quotes = [tuple(_log_cells(row, "odd", "slippage", "reject_reason"))
               for row in result.bet_log]
     assert quotes == QUOTES[engine]
 
@@ -432,3 +444,64 @@ def test_quote_grid_is_pinned(engine, k, monkeypatch):
     assert market.snapshot() == before
     if engine == "uamm":
         assert branches == {"deficit", "straddle", "surplus"}
+
+
+# -- every byte the CLI writes ----------------------------------------------------
+
+#: ``simulate`` configs whose output files are pinned byte for byte: the
+#: sampled full-market experiment, a thin skewed pool whose bets are accepted,
+#: rejected on the threshold and unfillable at quote time, and one K=3 market
+#: with its trajectory.
+CLI_CONFIGS = {
+    "full": ("k = 2,3\nprobs = uniform:0.2,0.8\nn_bets = lognormal:2.0,1.0\n"
+             "funding = 10000.0\nfee_rate = 0.025\nn_markets = 40\nseed = 7\n"),
+    "multi": ("k = 2\nprobs = 0.8,0.2\nfunding = 500.0\nside_mode = uniform\n"
+              "rej_mean = 0.025\nrej_std = 0.0\nn_bets = 300\nn_markets = 2\n"
+              "seed = 5\n"),
+    "single": ("k = 3\nprobs = 0.2,0.3,0.5\nn_bets = 80\nseed = 21\n"),
+}
+
+#: sha256 of every file ``uamm-lab simulate`` writes for each case, recorded
+#: before the bet log and the market rows became CSV-ready tuples.
+CLI_OUTPUT_SHA256 = {
+    ("full", "uamm"): {
+        "bets.csv": "a378908789cc97537555872db1a4c144b01b59618c9287b0a5733e33af7853ab",
+        "markets.csv": "bafc43db755e8106474c71b556ff31ea582aa343f545a31e6343e58e9847e0c8",
+        "plot_markets.csv": "cd8aa93d39f7bad7bb9f093ac7bdaf19ea8659960eec3701219fac74f23489d6",
+        "summary.csv": "5e4c169ef608afc8f0d518f3214dfb61cd60ec0f641273a94cb33210033fda82",
+    },
+    ("multi", "uamm"): {
+        "bets.csv": "c8e52e1198baab7e2797f8c6f5518b0b906483d5045e12da7b7c6d099382cad2",
+        "markets.csv": "28fc1fb189ee97bf8816bc890daf485748643d20418643d5369bfed17efe9b61",
+        "plot_markets.csv": "daad2a90fc7af383d6f98c1658a8b23dd080d367eee8d4b2a6c1a3b2f1461f0d",
+        "summary.csv": "20ef3d158dfc9d05e58a9cd685931b6084ad10ed77ade2440ab1c2a9a43f6330",
+    },
+    ("multi", "cpmm"): {
+        "bets.csv": "6c734eed7b0236adf0d5eaff354376d5593176821754bd42812224c986f449cf",
+        "markets.csv": "fad5eb380e9b91ae347fc0eeb57465d0057f8abb92f014b586e672d6c546a229",
+        "plot_markets.csv": "a6d1c5b3550733e0684cfccdae168f51ecc4673f9867e629bdcdd1a1687b7239",
+        "summary.csv": "0dc1b14c638d367784c68698418b1656a52a05a9a5283ce4f0ac634e2a0163f7",
+    },
+    ("single", "uamm"): {
+        "bets.csv": "979f18b02701af035c888602176769d8b32bc5b64eed0d532b4fde28a413143a",
+        "markets.csv": "fe934f4317e10726c12b77f41544ad4990c03132cc6568721d659d60fec97406",
+        "plot_single_market.csv": "f3402a26bcb81229ddf8f822d5e8d4a588809e70dd5e0b3ce7199be6c9afd148",
+        "summary.csv": "4f4981281fd756ef1b0be9923e09c95387cfde08a8b167bc3c323d97dbb3fd18",
+    },
+}
+
+
+@pytest.mark.parametrize("mode,engine", [("full", "uamm"), ("multi", "uamm"),
+                                         ("multi", "cpmm"), ("single", "uamm")])
+def test_simulate_output_bytes_are_pinned(mode, engine, tmp_path, monkeypatch, capsys):
+    from uamm_lab import cli
+
+    monkeypatch.delenv("UAMM_LAB_SEED", raising=False)
+    config = tmp_path / "run.cfg"
+    config.write_text(CLI_CONFIGS[mode])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--mode", mode, "--config", str(config),
+                     "--engine", engine, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert digests == CLI_OUTPUT_SHA256[mode, engine]

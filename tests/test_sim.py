@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uamm_lab import sim
 from uamm_lab.sim import (
@@ -73,6 +75,45 @@ def test_fixed_threshold_one_rejects_nothing():
         float(s) > threshold
         for s, (_, _, threshold) in zip(np.linspace(0.0, 1.0, 100), draws)
     )
+
+
+@st.composite
+def _draw_cases(draw):
+    k = draw(st.integers(2, 5))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    total = math.fsum(raw)
+    k_choices = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    return (draw(st.integers(0, 2**63)), tuple(x / total for x in raw),
+            draw(st.integers(0, 50)), k_choices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_draw_cases())
+def test_draws_match_numpy_choice_on_a_twin_generator(case):
+    """The market-parameter, side and winner draws give the values of the
+    ``Generator.choice`` calls they replace and leave the generator in the
+    same state, on whatever numpy is installed."""
+    seed, probs, n, k_choices = case
+    fair = FairPriceVector(probs)
+    cdf = np.asarray(fair.probs).cumsum()
+    cdf /= cdf[-1]
+    assert fair.cdf.tolist() == cdf.tolist()
+
+    cfg = SimConfig(k=k_choices, probs=(0.5, 0.5), n_bets=n)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    k, _, _ = sim._sample_market_params(rng, cfg)
+    draws = sim._draw_streams(rng, cfg, fair, n)
+    winner = sim._draw_winner(rng, fair)
+
+    outcomes = np.arange(1, len(probs) + 1)
+    assert k == int(twin.choice(k_choices))
+    wagers = np.exp(twin.normal(cfg.wager_mu, cfg.wager_sigma, n))
+    wagers = np.maximum(np.round(wagers, 2), 0.01)
+    sides = twin.choice(outcomes, size=n, p=fair.probs)
+    thresholds = twin.normal(cfg.rej_mean, cfg.rej_std, n)
+    assert draws == list(zip(wagers.tolist(), sides.tolist(), thresholds.tolist()))
+    assert winner == int(twin.choice(outcomes, p=fair.probs))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_rejection_sweep_acceptance_and_profit_rise_with_threshold():
@@ -223,8 +264,10 @@ def test_engines_consume_identical_bettor_streams():
     base = SimConfig(n_bets=100, seed=12, side_mode="uniform")
     u = run_single_market(base)
     c = run_single_market(replace(base, engine="cpmm"))
-    u_draws = [(row["wager"], row["outcome"]) for row in u.bet_log]
-    c_draws = [(row["wager"], row["outcome"]) for row in c.bet_log]
+    # bet-log rows are tuples in BETS_FIELDS order; bets.csv holds repr(wager)
+    wager, outcome = (sim.BETS_FIELDS.index(f) for f in ("wager", "outcome"))
+    u_draws = [(repr(row[wager]), row[outcome]) for row in u.bet_log]
+    c_draws = [(repr(row[wager]), row[outcome]) for row in c.bet_log]
     assert u_draws == c_draws  # acceptance may differ, the stream may not
     assert u.winner == c.winner
 
