@@ -126,11 +126,12 @@ MARKETS_FIELDS = ("engine", "market_id", "k", "probs", "winner", "n_attempts",
 PLOT_MARKETS_FIELDS = ("market_index", "eip", "epp", "ev_final")
 
 
-def _market_row(r) -> tuple:
-    """One ``markets.csv`` row, in :data:`MARKETS_FIELDS` order."""
+def _market_row(r, pnl) -> tuple:
+    """One ``markets.csv`` row, in :data:`MARKETS_FIELDS` order; ``pnl`` is
+    the market's :func:`metrics.market_pnl` tuple."""
     return (r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
             r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
-            str(r.volume), str(r.fee), *metrics.market_pnl(r),
+            str(r.volume), str(r.fee), *pnl,
             r.overround_final, ";".join(map(repr, r.r_start)),
             ";".join(map(repr, r.r_end)))
 
@@ -139,7 +140,7 @@ def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list
     """Write bets.csv, markets.csv and summary.csv; return the markets rows."""
     _write_csv(out / "bets.csv", sim.BETS_FIELDS,
                chain.from_iterable(r.bet_log for r in results))
-    market_rows = [_market_row(r) for r in results]
+    market_rows = list(map(_market_row, results, report.market_pnl))
     _write_csv(out / "markets.csv", MARKETS_FIELDS, market_rows)
     summary = {"mode": mode, "seed": seed, **report.csv_row()}
     _write_csv(out / "summary.csv", summary.keys(), [summary.values()])

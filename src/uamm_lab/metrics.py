@@ -9,7 +9,7 @@ tell different stories about the same pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
@@ -90,7 +90,12 @@ def tv_pnl_values(results) -> list[float]:
 
 @dataclass
 class MetricsReport:
-    """Aggregate result bundle for one experiment."""
+    """Aggregate result bundle for one experiment.
+
+    ``market_pnl`` keeps the :func:`market_pnl` tuple of every market, in
+    result order, for per-market output; it is not part of :meth:`csv_row`
+    and takes no part in comparisons.
+    """
 
     engine: str
     n_markets: int
@@ -108,6 +113,7 @@ class MetricsReport:
     tp: float
     tv_pnl_mean: float
     vigorish: float
+    market_pnl: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def rejection_rate(self) -> float:
@@ -145,7 +151,8 @@ def summarize(results, engine: str) -> MetricsReport:
     """Fold per-market results into a :class:`MetricsReport`."""
     if not results:
         raise ValueError("no market results to summarize")
-    eip_vals, epp_vals, tv_vals, ev_vals = zip(*map(market_pnl, results))
+    pnl = tuple(map(market_pnl, results))
+    eip_vals, epp_vals, tv_vals, ev_vals = zip(*pnl)
     eip_mean, eip_std = float(np.mean(eip_vals)), float(np.std(eip_vals))
     epp_mean, epp_std = float(np.mean(epp_vals)), float(np.std(epp_vals))
     volume = sum((r.volume for r in results), Decimal(0))
@@ -167,6 +174,7 @@ def summarize(results, engine: str) -> MetricsReport:
         tp=len(results) * epp_mean,
         tv_pnl_mean=float(np.mean(tv_vals)),
         vigorish=float(np.mean([r.overround_final for r in results])),
+        market_pnl=pnl,
     )
 
 

@@ -297,7 +297,7 @@ def run_market(
                         accepted, reason))
 
     quote_bet, buy, deposit = market.quote, market.buy, market.ledger.deposit
-    fee_rate = market.spec.fee_rate
+    fee_micro = market.fee_micro
     for idx, (w, side, threshold) in enumerate(draws):
         # the draw's one rounding to the grid; quote and buy take it as the
         # float n / UNIT, which rounds back to exactly n
@@ -315,8 +315,8 @@ def run_market(
                 if keep_log:
                     log_row(idx, side, w, quote, 0, "threshold")
             else:
-                stake = PRECISION * n
-                deposit(BETTOR, stake + stake * fee_rate)
+                # fund exactly what buy charges: the wager plus its fee
+                deposit(BETTOR, PRECISION * (n + fee_micro(n)[0]))
                 try:
                     record = buy(BETTOR, side, wager)
                 except UnfillableQuote:

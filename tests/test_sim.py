@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ def test_build_market_keeps_a_fair_price_vector(engine):
     assert FairPriceVector(fair).probs != fair.probs
     market = sim.build_market(engine, "m", 3, fair, 1_000.0, 0.025)
     assert market.fair is fair
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("wager,fee", [(0.000003, "0.000002"), (0.000001, "0")])
+def test_run_market_funds_exactly_what_buy_charges(engine, wager, fee):
+    # an odd micro-unit wager at a 0.5 rate has a tied fee, which buy rounds
+    # half-even: 1.5 micro-units to 2 and 0.5 to 0; funding must match it
+    market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.5)
+    res = sim.run_market(market, [(wager, 1, 1.0)], 1)
+    assert res.n_accepted == 1
+    assert res.fee == Decimal(fee)
+    assert market.ledger.balance(sim.BETTOR) == 0
+    market.check_invariants()
 
 
 def test_zero_bet_run_leaves_pool_at_initial_state():

@@ -196,9 +196,28 @@ def test_quote_is_pure():
 
 
 def test_quote_rejects_unknown_outcome():
-    market = make_market()
-    with pytest.raises(ValueError):
-        market.quote(3, amount(10))
+    from uamm_lab.sim import build_market
+
+    for engine in ("uamm", "cpmm"):
+        for k in (2, 3):
+            market = build_market(engine, "m", k, (1 / k,) * k, 1_000.0, 0.025)
+            before = market.snapshot()
+            for outcome in (0, k + 1):
+                with pytest.raises(ValueError, match="unknown outcome"):
+                    market.quote(outcome, amount(10))
+                assert market.snapshot() == before
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_quote_rejects_negative_wager(engine):
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    before = market.snapshot()
+    for wager in (-0.01, amount(-10)):
+        with pytest.raises(ValueError, match="non-negative"):
+            market.quote(1, wager)
+        assert market.snapshot() == before
 
 
 def test_quote_csv_row_fields():
@@ -370,38 +389,55 @@ def test_snapshot_is_sorted_and_replayable():
 
 
 def _records():
-    """One Quote and one BetRecord, with their field values."""
+    """One Quote and one BetRecord, with their field names and values."""
     from uamm_lab.uamm import BetRecord, Quote
 
     return [
-        (Quote, ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25)),
-        (BetRecord, (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
-                     Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0,
-                     (0.0, 1.0, 2.0))),
+        pytest.param(
+            Quote, ("engine", "market_id", "outcome", "wager", "odd",
+                    "implied_price", "slippage", "fee"),
+            ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25), id="Quote"),
+        pytest.param(
+            BetRecord, ("index", "market_id", "outcome", "wager", "fee", "odd",
+                        "s_lp", "implied_price", "slippage", "post_r"),
+            (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
+             Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0, (0.0, 1.0, 2.0)),
+            id="BetRecord"),
     ]
 
 
-@pytest.mark.parametrize("cls,values", _records(),
-                         ids=lambda v: getattr(v, "__name__", ""))
-def test_records_are_frozen_dataclasses(cls, values):
-    import dataclasses
-
-    names = [f.name for f in dataclasses.fields(cls)]
+@pytest.mark.parametrize("cls,names,values", _records())
+def test_records_are_immutable_named_tuples(cls, names, values):
+    assert cls._fields == names
     rec = cls(*values)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         setattr(rec, names[0], values[0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         delattr(rec, names[-1])
     # field by field: positional and keyword construction agree, equal
     # records hash alike, and any one differing field breaks equality
     twin = cls(**dict(zip(names, values)))
     assert rec == twin and hash(rec) == hash(twin)
-    assert dataclasses.astuple(rec) == tuple(values)
+    assert tuple(rec) == tuple(values) and rec == tuple(values)
     assert repr(rec) == (
         f"{cls.__name__}("
         + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
     )
     for n in names:
-        assert dataclasses.replace(rec, **{n: "other"}) != rec
+        assert rec._replace(**{n: "other"}) != rec
     with pytest.raises(TypeError):
         cls(*values[:-1])
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_pipeline_records_are_the_record_types(engine):
+    from uamm_lab.sim import build_market
+    from uamm_lab.uamm import BetRecord, Quote
+
+    market = build_market(engine, "m", 3, (0.2, 0.3, 0.5), 1_000.0, 0.025)
+    market.deposit("bettor", amount(100))
+    for wager in (0, amount(10)):
+        quote = market.quote(2, wager)
+        record = market.buy("bettor", 2, wager)
+        assert type(quote) is Quote and type(record) is BetRecord
+        assert quote == Quote(*quote) and record == BetRecord(**record._asdict())
