@@ -142,8 +142,12 @@ class ConditionalLedger:
         acct[token] -= n
 
     def deposit(self, account: str, d) -> None:
-        """Credit external collateral to an account (off-market funding)."""
-        n = to_micro(d)
+        """Credit external collateral to an account (off-market funding),
+        rounded half-even to the grid."""
+        self.deposit_micro(account, to_micro(d))
+
+    def deposit_micro(self, account: str, n: int) -> None:
+        """:meth:`deposit` of ``n`` micro-units, an int."""
         if n < 0:
             raise ValueError("deposit must be non-negative")
         self._account(account)[COLLATERAL] += n

@@ -11,6 +11,10 @@ Bettor draws never depend on the engine, so a fair-price run and a
 constant-product run with the same config and seed consume identical wager /
 side / threshold streams (paired comparison).
 
+Wagers are drawn in whole cents, which lie on the ledger's micro-unit grid,
+so a wager is quoted as drawn and crosses into int micro-units once, when
+its bet executes (see :func:`run_market`).
+
 With ``keep_log=True`` a market keeps its bet log: one ``bets.csv`` row per
 bet, a tuple in :data:`BETS_FIELDS` order (engine and market id included,
 floats raw) that ``csv.writer`` writes as it is.
@@ -164,13 +168,32 @@ def _draw_streams(rng, cfg: SimConfig, fair: FairPriceVector,
                   n: int) -> list[tuple[float, int, float]]:
     """``n`` bettors as ``(wager, side, threshold)`` tuples.
 
+    Wagers are whole cents, at least one, and lie on the micro-unit grid:
+    every finite cent-rounded float below 1e22 has ``to_micro(w) / UNIT ==
+    w`` (and ``to_micro(w) == 10_000 * cents`` below 2**33), so
+    :func:`run_market` can quote them as they are.  A non-finite wager, or
+    one of 1e22 or more, raises ``ValueError``.
+
     A true-probability side inverts ``fair.cdf`` at one uniform per bettor:
     the stream and the values of ``rng.choice(range(1, k + 1), size=n,
     p=fair.probs)``, without re-validating and re-summing ``p`` per call.
     """
-    wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n)) if cfg.wager_sigma > 0 \
-        else np.full(n, math.exp(cfg.wager_mu))
+    if cfg.wager_sigma > 0:
+        wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n))
+    else:
+        try:
+            wagers = np.full(n, math.exp(cfg.wager_mu))
+        except OverflowError:  # inf, as np.exp gives it, and rejected below
+            wagers = np.full(n, math.inf)
     wagers = np.maximum(np.round(wagers, 2), 0.01)
+    if n and not wagers.max() < 2.0 ** 33:
+        # Below 2**33 a cent-rounded float is within half an ulp (under half a
+        # micro-unit) of its whole-cent value; from 2**33 up floats are spaced
+        # more than a micro-unit apart.  Either way a finite draw below 1e22
+        # lies on the grid already, so only inf and 1e22 or more are left for
+        # to_micro to reject, before any bet is made.
+        for w in wagers.tolist():
+            to_micro(w)
     if cfg.side_mode == "uniform":
         sides = rng.integers(1, len(fair) + 1, n)
     else:
@@ -277,10 +300,20 @@ def run_market(
     trajectory: bool = False,
 ) -> MarketResult:
     """Stream ``(wager, side, threshold)`` draws through quote -> rejection
-    -> buy and settle."""
+    -> buy and settle.
+
+    A wager crosses into micro-units once, when its bet executes: it is
+    quoted as given, and an accepted bet funds the bettor and buys with
+    ``to_micro(wager)``, rounded half-even to the grid, as
+    :meth:`~uamm_lab.uamm.Market.quote` and :meth:`~uamm_lab.uamm.Market.buy`
+    treat any caller.  :func:`_draw_streams` draws only wagers on the grid,
+    so a simulated bet is quoted at exactly what it executes; an off-grid
+    wager handed straight to this function is quoted unrounded and executed
+    rounded (its bet-log row shows it as given).
+    """
     fair = market.fair.probs
     r_start = tuple([x / UNIT for x in market.pool.r_micro])
-    volume = ZERO
+    volume = 0  # micro-units
     fee = ZERO
     accepted = rejected = unfillable = 0
     log: list[tuple] = []
@@ -296,15 +329,11 @@ def run_market(
                         quote.implied_price, quote.slippage, quote.fee,
                         accepted, reason))
 
-    quote_bet, buy, deposit = market.quote, market.buy, market.ledger.deposit
-    fee_micro = market.fee_micro
+    quote_bet, buy = market.quote, market.buy
+    deposit_micro, fee_micro = market.ledger.deposit_micro, market.fee_micro
     for idx, (w, side, threshold) in enumerate(draws):
-        # the draw's one rounding to the grid; quote and buy take it as the
-        # float n / UNIT, which rounds back to exactly n
-        n = to_micro(w)
-        wager = n / UNIT
         try:
-            quote = quote_bet(side, wager)
+            quote = quote_bet(side, w)
         except UnfillableQuote:
             unfillable += 1
             if keep_log:
@@ -316,9 +345,10 @@ def run_market(
                     log_row(idx, side, w, quote, 0, "threshold")
             else:
                 # fund exactly what buy charges: the wager plus its fee
-                deposit(BETTOR, PRECISION * (n + fee_micro(n)[0]))
+                n = to_micro(w)
+                deposit_micro(BETTOR, n + fee_micro(n)[0])
                 try:
-                    record = buy(BETTOR, side, wager)
+                    record = buy(BETTOR, side, w)
                 except UnfillableQuote:
                     # fixed-point execution can hit the pool edge the float
                     # quote just cleared
@@ -327,7 +357,7 @@ def run_market(
                         log_row(idx, side, w, quote, 0, "unfillable")
                 else:
                     accepted += 1
-                    volume += record.wager
+                    volume += n
                     fee += record.fee
                     if keep_log:
                         log_row(idx, side, w, quote, 1, "")
@@ -359,7 +389,7 @@ def run_market(
         n_accepted=accepted,
         n_rejected=rejected,
         n_unfillable=unfillable,
-        volume=volume,
+        volume=PRECISION * volume,
         fee=fee,
         overround_final=overround,
         records=list(market.bets) if keep_records else [],

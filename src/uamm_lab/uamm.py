@@ -153,16 +153,18 @@ class FloatView:
     exactly (see :meth:`PoolState.remove`).  :attr:`r` reads and replaces the
     reserves as collateral Decimals.
 
-    :meth:`float_view` returns ``(tbf, comb)``: the float target balance
-    (0.0 for a pool without one) and the combined reserves
-    ``(0.0, rf[1] + rf[0], ...)`` that the bet pipeline starts from, where
-    ``rf`` is the float of every reserve.  It is converted once and reused
-    by every quote while a list copy of ``r_micro`` taken with it still
-    equals ``r_micro`` and the pool's target balance is the same object, so
-    any in-place edit or rebinding of the reserves or ``tb`` rebuilds the
-    view on the next call.
+    :meth:`float_view` returns ``(tbf, comb)``: the float of the target
+    balance ``tb`` (0.0 for a pool without one, whose ``tb`` is the class
+    default ``None``) and the combined reserves ``(0.0, rf[1] + rf[0], ...)``
+    that the bet pipeline starts from, where ``rf`` is the float of every
+    reserve.  It is converted once and reused by every quote while a list
+    copy of ``r_micro`` taken with it still equals ``r_micro`` and ``tb`` is
+    the same object, so any in-place edit or rebinding of the reserves or
+    ``tb`` rebuilds the view on the next call.
     """
 
+    #: The target balance; a pool type that has one sets it per instance.
+    tb = None
     _view_r = None
     _view_tb = None
     _view = None
@@ -181,12 +183,8 @@ class FloatView:
     def r(self, values) -> None:
         self.r_micro = [_exact_micro(v) for v in values]
 
-    def _target_balance(self) -> Decimal | None:
-        """The target balance the view depends on; ``None`` if the pool has none."""
-        return None
-
     def float_view(self) -> tuple[float, tuple[float, ...]]:
-        tb = self._target_balance()
+        tb = self.tb
         if self._view_r == self.r_micro and self._view_tb is tb:
             return self._view
         self._view_tb = tb
@@ -230,9 +228,6 @@ class PoolState(FloatView):
         self.tb = tb
         self.fee_accrued = fee_accrued
         self.treasury_shares = treasury_shares
-
-    def _target_balance(self) -> Decimal:
-        return self.tb
 
     def copy(self) -> "PoolState":
         pool = PoolState([], self.ts, self.tb, self.fee_accrued, self.treasury_shares)
@@ -493,6 +488,11 @@ class Market:
         ``wager * fee_rate`` exactly when that lies on the grid (any
         whole-cent wager at a 0.025 rate), and is otherwise rounded half-even
         to the grid, so that the ledger can hold what the bettor is charged.
+
+        The wager is rounded half-even to micro-units first.  A negative
+        wager raises ``ValueError``, as a quote does, even when it rounds to
+        zero; a wager that rounds to zero moves nothing and is recorded as a
+        zero bet, at its own index in :attr:`bets` like every other record.
         """
         ledger, pool, spec = self.ledger, self.pool, self.spec
         if ledger.phase is not _OPEN:
@@ -501,13 +501,16 @@ class Market:
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
         n = to_micro(wager)
-        if n < 0:
-            raise ValueError("wager must be non-negative")
-        if n == 0:
-            return _record(BetRecord, (
+        if n <= 0:
+            # the sign of a wager that rounds to zero, checked as quote does
+            if n or float(wager) < 0:
+                raise ValueError("wager must be non-negative")
+            record = _record(BetRecord, (
                 len(self.bets), spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
                 self.fair.of(i), 0.0, tuple([x / UNIT for x in pool.r_micro]),
             ))
+            self.bets.append(record)
+            return record
         d = PRECISION * n
         fee_n, exact = self.fee_micro(n)
         fee = d * spec.fee_rate if exact else PRECISION * fee_n

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import spearmanr
 
-from conftest import announce
-from uamm_lab import cli, metrics, sim
+from conftest import announce, recompute_from_records
+from uamm_lab import cli, sim
 from uamm_lab.fixedpoint import ZERO, amount
 from uamm_lab.ledger import InsufficientBalance, InvariantViolation, MarketSpec
 from uamm_lab.probes import property_report
@@ -262,7 +262,7 @@ def test_criterion_10_metrics_oracle_equivalence():
     recomputation from raw bet records to 1e-9 relative on 100 trajectories."""
     cfg = sim.full_config(seed=5)
     results, report = sim.run_multi_market(cfg)
-    raw = metrics.recompute_from_records(results)
+    raw = recompute_from_records(results)
     errs = {
         key: abs(raw[key] - got) / max(1.0, abs(got))
         for key, got in (

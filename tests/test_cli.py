@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from uamm_lab import cli
@@ -183,6 +184,21 @@ def test_simulate_rejects_huge_funding(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "1e+22" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("wager_mu = 800\n", "must be finite, got inf"),
+    ("wager_mu = 800\nwager_sigma = 0\n", "must be finite, got inf"),
+    ("wager_mu = 60\nwager_sigma = 0\n", "too many digits"),
+])
+def test_simulate_rejects_unrepresentable_wagers(tmp_path, capsys, extra, message):
+    cfg = write_cfg(tmp_path, SMALL_CFG + extra)
+    with np.errstate(over="ignore"):
+        code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
 
 

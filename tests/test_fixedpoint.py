@@ -191,3 +191,36 @@ def test_format_micro_edge_cases(n):
 def test_micro_round_trip_through_float(n):
     # the simulator prices and executes a wager of n micro-units as n / UNIT
     assert to_micro(n / UNIT) == n
+
+
+# -- whole cents on the grid -------------------------------------------------
+#
+# A cent-rounded float ``w = c / 100`` is within half an ulp of ``c / 100``,
+# which is under half a micro-unit while ``w < 2**33``: so ``to_micro(w)`` is
+# exactly ``10_000 * c`` and ``n / UNIT`` gives ``w`` back.  The simulator
+# quotes its whole-cent wagers as drawn on the strength of this.  From 2**33
+# up to 1e22 a float's spacing exceeds a micro-unit, so every float there
+# maps back to itself, whole cents or not.
+
+
+@pytest.mark.parametrize("e", range(-6, 34))
+def test_whole_cents_at_binade_edges_lie_on_the_grid(e):
+    edge = round(2.0**e * 100)
+    for c in range(max(1, edge - 300), edge + 300):
+        w = c / 100
+        if w >= 2.0**33:
+            break
+        assert to_micro(w) == 10_000 * c, c
+        assert to_micro(w) / UNIT == w, c
+
+
+def test_floats_above_2_33_map_back_to_themselves():
+    edge = 2.0**33
+    misses = 0
+    for w in (edge, edge * (1 + 2**-52), 1e10 + 0.07, 2.0**40 + 0.25, 1e21):
+        assert to_micro(w) / UNIT == w
+    for c in range(round(edge * 100), round(edge * 100) + 300):
+        w = c / 100
+        assert to_micro(w) / UNIT == w
+        misses += to_micro(w) != 10_000 * c
+    assert misses  # not whole cents any more, yet still on the grid

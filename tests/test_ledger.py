@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.fixedpoint import ZERO, amount
+from uamm_lab.fixedpoint import ZERO, amount, to_micro
 from uamm_lab.ledger import (
     COLLATERAL,
     ConditionalLedger,
@@ -168,3 +168,29 @@ def test_snapshot_is_deterministic():
     a.mint("a", 10)
     b.mint("a", 10)
     assert a.snapshot_items() == b.snapshot_items()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.floats(0.0, 1e15),
+    st.decimals(min_value=0, max_value=10**15, allow_nan=False, places=9),
+    st.integers(0, 10**15),
+))
+def test_deposit_is_deposit_micro_of_the_rounded_amount(d):
+    a, b = fresh(), fresh()
+    a.deposit("x", d)
+    b.deposit_micro("x", to_micro(d))
+    assert a.snapshot_items() == b.snapshot_items()
+    assert a.bal_micro == b.bal_micro
+    assert a.deposited_micro == b.deposited_micro
+    a.check_invariants()
+
+
+def test_deposits_reject_negative_amounts():
+    ledger = fresh()
+    before = snapshot(ledger)
+    for deposit, d in ((ledger.deposit, -1.0), (ledger.deposit, Decimal("-0.01")),
+                       (ledger.deposit_micro, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            deposit("a", d)
+    assert snapshot(ledger) == before

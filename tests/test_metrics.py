@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import recompute_from_records
 from uamm_lab import metrics, sim
-from uamm_lab.metrics import ev, recompute_from_records, summarize
+from uamm_lab.metrics import ev, summarize
 from uamm_lab.sim import SimConfig
 
 

@@ -4,10 +4,11 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm_lab import sim
+from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.sim import (
     ConfigError,
     SimConfig,
@@ -115,6 +116,37 @@ def test_draws_match_numpy_choice_on_a_twin_generator(case):
     assert draws == list(zip(wagers.tolist(), sides.tolist(), thresholds.tolist()))
     assert winner == int(twin.choice(outcomes, p=fair.probs))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**63), st.integers(0, 60), st.floats(-3.0, 30.0),
+       st.sampled_from([0.0, 0.3, 1.2, 3.0]))
+@example(seed=0, n=0, mu=3.2, sigma=1.2)
+@example(seed=0, n=5, mu=3.2, sigma=0.0)
+@example(seed=0, n=5, mu=25.0, sigma=0.0)  # every wager above 2**33
+@example(seed=7, n=40, mu=22.5, sigma=1.0)  # wagers on both sides of 2**33
+def test_drawn_wagers_lie_on_the_micro_unit_grid(seed, n, mu, sigma):
+    """Every wager ``_draw_streams`` hands the simulator is quoted as drawn
+    and executed as ``to_micro(w)``, so it must be that value's float."""
+    draws = _draws(seed, n, wager_mu=mu, wager_sigma=sigma)
+    twin = np.random.default_rng(seed)
+    cents = (np.exp(twin.normal(mu, sigma, n)) if sigma > 0
+             else np.full(n, math.exp(mu)))
+    cents = np.maximum(np.round(cents, 2), 0.01).tolist()
+    assert len(draws) == n
+    for (w, _, _), c in zip(draws, cents):
+        assert to_micro(w) / UNIT == w
+        assert w == to_micro(c) / UNIT
+        if w < 2.0**33:
+            assert w == c and to_micro(w) == 10_000 * round(c * 100)
+
+
+@pytest.mark.parametrize("mu,sigma,message", [
+    (800.0, 1.2, "finite"), (800.0, 0.0, "finite"), (60.0, 0.0, "too many digits"),
+])
+def test_unrepresentable_wager_draws_are_rejected(mu, sigma, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        _draws(0, 3, wager_mu=mu, wager_sigma=sigma)
 
 
 def test_rejection_sweep_acceptance_and_profit_rise_with_threshold():
@@ -234,6 +266,44 @@ def test_run_market_funds_exactly_what_buy_charges(engine, wager, fee):
     assert res.fee == Decimal(fee)
     assert market.ledger.balance(sim.BETTOR) == 0
     market.check_invariants()
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_run_market_quotes_an_off_grid_wager_as_given_and_executes_it_rounded(engine):
+    w = 12.3456789
+    twin = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.025)
+    quote = twin.quote(1, w)
+    assert quote.odd != twin.quote(1, to_micro(w) / UNIT).odd
+    market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.025)
+    res = sim.run_market(market, [(w, 1, 1.0)], 1, keep_log=True)
+    row = dict(zip(sim.BETS_FIELDS, res.bet_log[0]))
+    assert (row["wager"], row["odd"], row["slippage"]) == (w, quote.odd, quote.slippage)
+    twin.deposit(sim.BETTOR, amount("12.654321"))  # 12.345679 plus its fee
+    assert res.records == [twin.buy(sim.BETTOR, 1, w)]
+    assert res.volume == res.records[0].wager == Decimal("12.345679")
+    assert str(res.fee) == "0.308642"
+    assert twin.ledger.balance(sim.BETTOR) == 0
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_seeded_markets_fund_each_bet_in_micro_units(engine):
+    """The bettor is funded with exactly what each executed bet costs, so
+    every seeded market's books balance and the bettor ends with nothing."""
+    for seed in range(4):
+        cfg = SimConfig(k=3, probs=(0.2, 0.3, 0.5), n_bets=200, funding=2_000.0,
+                        seed=seed, engine=engine)
+        rng = np.random.default_rng([seed, 0])
+        fair = FairPriceVector(cfg.probs)
+        draws = sim._draw_streams(rng, cfg, fair, cfg.n_bets)
+        market = sim.build_market(engine, "m", 3, fair, cfg.funding, cfg.fee_rate)
+        res = sim.run_market(market, draws, 1)
+        assert res.n_accepted == len(res.records) > 0
+        market.check_invariants()
+        assert market.ledger.balance(sim.BETTOR) == 0
+        assert market.ledger.deposited_micro == to_micro(cfg.funding) + sum(
+            to_micro(r.wager + r.fee) for r in res.records)
+        assert res.volume == sum(r.wager for r in res.records)
+        assert str(res.volume) == str(sum((r.wager for r in res.records), ZERO))
 
 
 def test_zero_bet_run_leaves_pool_at_initial_state():

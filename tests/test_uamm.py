@@ -251,6 +251,36 @@ def test_buy_zero_wager_is_noop():
     assert market.snapshot() == before
 
 
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_buy_records_a_zero_wager_at_its_own_index(engine):
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    market.deposit("bettor", amount(100))
+    records = [market.buy("bettor", 1, w) for w in (0, amount(10), 1e-7, 5.0)]
+    assert [r.index for r in records] == [0, 1, 2, 3]
+    assert market.bets == records
+    assert records[2].wager == ZERO and records[2].post_r == records[1].post_r
+    assert_conserved(market)
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_buy_rejects_negative_wager(engine):
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    market.deposit("bettor", amount(100))
+    before = market.snapshot()
+    # the first two round to zero micro-units, as quote never rounds
+    for wager in (-1e-7, Decimal("-0.0000004"), -0.01, amount(-10)):
+        with pytest.raises(ValueError, match="non-negative"):
+            market.quote(1, wager)
+        with pytest.raises(ValueError, match="non-negative"):
+            market.buy("bettor", 1, wager)
+        assert market.snapshot() == before and market.bets == []
+    assert market.buy("bettor", 1, -0.0).wager == ZERO
+
+
 def test_buy_requires_wager_plus_fee():
     market = make_market()
     market.deposit("poor", amount(100))
