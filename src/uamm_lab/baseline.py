@@ -5,8 +5,10 @@ no fair-price reference -- exactly the behaviour the fair-price engine is
 meant to improve on.  :class:`CpmmMarket` is an engine subclass of
 :class:`~uamm_lab.uamm.Market`: it shares the fair-price engine's ledger, bet
 pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, and
-supplies only its pool type, the product rule as its swap leg, and its
-genesis, so the conservation invariants are identical.
+supplies only its pool type, its quote kernel (:func:`cpmm_odds`, the
+product rule written inline in the leg loop), the product rule as its buys'
+swap leg (:func:`cpmm_swap`), and its genesis, so the conservation
+invariants are identical.
 
 Initial reserves are seeded proportional to ``1 / f_k`` so that the implied
 prices at launch equal the true outcome probabilities; after that the pool
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .fixedpoint import PRECISION, ZERO, to_micro
-from .uamm import FloatView, Market
+from .uamm import _INF, FloatView, Market, Quote, _quote_edge, _record
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
@@ -29,6 +31,36 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     if d_in == 0.0 or r_out <= 0.0:
         return 0.0
     return r_out - (r_in * r_out) / (r_in + d_in)
+
+
+def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
+              engine: str = "cpmm") -> Quote:
+    """The constant-product engine's quote kernel: :func:`~uamm_lab.uamm.calc_odds`
+    with :func:`cpmm_swap`'s product rule written inline as each leg, the
+    same float operations in the same order.  Each input pool ``comb[j]`` is
+    read before the bettor's ``d`` is added to it.
+
+    The rule's zero branch needs no test here: every reserve is ``>= 0``, and
+    the formula gives 0.0 for an empty output pool, as the branch does.  Nor
+    can a leg drain its pool: it pays ``r_out`` less a non-negative amount.
+    """
+    _, comb = pool.float_view()
+    d = float(wager)
+    if not (0 < i < len(comb) and 0.0 < d < _INF):
+        return _quote_edge(comb, fair, i, d, market_id, engine)
+    ri = comb[i]
+    odd = d
+    for j in range(1, len(comb)):
+        if j != i:
+            rj = comb[j]
+            s = ri - rj * ri / (rj + d)
+            ri -= s
+            odd += s
+    implied = d / odd
+    return _record(Quote, (
+        engine, market_id, i, d, odd, implied, implied - fair.probs[i - 1],
+        float(fee_rate) * d,
+    ))
 
 
 @dataclass(init=False)
@@ -58,11 +90,15 @@ class CpmmMarket(Market):
     # own attributes, so restoring a traced method by setattr changes nothing
     quote = Market.quote
     buy = Market.buy
+    _odds = staticmethod(cpmm_odds)
 
     @staticmethod
     def _leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
              tb: float) -> float:
-        # the product rule reads r_in before the bettor's d is added
+        """:meth:`~uamm_lab.uamm.Market.buy`'s one swap leg under the product
+        rule, in the shape ``buy`` calls every engine's leg; a quote runs the
+        rule inline in :func:`cpmm_odds`.  The rule reads ``r_in`` before the
+        bettor's ``d`` is added."""
         return cpmm_swap(d, r_in, r_out)
 
     def _fund(self, account: str, funding: Decimal) -> Decimal:

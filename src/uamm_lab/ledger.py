@@ -26,6 +26,16 @@ from .fixedpoint import PRECISION, ZERO, format_micro, to_micro
 COLLATERAL = 0
 
 
+def _non_negative_micro(d, what: str) -> int:
+    """``to_micro(d)``, raising ``ValueError`` for a negative ``d``, even one
+    that rounds to zero micro-units, as :meth:`uamm_lab.uamm.Market.buy`
+    does for a wager."""
+    n = to_micro(d)
+    if n <= 0 and (n or float(d) < 0):
+        raise ValueError(f"{what} must be non-negative")
+    return n
+
+
 class LedgerError(Exception):
     """Base class for rejected ledger operations."""
 
@@ -144,7 +154,7 @@ class ConditionalLedger:
     def deposit(self, account: str, d) -> None:
         """Credit external collateral to an account (off-market funding),
         rounded half-even to the grid."""
-        self.deposit_micro(account, to_micro(d))
+        self.deposit_micro(account, _non_negative_micro(d, "deposit"))
 
     def deposit_micro(self, account: str, n: int) -> None:
         """:meth:`deposit` of ``n`` micro-units, an int."""
@@ -180,9 +190,7 @@ class ConditionalLedger:
     def mint(self, account: str, d) -> None:
         """Lock ``d`` collateral, credit ``d`` of every outcome token."""
         self._require_open()
-        n = to_micro(d)
-        if n < 0:
-            raise ValueError("mint amount must be non-negative")
+        n = _non_negative_micro(d, "mint amount")
         if n == 0:
             return
         self._take(account, COLLATERAL, n)
@@ -193,9 +201,7 @@ class ConditionalLedger:
 
     def merge(self, account: str, d) -> None:
         """Burn a uniform set of ``d`` of each outcome token for collateral."""
-        n = to_micro(d)
-        if n < 0:
-            raise ValueError("merge amount must be non-negative")
+        n = _non_negative_micro(d, "merge amount")
         if n == 0:
             return
         acct = self._account(account)

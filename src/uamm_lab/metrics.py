@@ -56,8 +56,10 @@ def _tv_pnl(r) -> float:
 
 def market_pnl(result) -> tuple[float, float, float, float]:
     """``(eip, epp, tv_pnl, ev_final)`` of one market, its pool deltas taken
-    once: each is the figure the matching ``*_values`` function (or
-    :func:`ev` of the final conditional pools) gives for it."""
+    once: EIP and EPP are the figures :func:`eip_values` and
+    :func:`epp_values` give for it, ``tv_pnl`` is TV_end - TV_start (the
+    collateral pool included) and ``ev_final`` is :func:`ev` of the final
+    conditional pools."""
     deltas = pool_deltas(result)
     return (_eip(result.fair, deltas), _epp(result, deltas), _tv_pnl(result),
             ev(result.r_end[1:], result.fair))
@@ -81,11 +83,6 @@ def eip(results) -> tuple[float, float]:
 def epp(results) -> tuple[float, float]:
     vals = epp_values(results)
     return float(np.mean(vals)), float(np.std(vals))
-
-
-def tv_pnl_values(results) -> list[float]:
-    """Expected-value PnL including the collateral pool: TV_end - TV_start."""
-    return [_tv_pnl(r) for r in results]
 
 
 @dataclass

@@ -14,9 +14,13 @@ pool, snapshot) and the bet pipeline, which has two faces:
 
 * pure quoting (:func:`calc_odds`, :func:`spot_price`) in float arithmetic,
   never touching live state: a quote moves only its output pool, on a
-  scalar, and returns the figures a bettor reads (no post-trade pool);
+  scalar, and returns the figures a bettor reads (no post-trade pool).  Each
+  engine has one quote kernel with its swap rule written inline in the leg
+  loop, so a quote costs its arithmetic and one call, not a call per leg;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
-  ledger, so conservation stays exact.
+  ledger, so conservation stays exact.  Its legs call the engine's public
+  swap kernel (:func:`swap_out` here), which the quote kernel matches bit
+  for bit.
 
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
 tuples, built straight from the tuple of their field values.  A quote reads
@@ -24,8 +28,9 @@ the outcome count from the pool's cached float view and the probabilities
 from plain attributes of the :class:`FairPriceVector`, so it derives no
 market constant again.
 
-An engine is a subclass that supplies its pool type, its one-leg swap rule
-and its genesis.  :class:`UammMarket` is the fair-price engine; it also
+An engine is a subclass that supplies its pool type, its quote kernel, the
+one-leg swap rule its buys use, and its genesis.  :class:`UammMarket` is the
+fair-price engine (kernel :func:`calc_odds`, leg :func:`fair_leg`); it also
 removes liquidity and mints treasury LP shares on every bet.  The
 constant-product engine is :class:`uamm_lab.baseline.CpmmMarket`.
 """
@@ -61,6 +66,9 @@ _record = tuple.__new__
 #: ``Phase.OPEN``, read once: an enum member lookup costs several attribute
 #: loads, and every quote and buy checks it.
 _OPEN = Phase.OPEN
+#: ``math.inf`` as a module global, which the quote kernels' finiteness test
+#: reads faster than the attribute.
+_INF = math.inf
 
 
 class FairPriceVector:
@@ -326,9 +334,25 @@ class Quote(NamedTuple):
 
 def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
              tb: float) -> float:
-    """One swap leg under the fair-price rule; the input pool ``r_in`` plays
-    no part in it."""
+    """:meth:`Market.buy`'s one swap leg under the fair-price rule, in the
+    shape ``buy`` calls every engine's leg; the input pool ``r_in`` plays no
+    part in it.  A quote does not call it: :func:`calc_odds` runs the same
+    rule inline."""
     return swap_out(d, f_in, f_out, r_out, tb)
+
+
+def _quote_edge(comb, fair: FairPriceVector, i: int, d: float, market_id: str,
+               engine: str) -> Quote:
+    """What a quote kernel does with an input outside its hot test (a known
+    outcome and a positive finite wager ``d``): raise ``ValueError`` for an
+    unknown outcome or a negative, infinite or NaN wager, and otherwise (a
+    zero wager, ``-0.0`` included) return the zero quote, which moves no
+    pool and charges no fee.  ``comb`` is the pool's combined reserves."""
+    if not 0 < i < len(comb):
+        raise ValueError(f"unknown outcome {i} for a {len(comb) - 1}-outcome market")
+    if not 0.0 <= d < _INF:
+        raise ValueError(f"wager must be finite and non-negative, got {d!r}")
+    return _record(Quote, (engine, market_id, i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
 
 
 def calc_odds(
@@ -339,40 +363,61 @@ def calc_odds(
     fee_rate=0,
     market_id: str = "",
     engine: str = "uamm",
-    leg=fair_leg,
 ) -> Quote:
-    """Quote the payout for betting ``wager`` collateral on outcome ``i``.
+    """Quote the payout for betting ``wager`` collateral on outcome ``i``:
+    the fair-price engine's quote kernel.
 
     Runs the swap legs of the buy pipeline in float on the pool's combined
-    reserves (either engine's) and returns only what a bettor reads: the
-    odd, the implied price, the slippage and the fee.  The live pool is
-    never mutated, and no post-trade pool is built: each input pool is read
-    once, so only the output pool ``ri`` moves.  ``leg`` is the engine's
-    one-leg swap rule, called as ``leg(d, f_in, f_out, r_in, r_out, tb)``
-    with ``r_in`` read before the bettor's ``d`` is added.
+    reserves and returns only what a bettor reads: the odd, the implied
+    price, the slippage and the fee.  The live pool is never mutated, and no
+    post-trade pool is built: each input pool is read once, so only the
+    output pool ``ri`` moves.  An unknown outcome or a negative, infinite or
+    NaN wager raises ``ValueError``; a zero wager quotes zero.
+
+    Each leg is :func:`swap_out`'s piecewise rule written inline, with the
+    same float operations in the same order, so a quote equals the one that
+    calls ``swap_out`` leg by leg, bit for bit.  Only the order of the
+    branch tests differs, to cost the surplus and deficit legs least: for
+    the non-negative reserves and target balance every pool holds, each leg
+    takes the branch ``swap_out`` would.  Only a straddling leg can drain
+    its pool: a surplus leg pays less than the pool holds above the target,
+    and a deficit leg pays the pool less a positive amount.
     """
     # collateral liquidity combined into every conditional pool; each input
     # pool comb[j] is read once, before the bettor's d would be added to it
     tb, comb = pool.float_view()
-    if not 0 < i < len(comb):
-        raise ValueError(f"unknown outcome {i} for a {len(comb) - 1}-outcome market")
     d = float(wager)
-    if d < 0:
-        raise ValueError("wager must be non-negative")
+    if not (0 < i < len(comb) and 0.0 < d < _INF):
+        return _quote_edge(comb, fair, i, d, market_id, engine)
     f = fair.probs
     fi = f[i - 1]
-    if d == 0.0:
-        return _record(Quote, (engine, market_id, i, 0.0, 0.0, fi, 0.0, 0.0))
     ri = comb[i]
+    tt = tb * tb
     odd = d
     for j, fj in enumerate(f, 1):
         if j == i:
             continue
-        s = leg(d, fj, fi, comb[j], ri, tb)
-        if s > ri:
-            raise UnfillableQuote(
-                f"wager {d} on outcome {i} would drain the pool"
-            )
+        rho = fj / fi
+        delta = rho * d
+        if tb <= ri:
+            if ri - delta > tb:
+                # above the target: the fair amount
+                s = delta
+            else:
+                # straddling the target: partial slippage (an empty pool
+                # with no target pays 0.0 here, as swap_out's zero branch)
+                alpha = ri / ((0.0 if tb <= 0.0 else tt / ri) + delta)
+                s = alpha * delta + (rho - alpha) * (ri - tb)
+                if s > ri:
+                    raise UnfillableQuote(
+                        f"wager {d} on outcome {i} would drain the pool"
+                    )
+        elif ri > 0.0:
+            # below the target: constant-product slippage around tb**2
+            s = ri - tt / (tt / ri + delta)
+        else:
+            # an empty pool pays nothing (swap_out's zero branch)
+            s = 0.0
         ri -= s
         odd += s
     implied = d / odd
@@ -411,9 +456,10 @@ class Market:
 
     All mutations of a market are serialized through this object; distinct
     markets share no state and may run in parallel.  An engine subclass
-    supplies ``engine`` (its name), ``pool_type``, ``_leg`` (its one-leg swap
-    rule, see :func:`calc_odds`) and ``_fund`` (its genesis: what adding
-    liquidity puts into the pool); everything else is shared.
+    supplies ``engine`` (its name), ``pool_type``, ``_odds`` (its quote
+    kernel, called as :func:`calc_odds` is), ``_leg`` (the one-leg swap rule
+    :meth:`buy` calls, see :func:`fair_leg`) and ``_fund`` (its genesis:
+    what adding liquidity puts into the pool); everything else is shared.
     """
 
     spec: MarketSpec
@@ -464,9 +510,9 @@ class Market:
     def quote(self, i: int, wager) -> Quote:
         if self.ledger.phase is not _OPEN:
             raise PhaseError("market is not open for betting")
-        return calc_odds(
+        return self._odds(
             self.pool, self.fair, i, wager, self._fee_float,
-            self.spec.market_id, self.engine, self._leg,
+            self.spec.market_id, self.engine,
         )
 
     def fee_micro(self, n: int) -> tuple[int, bool]:
@@ -622,6 +668,7 @@ class UammMarket(Market):
     # own attributes, so restoring a traced method by setattr changes nothing
     quote = Market.quote
     buy = Market.buy
+    _odds = staticmethod(calc_odds)
     _leg = staticmethod(fair_leg)
 
     def _fund(self, account: str, d: Decimal) -> Decimal:

@@ -1,4 +1,8 @@
+import math
 import sys
+
+from uamm_lab.baseline import cpmm_swap
+from uamm_lab.uamm import Quote, UnfillableQuote, swap_out
 
 _config = None
 
@@ -67,3 +71,53 @@ def recompute_from_records(results) -> dict:
         "epp_mean": sum(epp_vals) / m,
         "ev_mean": sum(ev_vals) / m,
     }
+
+
+def swap_branch(d, f_in, f_out, r_out, tb) -> str:
+    """Which branch of :func:`uamm_lab.uamm.swap_out` these inputs take, tested
+    in its order: the zero-input / empty-pool return, straddle, surplus, else
+    deficit."""
+    if d == 0.0 or r_out <= 0.0:
+        return "zero"
+    if r_out - f_in / f_out * d <= tb <= r_out:
+        return "straddle"
+    return "surplus" if tb <= r_out else "deficit"
+
+
+def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm",
+                    branches=None):
+    """A quote computed leg by leg through the public swap kernels.
+
+    The quote pipeline as it ran before each engine had its own kernel: one
+    loop for both engines calling :func:`~uamm_lab.uamm.swap_out` (UAMM) or
+    :func:`~uamm_lab.baseline.cpmm_swap` (CPMM) once per leg, with the
+    kernels' input checks.  The kernels must equal it bit for bit.
+    ``branches``, a list, collects the :func:`swap_branch` of every UAMM leg.
+    """
+    tb, comb = pool.float_view()
+    if not 0 < i < len(comb):
+        raise ValueError(f"unknown outcome {i} for a {len(comb) - 1}-outcome market")
+    d = float(wager)
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"wager must be finite and non-negative, got {d!r}")
+    f = fair.probs
+    fi = f[i - 1]
+    if d == 0.0:
+        return Quote(engine, market_id, i, 0.0, 0.0, fi, 0.0, 0.0)
+    ri = comb[i]
+    odd = d
+    for j, fj in enumerate(f, 1):
+        if j == i:
+            continue
+        if engine == "cpmm":
+            s = cpmm_swap(d, comb[j], ri)
+        else:
+            if branches is not None:
+                branches.append(swap_branch(d, fj, fi, ri, tb))
+            s = swap_out(d, fj, fi, ri, tb)
+        if s > ri:
+            raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool")
+        ri -= s
+        odd += s
+    implied = d / odd
+    return Quote(engine, market_id, i, d, odd, implied, implied - fi, float(fee_rate) * d)

@@ -186,6 +186,28 @@ def test_deposit_is_deposit_micro_of_the_rounded_amount(d):
     a.check_invariants()
 
 
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("d", [-1e-7, Decimal("-0.0000004"), "-0.0000001"])
+def test_negative_amounts_that_round_to_zero_are_rejected(engine, d):
+    # rounded to the grid these are zero, but their sign is checked first,
+    # as Market.buy checks a wager's
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    market.deposit("a", amount(100))
+    market.ledger.mint("a", amount(10))
+    before = market.snapshot()
+    ops = (market.deposit, market.ledger.deposit, market.ledger.mint,
+           market.ledger.merge)
+    for op in ops:
+        with pytest.raises(ValueError, match="non-negative"):
+            op("a", d)
+        assert market.snapshot() == before
+    for op in ops:
+        op("a", -0.0)  # zero, whatever its sign bit
+    assert market.snapshot() == before
+
+
 def test_deposits_reject_negative_amounts():
     ledger = fresh()
     before = snapshot(ledger)

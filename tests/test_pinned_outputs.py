@@ -12,8 +12,9 @@ import json
 from decimal import Decimal
 
 import pytest
+from conftest import reference_quote
 
-from uamm_lab import CpmmMarket, MarketSpec, UammMarket, UnfillableQuote, uamm
+from uamm_lab import CpmmMarket, MarketSpec, UammMarket, UnfillableQuote
 from uamm_lab.sim import BETS_FIELDS, SimConfig, run_multi_market, simulate_one
 
 
@@ -266,14 +267,15 @@ def _grid_market(engine, k):
     return market
 
 
-def _grid_quotes(market):
+def _grid_quotes(quote, k):
     """(outcome, wager, reprs of odd, implied price, slippage, fee) of every
-    grid quote, or (outcome, wager, "unfillable")."""
+    grid quote ``quote(i, w)`` of a K-outcome market, or (outcome, wager,
+    "unfillable")."""
     rows = []
-    for i in market.spec.outcomes:
+    for i in range(1, k + 1):
         for w in GRID_WAGERS:
             try:
-                q = market.quote(i, w)
+                q = quote(i, w)
             except UnfillableQuote:
                 rows.append((i, repr(w), "unfillable"))
             else:
@@ -415,35 +417,26 @@ QUOTE_GRID = {
 }
 
 
-def _branch(d, f_in, f_out, r_out, tb):
-    """Which branch of :func:`uamm_lab.uamm.swap_out` these inputs take."""
-    if d == 0.0 or r_out <= 0.0:
-        return "zero"
-    if r_out - f_in / f_out * d <= tb <= r_out:
-        return "straddle"
-    return "surplus" if tb <= r_out else "deficit"
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
-def test_quote_grid_is_pinned(engine, k, monkeypatch):
+def test_quote_grid_is_pinned(engine, k):
     """Every outcome and grid wager of a moved K-outcome pool quotes exactly
-    the recorded figures (or is unfillable), and no quote changes the
-    market."""
+    the recorded figures (or is unfillable), no quote changes the market,
+    and the leg-by-leg reference pipeline quotes the same; its UAMM legs
+    cover the deficit, straddle and surplus branches of ``swap_out``."""
     market = _grid_market(engine, k)
-    branches = set()
-    swap_out = uamm.swap_out
-
-    def traced(d, f_in, f_out, r_out, tb):
-        branches.add(_branch(d, f_in, f_out, r_out, tb))
-        return swap_out(d, f_in, f_out, r_out, tb)
-
-    monkeypatch.setattr(uamm, "swap_out", traced)
     before = market.snapshot()
-    assert _grid_quotes(market) == QUOTE_GRID[engine, k]
+    assert _grid_quotes(market.quote, k) == QUOTE_GRID[engine, k]
     assert market.snapshot() == before
+    branches = []
+
+    def reference(i, w):
+        return reference_quote(market.pool, market.fair, i, w, float(market.spec.fee_rate),
+                               market.spec.market_id, engine, branches)
+
+    assert _grid_quotes(reference, k) == QUOTE_GRID[engine, k]
     if engine == "uamm":
-        assert branches == {"deficit", "straddle", "surplus"}
+        assert set(branches) == {"deficit", "straddle", "surplus"}
 
 
 # -- every byte the CLI writes ----------------------------------------------------

@@ -286,6 +286,18 @@ def test_run_market_quotes_an_off_grid_wager_as_given_and_executes_it_rounded(en
 
 
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("wager", [math.nan, math.inf])
+def test_run_market_rejects_a_non_finite_draw_at_its_quote(engine, wager):
+    # the quote raises, so the bettor is neither funded nor sold anything
+    market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.025)
+    before = market.snapshot()
+    with pytest.raises(ValueError, match="wager must be finite"):
+        sim.run_market(market, [(wager, 1, 1.0), (10.0, 1, 1.0)], 1)
+    assert market.bets == []
+    assert market.snapshot() == before
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_seeded_markets_fund_each_bet_in_micro_units(engine):
     """The bettor is funded with exactly what each executed bet costs, so
     every seeded market's books balance and the bettor ends with nothing."""

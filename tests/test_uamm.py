@@ -220,6 +220,18 @@ def test_quote_rejects_negative_wager(engine):
         assert market.snapshot() == before
 
 
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("wager", [math.inf, -math.inf, math.nan, Decimal("NaN")])
+def test_quote_rejects_non_finite_wager(engine, wager):
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    before = market.snapshot()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        market.quote(1, wager)
+    assert market.snapshot() == before
+
+
 def test_quote_csv_row_fields():
     market = make_market()
     row = market.quote(1, amount(10)).csv_row()
