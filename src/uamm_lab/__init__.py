@@ -28,7 +28,7 @@ from .ledger import (
     Phase,
     PhaseError,
 )
-from .metrics import MetricsReport, eip, epp, ev, summarize
+from .metrics import MetricsReport, ev, summarize
 from .probes import continuity_report, property_report
 from .sim import (
     ConfigError,
@@ -84,8 +84,6 @@ __all__ = [
     "calc_odds",
     "continuity_report",
     "cpmm_swap",
-    "eip",
-    "epp",
     "ev",
     "full_config",
     "load_config",

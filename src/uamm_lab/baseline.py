@@ -17,11 +17,10 @@ is on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
-from .fixedpoint import PRECISION, ZERO, to_micro
-from .uamm import _INF, FloatView, Market, Quote, _quote_edge, _record
+from .fixedpoint import PRECISION, UNIT, mul_exact, to_micro
+from .uamm import _INF, Market, Quote, Reserves, _quote_edge, _record
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
@@ -37,22 +36,25 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
               engine: str = "cpmm") -> Quote:
     """The constant-product engine's quote kernel: :func:`~uamm_lab.uamm.calc_odds`
     with :func:`cpmm_swap`'s product rule written inline as each leg, the
-    same float operations in the same order.  Each input pool ``comb[j]`` is
-    read before the bettor's ``d`` is added to it.
+    same float operations in the same order.  Each pool is read from the int
+    reserves with the collateral liquidity combined into it, as
+    ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once), and
+    each input pool before the bettor's ``d`` is added to it.
 
     The rule's zero branch needs no test here: every reserve is ``>= 0``, and
     the formula gives 0.0 for an empty output pool, as the branch does.  Nor
     can a leg drain its pool: it pays ``r_out`` less a non-negative amount.
     """
-    _, comb = pool.float_view()
+    r = pool.r_micro
     d = float(wager)
-    if not (0 < i < len(comb) and 0.0 < d < _INF):
-        return _quote_edge(comb, fair, i, d, market_id, engine)
-    ri = comb[i]
+    if not (0 < i < len(r) and 0.0 < d < _INF):
+        return _quote_edge(r, fair, i, d, market_id, engine)
+    c = r[0] / UNIT
+    ri = r[i] / UNIT + c
     odd = d
-    for j in range(1, len(comb)):
+    for j in range(1, len(r)):
         if j != i:
-            rj = comb[j]
+            rj = r[j] / UNIT + c
             s = ri - rj * ri / (rj + d)
             ri -= s
             odd += s
@@ -63,23 +65,14 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
     ))
 
 
-@dataclass(init=False)
-class CpmmPool(FloatView):
+class CpmmPool(Reserves):
     """Reserve balances in micro-units; ``r_micro[0]`` holds merged
     collateral between bets.
 
-    Quoting reads the reserves through :meth:`float_view`, which stays valid
-    while ``r_micro`` compares equal to the copy taken with it (see
-    :class:`~uamm_lab.uamm.FloatView`).  A product-rule pool has no target
-    balance; its view reports 0.0.
+    Quoting reads the int reserves directly (see
+    :class:`~uamm_lab.uamm.Reserves`).  A product-rule pool has no target
+    balance; its ``tb_float`` reads 0.0.
     """
-
-    r_micro: list
-    fee_accrued: Decimal
-
-    def __init__(self, r, fee_accrued=ZERO):
-        self.r = r
-        self.fee_accrued = fee_accrued
 
 
 class CpmmMarket(Market):
@@ -113,6 +106,6 @@ class CpmmMarket(Market):
         self.ledger.mint(account, funding)
         for k in self.spec.outcomes:
             reserve = to_micro(float(funding) * fmin / f[k - 1])
-            self.ledger.debit(account, k, PRECISION * reserve)
+            self.ledger.debit(account, k, mul_exact(PRECISION, reserve))
             self.pool.r_micro[k] += reserve
         return funding

@@ -1,4 +1,4 @@
-"""Fixed-point collateral arithmetic: int micro-units inside, Decimal outside.
+"""Fixed-point collateral and share arithmetic: ints inside, Decimal outside.
 
 Token balances follow the 6-fractional-digit stablecoin convention.  The
 ledger and the pools store every token balance, pool reserve and locked
@@ -8,6 +8,21 @@ token contracts keep integer base units.  So a bet moves tokens with int
 tolerance.  Public reads (balances, ``locked``, reserves, snapshots, bet
 records) are 6-place Decimals built from those ints.
 
+LP shares and the target balance are ints too, of 10**-18 units: "wads", the
+18-decimal base unit of ERC-20 and Uniswap v2 LP tokens.  They are minted
+with floor division (see :class:`uamm_lab.uamm.PoolState`) and read as
+18-place Decimals.
+
+Balances, ``locked``, reserves, snapshot lines and share reads are built
+exactly, whatever the caller's Decimal context: each is the product of an
+int and a power of ten, taken in a context that never rounds
+(:func:`mul_exact`).  A Decimal operator would round it to the caller's
+precision instead (a balance of ``1234567.891234`` reads ``1234567.89123``
+under ``localcontext(prec=12)``).  A bet record's wager, fee and odd, built
+on every bet, keep the cheaper Decimal operator, which rounds to the
+caller's precision: they are exact when they have no more digits than it
+carries (any amount below 1e16 in the default 28 digits).
+
 The converters:
 
 * :func:`to_micro` rounds any collateral amount (float, Decimal, int, str)
@@ -15,8 +30,11 @@ The converters:
   1e22 or more, which cannot carry six decimals in the 28-digit Decimal
   context.
 * :func:`amount` is the same rounding as a 6-place Decimal,
-  ``PRECISION * to_micro(value)``; a value that rounds to zero gives
-  :data:`ZERO`, never ``-0.000000``.
+  ``PRECISION * to_micro(value)`` taken exactly; a value that rounds to zero
+  gives :data:`ZERO`, never ``-0.000000``.
+* :func:`to_wad` floors any share amount (int, float, Decimal, Fraction) to
+  int wads, exactly; :func:`from_wad` reads ``n`` wads as an 18-place
+  Decimal.
 * ``n / UNIT`` is the float of ``n`` micro-units.  CPython's int true
   division is correctly rounded, so it equals ``float(PRECISION * n)`` bit
   for bit, at a fraction of the cost.
@@ -49,12 +67,30 @@ most ``y * 2**-52`` (two roundings), so the gap it must clear is doubled to
 on their way into the ledger), sit a whole half-unit from any tie.
 """
 
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
+from decimal import Context, Decimal, InvalidOperation
 
 PRECISION = Decimal("0.000001")
 ZERO = Decimal("0.000000")
 #: Micro-units per unit of collateral.
 UNIT = 1_000_000
+#: Wads (10**-18 units) per share, and per unit of target balance.
+WAD = 10 ** 18
+#: One wad, the exponent of every share read.
+WAD_PRECISION = Decimal("1E-18")
+
+#: A context that never rounds: its precision and exponent range are the
+#: largest Decimal allows.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+#: ``mul_exact(a, b)``: the exact product of two Decimals or ints, whatever
+#: the caller's context.  Bound once, it costs about as much as ``a * b``.
+mul_exact = _EXACT.multiply
+#: ``add_exact(a, b)``: the exact sum, likewise.
+add_exact = _EXACT.add
+#: ``scaleb_exact(a, n)``: ``a`` times ``10**n``, exactly.
+scaleb_exact = _EXACT.scaleb
+#: The 28-digit context :func:`to_micro` rounds in, whatever the caller's.
+_ROUNDING = Context(prec=28, rounding=ROUND_HALF_EVEN)
 
 #: Micro-unit products at or above this take the Decimal path.
 _FAST_LIMIT = 2.0 ** 50
@@ -95,12 +131,12 @@ def to_micro(value) -> int:
     if not d.is_finite():
         raise ValueError(f"amount must be finite, got {value!r}")
     try:
-        q = d.quantize(PRECISION, rounding=ROUND_HALF_EVEN)
+        q = d.quantize(PRECISION, context=_ROUNDING)
     except InvalidOperation:
         raise ValueError(
             f"amount {value!r} has too many digits for 6-decimal fixed point"
         ) from None
-    return int(q.scaleb(6))
+    return int(scaleb_exact(q, 6))
 
 
 def amount(value) -> Decimal:
@@ -108,7 +144,19 @@ def amount(value) -> Decimal:
 
     Raises ``ValueError`` for NaN, infinities and magnitudes of 1e22 or more.
     """
-    return PRECISION * to_micro(value)
+    return mul_exact(PRECISION, to_micro(value))
+
+
+def to_wad(value) -> int:
+    """Floor a share amount (an int, float, Decimal or Fraction) to an int
+    count of wads, exactly: a request off the 18-place grid is floored."""
+    num, den = value.as_integer_ratio()
+    return num * WAD // den
+
+
+def from_wad(n: int) -> Decimal:
+    """``n`` wads as an exact 18-place Decimal."""
+    return mul_exact(WAD_PRECISION, n)
 
 
 def format_micro(n: int) -> str:

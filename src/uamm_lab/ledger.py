@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .fixedpoint import PRECISION, ZERO, format_micro, to_micro
+from .fixedpoint import PRECISION, ZERO, format_micro, mul_exact, scaleb_exact, to_micro
 
 #: Token id of the base (collateral) currency.  Outcome tokens use 1..K.
 COLLATERAL = 0
@@ -113,11 +113,12 @@ class ConditionalLedger:
         return acct
 
     def _read(self, account: str, token: int) -> Decimal:
+        """The balance as an exact Decimal, whatever the caller's context."""
         n = self.bal_micro[account][token]
         if token == COLLATERAL and account in self.fee_payers:
             exp = self.spec.fee_rate.as_tuple().exponent - 6
-            return Decimal(n * 10 ** (-6 - exp)).scaleb(exp)
-        return PRECISION * n
+            return scaleb_exact(n * 10 ** (-6 - exp), exp)
+        return mul_exact(PRECISION, n)
 
     def balance(self, account: str, token: int = COLLATERAL) -> Decimal:
         if account not in self.bal_micro or not 0 <= token <= self.spec.k:
@@ -130,7 +131,7 @@ class ConditionalLedger:
     @property
     def locked(self) -> Decimal:
         """Collateral locked behind outcome-token sets."""
-        return PRECISION * self.locked_micro
+        return mul_exact(PRECISION, self.locked_micro)
 
     @locked.setter
     def locked(self, value) -> None:
@@ -147,7 +148,7 @@ class ConditionalLedger:
         if acct[token] < n:
             raise InsufficientBalance(
                 f"{account} holds {self._read(account, token)} of token {token}, "
-                f"needs {PRECISION * n}"
+                f"needs {mul_exact(PRECISION, n)}"
             )
         acct[token] -= n
 
@@ -209,7 +210,7 @@ class ConditionalLedger:
             if acct[k] < n:
                 raise InsufficientBalance(
                     f"{account} holds {self._read(account, k)} of token {k}, "
-                    f"needs {PRECISION * n}"
+                    f"needs {mul_exact(PRECISION, n)}"
                 )
         for k in self.spec.outcomes:
             acct[k] -= n
@@ -226,7 +227,7 @@ class ConditionalLedger:
             acct[k] = 0
         acct[COLLATERAL] += w
         self.locked_micro -= w
-        return PRECISION * w
+        return mul_exact(PRECISION, w)
 
     # -- checks ---------------------------------------------------------------
 
@@ -262,7 +263,7 @@ class ConditionalLedger:
                     f"outcome {k}: holdings + pool = {held} micro-units, "
                     f"locked = {self.locked_micro}"
                 )
-        fee_micro = fees.scaleb(6)
+        fee_micro = scaleb_exact(fees, 6)
         if fee_micro != int(fee_micro):
             problems.append(f"fees {fees} are off the 6-decimal grid")
         collateral = (sum(acct[COLLATERAL] for acct in self.bal_micro.values())

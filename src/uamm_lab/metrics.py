@@ -75,16 +75,6 @@ def epp_values(results) -> list[float]:
     return [_epp(r, pool_deltas(r)) for r in results]
 
 
-def eip(results) -> tuple[float, float]:
-    vals = eip_values(results)
-    return float(np.mean(vals)), float(np.std(vals))
-
-
-def epp(results) -> tuple[float, float]:
-    vals = epp_values(results)
-    return float(np.mean(vals)), float(np.std(vals))
-
-
 @dataclass
 class MetricsReport:
     """Aggregate result bundle for one experiment.

@@ -30,7 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import PRECISION, UNIT, ZERO, amount, to_micro
+from .fixedpoint import PRECISION, UNIT, WAD, ZERO, amount, mul_exact, to_micro
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
 from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
@@ -381,7 +381,7 @@ def run_market(
         engine=engine,
         k=market.spec.k,
         fair=fair,
-        funding=float(sum(market.lp_shares.values())) if funding is None else funding,
+        funding=sum(market.lp_wad.values()) / WAD if funding is None else funding,
         r_start=r_start,
         r_end=r_end,
         winner=winner,
@@ -389,7 +389,7 @@ def run_market(
         n_accepted=accepted,
         n_rejected=rejected,
         n_unfillable=unfillable,
-        volume=PRECISION * volume,
+        volume=mul_exact(PRECISION, volume),
         fee=fee,
         overround_final=overround,
         records=list(market.bets) if keep_records else [],

@@ -24,9 +24,13 @@ pool, snapshot) and the bet pipeline, which has two faces:
 
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
 tuples, built straight from the tuple of their field values.  A quote reads
-the outcome count from the pool's cached float view and the probabilities
-from plain attributes of the :class:`FairPriceVector`, so it derives no
-market constant again.
+the pool's int reserves (and the float of its target balance) directly, and
+the probabilities from plain attributes of the :class:`FairPriceVector`, so
+it derives no market constant again and keeps no cache.
+
+The pool's books are plain ints: reserves in micro-units, LP shares and the
+target balance in wads (10**-18 units, see :mod:`uamm_lab.fixedpoint`), so
+no figure of a market depends on the caller's Decimal context.
 
 An engine is a subclass that supplies its pool type, its quote kernel, the
 one-leg swap rule its buys use, and its genesis.  :class:`UammMarket` is the
@@ -37,15 +41,19 @@ constant-product engine is :class:`uamm_lab.baseline.CpmmMarket`.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .fixedpoint import PRECISION, UNIT, ZERO, amount, format_micro, to_micro
+from .fixedpoint import (PRECISION, UNIT, WAD, WAD_PRECISION, ZERO, add_exact, amount,
+                         format_micro, from_wad, mul_exact, to_micro, to_wad)
 from .ledger import (
     COLLATERAL,
     ConditionalLedger,
@@ -91,8 +99,12 @@ class FairPriceVector:
         p[-1] = 1.0 - math.fsum(p[:-1])
         #: The probabilities, a tuple of floats.
         self.probs = tuple(p)
-        #: The probabilities as exact Decimals (``Decimal(float)``).
-        self.decimals = tuple(map(Decimal, p))
+        den = max(x.as_integer_ratio()[1] for x in p)
+        #: The weights of the exact pool value: ``weights[0]`` is a power of
+        #: two ``D`` and ``weights[k] / D`` is ``probs[k - 1]`` exactly, so
+        #: that ``sum(w * r for w, r in zip(weights, reserves))`` is ``D``
+        #: times ``r0 + sum f_k * r_k``, an exact int.
+        self.weights = (den, *[a * den // d for a, d in map(float.as_integer_ratio, p)])
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -146,156 +158,154 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
 
 def _exact_micro(value):
     """The exact micro-unit count of a collateral amount: an int on the
-    6-decimal grid, an exact Decimal off it."""
-    n = to_micro(value)
-    return n if PRECISION * n == value else Decimal(value).scaleb(6)
+    6-decimal grid, an exact Fraction off it."""
+    if type(value) is int:
+        return value * UNIT
+    n = Fraction(value) * UNIT
+    return n.numerator if n.denominator == 1 else n
 
 
-class FloatView:
-    """Base of both pool types: reserves in micro-units, and their floats.
+def _collateral(n):
+    """``n`` micro-units as collateral: an exact 6-place Decimal for an int
+    count, an exact Fraction for an off-grid one."""
+    return mul_exact(PRECISION, n) if type(n) is int else n / UNIT
+
+
+class Reserves:
+    """Base of both pool types: reserves in micro-units.
 
     ``r_micro[k]`` holds reserve ``k`` (collateral first) as a count of
     micro-units: an int in every market, whose pools only ever move whole
-    micro-units.  A bare pool keeps an exact Decimal count instead when it is
-    handed off-grid collateral, so that the LP share algebra can be probed
+    micro-units.  A bare pool keeps an exact Fraction count instead when it
+    is handed off-grid collateral, so that the LP share algebra can be probed
     exactly (see :meth:`PoolState.remove`).  :attr:`r` reads and replaces the
-    reserves as collateral Decimals.
+    reserves as collateral amounts.
 
-    :meth:`float_view` returns ``(tbf, comb)``: the float of the target
-    balance ``tb`` (0.0 for a pool without one, whose ``tb`` is the class
-    default ``None``) and the combined reserves ``(0.0, rf[1] + rf[0], ...)``
-    that the bet pipeline starts from, where ``rf`` is the float of every
-    reserve.  It is converted once and reused by every quote while a list
-    copy of ``r_micro`` taken with it still equals ``r_micro`` and ``tb`` is
-    the same object, so any in-place edit or rebinding of the reserves or
-    ``tb`` rebuilds the view on the next call.
+    The quote kernels read ``r_micro`` directly, as ``n / UNIT`` floats, and
+    :meth:`Market.buy` reads :attr:`tb_float`, the float of the target
+    balance: 0.0 for a pool without one.
     """
 
-    #: The target balance; a pool type that has one sets it per instance.
-    tb = None
-    _view_r = None
-    _view_tb = None
-    _view = None
+    tb_float = 0.0
+    #: The books a snapshot prints besides the reserves, by attribute name.
+    books = ("fee_accrued",)
+
+    def __init__(self, r, fee_accrued=ZERO):
+        self.r = r
+        self.fee_accrued = fee_accrued
 
     @classmethod
     def empty(cls, k: int):
         return cls(r=[0] * (k + 1))
 
     @property
-    def r(self) -> list[Decimal]:
-        """The reserves as collateral Decimals (a copy; assign ``r`` to
-        replace them)."""
-        return [PRECISION * n for n in self.r_micro]
+    def r(self) -> list:
+        """The reserves as collateral (a copy; assign ``r`` to replace
+        them): 6-place Decimals, or exact Fractions off the grid."""
+        return [_collateral(n) for n in self.r_micro]
 
     @r.setter
     def r(self, values) -> None:
         self.r_micro = [_exact_micro(v) for v in values]
 
-    def float_view(self) -> tuple[float, tuple[float, ...]]:
-        tb = self.tb
-        if self._view_r == self.r_micro and self._view_tb is tb:
-            return self._view
-        self._view_tb = tb
-        tbf = 0.0 if tb is None else float(tb)
-        return self.seed_float_view(tuple(float(n / UNIT) for n in self.r_micro), tbf)
 
-    def seed_float_view(self, rf: tuple[float, ...], tbf: float):
-        """Install the view of ``rf``, the float of every current reserve
-        (``buy`` has them at hand as its record's ``post_r``), and ``tbf``,
-        the float target balance of the last :meth:`float_view` call (the
-        target balance must not have changed since)."""
-        c = rf[0]
-        comb = [x + c for x in rf]
-        comb[0] = 0.0
-        self._view_r = list(self.r_micro)
-        self._view = view = (tbf, tuple(comb))
-        return view
+def _wad_field(name: str) -> property:
+    """A share book stored as the int wads of attribute ``name`` and read and
+    written as an exact 18-place Decimal; a written amount off that grid is
+    floored."""
+    return property(lambda self: from_wad(getattr(self, name)),
+                    lambda self, value: setattr(self, name, to_wad(value)))
 
 
-@dataclass(init=False)
-class PoolState(FloatView):
+class PoolState(Reserves):
     """Mutable AMM pool: collateral + K conditional balances, LP bookkeeping.
 
     ``r_micro[0]`` is the collateral pool, ``r_micro[k]`` the pool of outcome
-    token ``k``, both in micro-units (see :class:`FloatView`).  ``ts`` is the
-    total LP-share supply, ``tb`` the net LP investment valued at fair prices
-    (the target balance).  Shares and TB are bookkeeping quantities and stay
-    at full Decimal precision; only token movements are quantized, and only
-    at the ledger boundary.
+    token ``k``, both in micro-units (see :class:`Reserves`).  ``ts`` is the
+    total LP-share supply, ``treasury_shares`` the part of it that bets
+    minted, and ``tb`` the net LP investment valued at fair prices (the
+    target balance).
+
+    Shares and TB are ints of wads (10**-18 units, see
+    :mod:`uamm_lab.fixedpoint`), stored as ``ts_wad``, ``treasury_wad`` and
+    ``tb_wad`` and read as exact 18-place Decimals.  Shares are minted with
+    floor division, as Uniswap v2 mints LP tokens, so no share arithmetic
+    depends on a Decimal context.  ``tb_float``, the float of ``tb`` that a
+    quote reads, is written with ``tb_wad`` by every write of the target
+    balance (assigning ``tb``, :meth:`add` and :meth:`remove`); never assign
+    ``tb_wad`` alone.
     """
 
-    r_micro: list
-    ts: Decimal
-    tb: Decimal
-    fee_accrued: Decimal
-    treasury_shares: Decimal
+    books = ("fee_accrued", "tb", "treasury_shares", "ts")
+    ts = _wad_field("ts_wad")
+    treasury_shares = _wad_field("treasury_wad")
+    #: The target balance; assigning it writes ``tb_wad`` and ``tb_float``.
+    tb = property(lambda self: from_wad(self.tb_wad),
+                  lambda self, value: self._set_tb(to_wad(value)))
 
-    def __init__(self, r, ts=ZERO, tb=ZERO, fee_accrued=ZERO, treasury_shares=ZERO):
-        self.r = r
+    def __init__(self, r, ts=0, tb=0, fee_accrued=ZERO, treasury_shares=0):
+        super().__init__(r, fee_accrued)
         self.ts = ts
         self.tb = tb
-        self.fee_accrued = fee_accrued
         self.treasury_shares = treasury_shares
 
+    def _set_tb(self, n: int) -> None:
+        self.tb_wad = n
+        self.tb_float = n / WAD
+
     def copy(self) -> "PoolState":
-        pool = PoolState([], self.ts, self.tb, self.fee_accrued, self.treasury_shares)
+        pool = copy.copy(self)
         pool.r_micro = list(self.r_micro)
         return pool
 
-    def value_micro(self, fair: FairPriceVector) -> Decimal:
-        """:meth:`total_value` in micro-units: r0 + sum f_k * r_k.
+    def value(self, fair: FairPriceVector):
+        """The pool's value ``r0 + sum f_k * r_k`` in micro-units, times the
+        power of two ``fair.weights[0]``: an exact int (a Fraction for
+        off-grid collateral)."""
+        return sum(map(mul, fair.weights, self.r_micro))
 
-        Decimal rounding commutes with scaling by a power of ten, so this is
-        ``total_value`` with its exponent raised by six, digit for digit."""
-        r = self.r_micro
-        tv = r[0]
-        for k, f in enumerate(fair.decimals, 1):
-            tv += f * r[k]
-        return tv
-
-    def total_value(self, fair: FairPriceVector) -> Decimal:
-        """Expected collateral value of pool holdings: r0 + sum f_k * r_k."""
-        return Decimal(self.value_micro(fair)).scaleb(-6)
-
-    def add(self, d: Decimal, fair: FairPriceVector) -> Decimal:
-        """Deposit ``d`` collateral; mint shares at the pre-add share price.
+    def add(self, d, fair: FairPriceVector) -> Decimal:
+        """Deposit ``d`` collateral; mint shares at the pre-add share price,
+        floored to the wad, and return them.
 
         At genesis (ts == 0) shares bootstrap 1:1 with the deposit.
         """
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
         n = _exact_micro(d)
-        if self.ts == 0:
-            s_lp = d
-        else:
-            s_lp = n * self.ts / self.value_micro(fair)
+        ts = self.ts_wad
+        s = to_wad(d) if ts == 0 else n * ts * fair.weights[0] // self.value(fair)
         self.r_micro[0] += n
-        self.tb += d
-        self.ts += s_lp
-        return s_lp
+        self._set_tb(self.tb_wad + to_wad(d))
+        self.ts_wad = ts + s
+        return from_wad(s)
 
-    def remove(self, s_lp: Decimal, quantize=None) -> Decimal:
-        """Burn shares for a pro-rata slice of the *collateral* pool.
+    def remove(self, s_lp, quantize=False):
+        """Burn ``s_lp`` shares (floored to the wad) for a pro-rata slice of
+        the *collateral* pool.
 
         Conditional-token balances are locked until resolution, so only
         ``r0 * s_lp / ts`` pays out.  TB scales down by the same share
-        fraction.  ``quantize`` (e.g. :func:`uamm_lab.fixedpoint.amount`)
-        rounds the payout when it is leaving toward a real account; without
-        it the payout is exact, and so is the collateral left in the pool.
+        fraction, floored to the wad.  ``quantize`` rounds the payout
+        half-even to the micro-unit when it is leaving toward a real
+        account; without it the payout is exact (a Fraction off the grid,
+        see :attr:`r`), and so is the collateral left in the pool.
         """
-        if s_lp <= 0:
+        s = to_wad(s_lp)
+        ts = self.ts_wad
+        if s <= 0:
             raise ValueError("share amount must be positive")
-        if s_lp > self.ts:
-            raise InsufficientBalance(f"pool supply {self.ts} < {s_lp}")
-        paid = self.r_micro[0] * s_lp / self.ts
-        payout = PRECISION * paid
-        if quantize is not None:
-            payout = quantize(payout)
-            paid = to_micro(payout)
-        self.tb -= self.tb * s_lp / self.ts
+        if s > ts:
+            raise InsufficientBalance(f"pool supply {self.ts} < {from_wad(s)}")
+        paid = Fraction(self.r_micro[0] * s, ts)
+        if quantize:
+            paid = round(paid)  # half-even
+        elif paid.denominator == 1:
+            paid = paid.numerator
+        self._set_tb(self.tb_wad * (ts - s) // ts)
         self.r_micro[0] -= paid
-        self.ts -= s_lp
-        return payout
+        self.ts_wad = ts - s
+        return _collateral(paid)
 
 
 class Quote(NamedTuple):
@@ -341,15 +351,15 @@ def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
     return swap_out(d, f_in, f_out, r_out, tb)
 
 
-def _quote_edge(comb, fair: FairPriceVector, i: int, d: float, market_id: str,
+def _quote_edge(r, fair: FairPriceVector, i: int, d: float, market_id: str,
                engine: str) -> Quote:
     """What a quote kernel does with an input outside its hot test (a known
     outcome and a positive finite wager ``d``): raise ``ValueError`` for an
     unknown outcome or a negative, infinite or NaN wager, and otherwise (a
     zero wager, ``-0.0`` included) return the zero quote, which moves no
-    pool and charges no fee.  ``comb`` is the pool's combined reserves."""
-    if not 0 < i < len(comb):
-        raise ValueError(f"unknown outcome {i} for a {len(comb) - 1}-outcome market")
+    pool and charges no fee.  ``r`` is the pool's ``r_micro``."""
+    if not 0 < i < len(r):
+        raise ValueError(f"unknown outcome {i} for a {len(r) - 1}-outcome market")
     if not 0.0 <= d < _INF:
         raise ValueError(f"wager must be finite and non-negative, got {d!r}")
     return _record(Quote, (engine, market_id, i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
@@ -370,8 +380,10 @@ def calc_odds(
     Runs the swap legs of the buy pipeline in float on the pool's combined
     reserves and returns only what a bettor reads: the odd, the implied
     price, the slippage and the fee.  The live pool is never mutated, and no
-    post-trade pool is built: each input pool is read once, so only the
-    output pool ``ri`` moves.  An unknown outcome or a negative, infinite or
+    post-trade pool is built: the fair rule never reads an input pool, so
+    only the output pool ``ri`` is read, as ``r[i] / UNIT + r[0] / UNIT``
+    from the int reserves (the float of each, correctly rounded, then their
+    sum), and only it moves.  An unknown outcome or a negative, infinite or
     NaN wager raises ``ValueError``; a zero wager quotes zero.
 
     Each leg is :func:`swap_out`'s piecewise rule written inline, with the
@@ -382,16 +394,25 @@ def calc_odds(
     takes the branch ``swap_out`` would.  Only a straddling leg can drain
     its pool: a surplus leg pays less than the pool holds above the target,
     and a deficit leg pays the pool less a positive amount.
+
+    A wager beyond about 2**53 times the pool raises
+    :class:`UnfillableQuote` through float rounding alone: ``x + delta``
+    rounds to ``delta``, and the straddle output ``alpha * delta`` rounds
+    above the pool, although the exact leg leaves ``tb**2 / (tb + delta)``
+    behind.  A wager of 1e20 on a fresh pool of 1,000 is such a case
+    (``uamm-lab quote`` exits 3 for it); wagers up to 1e7 on fresh pools of
+    that size never raise.  It is the float quote's behaviour, kept as the
+    quote's contract until the quote becomes the int execution plan.
     """
-    # collateral liquidity combined into every conditional pool; each input
-    # pool comb[j] is read once, before the bettor's d would be added to it
-    tb, comb = pool.float_view()
+    r = pool.r_micro
     d = float(wager)
-    if not (0 < i < len(comb) and 0.0 < d < _INF):
-        return _quote_edge(comb, fair, i, d, market_id, engine)
+    if not (0 < i < len(r) and 0.0 < d < _INF):
+        return _quote_edge(r, fair, i, d, market_id, engine)
     f = fair.probs
     fi = f[i - 1]
-    ri = comb[i]
+    # the output pool with the collateral liquidity combined into it
+    ri = r[i] / UNIT + r[0] / UNIT
+    tb = pool.tb_float
     tt = tb * tb
     odd = d
     for j, fj in enumerate(f, 1):
@@ -434,9 +455,11 @@ def spot_price(pool: PoolState, fair: FairPriceVector, i: int, eps: float = 1e-4
 
 class BetRecord(NamedTuple):
     """An executed bet and the pool state it left behind: the wager, fee,
-    odd and treasury LP shares as Decimals, the implied price and slippage
-    as floats, and ``post_r``, the float of every reserve after the bet
-    (collateral first).  A named tuple, like :class:`Quote`."""
+    odd and treasury LP shares as Decimals (the shares an exact 18-place
+    read, the rest Decimal products in the caller's context, see
+    :mod:`uamm_lab.fixedpoint`), the implied price and slippage as floats,
+    and ``post_r``, the float of every reserve after the bet (collateral
+    first).  A named tuple, like :class:`Quote`."""
 
     index: int
     market_id: str
@@ -474,8 +497,14 @@ class Market:
         self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
         self.ledger = ConditionalLedger(self.spec)
         self.pool = self.pool_type.empty(self.spec.k)
-        self.lp_shares: dict[str, Decimal] = {}
+        #: Each LP's shares, in int wads.
+        self.lp_wad: dict[str, int] = {}
         self.bets: list[BetRecord] = []
+
+    @property
+    def lp_shares(self) -> dict[str, Decimal]:
+        """Each LP's shares as exact 18-place Decimals (a copy)."""
+        return {a: from_wad(n) for a, n in self.lp_wad.items()}
 
     # -- convenience passthroughs -------------------------------------------
 
@@ -496,13 +525,13 @@ class Market:
         d = amount(d)
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
-        s_lp = self._fund(account, d)
-        self.lp_shares[account] = self.lp_shares.get(account, ZERO) + s_lp
-        return s_lp
+        s = to_wad(self._fund(account, d))
+        self.lp_wad[account] = self.lp_wad.get(account, 0) + s
+        return from_wad(s)
 
     def _mint_treasury(self, n: int) -> Decimal:
         """LP shares minted to the treasury by a committed bet of ``n``
-        micro-units."""
+        micro-units, read as a Decimal."""
         return ZERO
 
     # -- betting ----------------------------------------------------------------
@@ -575,7 +604,7 @@ class Market:
         rw = [x + c for x in pool.r_micro]
         rw[0] = 0
         df = n / UNIT
-        tbf = pool.float_view()[0]
+        tbf = pool.tb_float
         odd = n
         for j in range(1, K + 1):
             if j == i:
@@ -599,14 +628,12 @@ class Market:
             ledger.fee_payers.add(account)
         ledger.locked_micro += n + c - m
         pool.r_micro = rw
-        pool.fee_accrued += fee
+        pool.fee_accrued = add_exact(pool.fee_accrued, fee)
         s_lp = self._mint_treasury(n)
-        post = tuple([x / UNIT for x in rw])
-        pool.seed_float_view(post, tbf)
         implied = df / (odd / UNIT)
         record = _record(BetRecord, (
             len(self.bets), spec.market_id, i, d, fee, PRECISION * odd, s_lp,
-            implied, implied - fi, post,
+            implied, implied - fi, tuple([x / UNIT for x in rw]),
         ))
         self.bets.append(record)
         return record
@@ -632,7 +659,7 @@ class Market:
             r[k] = 0
         r[0] += w
         self.ledger.locked_micro -= w
-        return PRECISION * w
+        return mul_exact(PRECISION, w)
 
     def check_invariants(self) -> None:
         """Raise :class:`~uamm_lab.ledger.InvariantViolation` unless the
@@ -648,13 +675,10 @@ class Market:
         """Canonical key/value text of full market state, sorted by key."""
         items = dict(self.ledger.snapshot_items())
         items["engine"] = self.engine
-        for field in fields(self.pool):
-            value = getattr(self.pool, field.name)
-            if field.name == "r_micro":
-                for k, n in enumerate(value):
-                    items[f"pool/r{k}"] = format_micro(n)
-            else:
-                items[f"pool/{field.name}"] = str(value)
+        for k, n in enumerate(self.pool.r_micro):
+            items[f"pool/r{k}"] = format_micro(n)
+        for name in self.pool.books:
+            items[f"pool/{name}"] = str(getattr(self.pool, name))
         for account, s in self.lp_shares.items():
             items[f"lp/{account}"] = str(s)
         return "\n".join(f"{k}={items[k]}" for k in sorted(items)) + "\n"
@@ -677,21 +701,27 @@ class UammMarket(Market):
 
     def _mint_treasury(self, n: int) -> Decimal:
         """A bet mints LP shares worth its ``n`` micro-units at the
-        post-trade share price; they accrue to the pool's treasury tally, not
-        to the bettor.  Both value and wager are in micro-units, so the share
-        count is the one a collateral-unit division gives, digit for digit."""
+        post-trade share price, floored to the wad; they accrue to the
+        pool's treasury tally, not to the bettor.  The value and the share
+        count are exact ints: ``n * ts / value`` with the value's power-of-two
+        scale (see :meth:`PoolState.value`) multiplied back in."""
         pool = self.pool
-        tv = pool.value_micro(self.fair)
-        s_lp = n * pool.ts / tv if pool.ts > 0 and tv > 0 else ZERO
-        pool.ts += s_lp
-        pool.treasury_shares += s_lp
-        return s_lp
+        weights = self.fair.weights
+        tv = sum(map(mul, weights, pool.r_micro))
+        s = n * pool.ts_wad * weights[0] // tv if pool.ts_wad > 0 and tv > 0 else 0
+        pool.ts_wad += s
+        pool.treasury_wad += s
+        return mul_exact(WAD_PRECISION, s)
 
-    def remove_liquidity(self, account: str, s_lp: Decimal) -> Decimal:
-        held = self.lp_shares.get(account, ZERO)
-        if s_lp > held:
-            raise InsufficientBalance(f"{account} holds {held} shares, needs {s_lp}")
-        payout = self.pool.remove(s_lp, quantize=amount)
-        self.lp_shares[account] = held - s_lp
+    def remove_liquidity(self, account: str, s_lp) -> Decimal:
+        """Burn ``s_lp`` of ``account``'s shares, floored to the wad, and
+        credit it the collateral they pay out (see :meth:`PoolState.remove`)."""
+        s = to_wad(s_lp)
+        held = self.lp_wad.get(account, 0)
+        if s > held:
+            raise InsufficientBalance(
+                f"{account} holds {from_wad(held)} shares, needs {from_wad(s)}")
+        payout = self.pool.remove(s_lp, quantize=True)
+        self.lp_wad[account] = held - s
         self.ledger.credit(account, COLLATERAL, payout)
         return payout

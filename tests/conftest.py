@@ -2,7 +2,8 @@ import math
 import sys
 
 from uamm_lab.baseline import cpmm_swap
-from uamm_lab.uamm import Quote, UnfillableQuote, swap_out
+from uamm_lab.fixedpoint import UNIT
+from uamm_lab.uamm import PoolState, Quote, UnfillableQuote, swap_out
 
 _config = None
 
@@ -84,6 +85,17 @@ def swap_branch(d, f_in, f_out, r_out, tb) -> str:
     return "surplus" if tb <= r_out else "deficit"
 
 
+def float_view(pool):
+    """``(tb, comb)``: the float of the pool's target balance (0.0 for a pool
+    without one) and the combined reserves ``(0.0, rf[1] + rf[0], ...)`` a
+    quote starts from, where ``rf`` is the float of every reserve; built
+    from the pool's exact reads, not from anything the pool keeps for its
+    quotes."""
+    tb = float(pool.tb) if isinstance(pool, PoolState) else 0.0
+    rf = [float(n / UNIT) for n in pool.r_micro]
+    return tb, (0.0, *[x + rf[0] for x in rf[1:]])
+
+
 def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm",
                     branches=None):
     """A quote computed leg by leg through the public swap kernels.
@@ -94,7 +106,7 @@ def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm
     kernels' input checks.  The kernels must equal it bit for bit.
     ``branches``, a list, collects the :func:`swap_branch` of every UAMM leg.
     """
-    tb, comb = pool.float_view()
+    tb, comb = float_view(pool)
     if not 0 < i < len(comb):
         raise ValueError(f"unknown outcome {i} for a {len(comb) - 1}-outcome market")
     d = float(wager)

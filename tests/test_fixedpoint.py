@@ -1,10 +1,20 @@
 import math
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, amount, format_micro, to_micro
+from uamm_lab.fixedpoint import (
+    PRECISION,
+    UNIT,
+    ZERO,
+    amount,
+    format_micro,
+    from_wad,
+    to_micro,
+    to_wad,
+)
 
 
 def test_precision_is_six_decimals():
@@ -224,3 +234,25 @@ def test_floats_above_2_33_map_back_to_themselves():
         assert to_micro(w) / UNIT == w
         misses += to_micro(w) != 10_000 * c
     assert misses  # not whole cents any more, yet still on the grid
+
+
+def test_share_amounts_are_floored_to_the_wad():
+    assert to_wad(Decimal("1.0000000000000000009")) == 10**18
+    assert to_wad(Decimal("-0.0000000000000000001")) == -1
+    assert to_wad(Fraction(1, 3)) == 333_333_333_333_333_333
+    assert to_wad(7) == 7 * 10**18 and to_wad(0.5) == 5 * 10**17
+    assert str(from_wad(37_139_744_797_957_595_314)) == "37.139744797957595314"
+    assert str(from_wad(10**21)) == "1000.000000000000000000"
+
+
+@pytest.mark.parametrize("prec", [6, 12, 50])
+def test_conversions_do_not_depend_on_the_decimal_context(prec):
+    """Amounts read and round alike under any caller context: the exact
+    reads and the 28-digit rounding of the slow path are the library's own."""
+    values = (Decimal("123456789012.3456785"), Decimal("88557.925"), 1234567.891234,
+              "9999999999999999.999999")
+    expected = [(to_micro(v), str(amount(v))) for v in values]
+    shares = str(from_wad(123_456_789_012_345_678_901_234_567))
+    with localcontext(prec=prec):
+        assert [(to_micro(v), str(amount(v))) for v in values] == expected
+        assert str(from_wad(123_456_789_012_345_678_901_234_567)) == shares

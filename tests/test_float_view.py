@@ -1,14 +1,18 @@
-"""The pools' cached float view must never serve a stale quote.
+"""A quote must never read stale pool state.
 
-Every check compares a live market's quote with the quote of a twin whose
-pool is freshly built from the same ``r`` (and ``tb``), so it has no cached
-view; the two must be equal field for field, for every outcome and for bet
-sized and probe sized wagers alike.
+The quote kernels read a pool's int reserves directly, and the float of its
+target balance, which the pool writes beside the int wherever the target
+balance moves.  Every check compares a live market's quote with the quote of
+a twin whose pool is freshly built from the same ``r`` (and ``ts`` and
+``tb``); the two must be equal field for field, for every outcome and for
+bet sized and probe sized wagers alike.  :func:`conftest.float_view` is the
+floats a quote starts from, built from the pool's exact reads.
 """
 
 from decimal import Decimal
 
 import pytest
+from conftest import float_view
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -19,10 +23,10 @@ from hypothesis.stateful import (
 )
 
 from uamm_lab import sim
-from uamm_lab.baseline import CpmmPool
+from uamm_lab.baseline import CpmmPool, cpmm_odds
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.ledger import InsufficientBalance, Phase
-from uamm_lab.uamm import PoolState, UammMarket, UnfillableQuote, calc_odds
+from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
 
 ENGINES = ("uamm", "cpmm")
 #: Bet-sized, probe-sized (the overround probe's 1e-4) and zero wagers.
@@ -57,15 +61,22 @@ def assert_quotes_fresh(market):
             assert outcome_of(market.quote, i, w) == outcome_of(twin.quote, i, w), (i, w)
 
 
-def assert_view_fresh(pool):
-    assert pool.float_view() == fresh_pool(pool).float_view()
+def assert_kernel_fresh(market):
+    """The engine's quote kernel on ``market``'s pool equals it on a fresh
+    pool, for every outcome and wager, whatever the market's phase."""
+    pool, fresh = market.pool, fresh_pool(market.pool)
+    assert pool.tb_float == fresh.tb_float
+    for i in market.spec.outcomes:
+        for w in WAGERS:
+            assert outcome_of(market._odds, pool, market.fair, i, w) == \
+                outcome_of(market._odds, fresh, market.fair, i, w), (i, w)
 
 
 def funded(engine, k=3, funding=2_000.0):
     probs = {2: (0.7, 0.3), 3: (0.2, 0.3, 0.5)}[k]
     market = sim.build_market(engine, "v", k, probs, funding, 0.025)
     market.deposit("bettor", amount(100_000))
-    assert_quotes_fresh(market)  # also warms the view
+    assert_quotes_fresh(market)
     return market
 
 
@@ -112,7 +123,7 @@ def test_calc_odds_after_in_place_pool_add_and_remove():
     calc_odds(pool, fair, 1, 10.0)
     pool.add(Decimal("123.456789"), fair)
     check()
-    pool.remove(pool.ts / 7, quantize=amount)
+    pool.remove(pool.ts / 7, quantize=True)
     check()
 
 
@@ -124,10 +135,10 @@ def test_view_after_redeem_pool(engine):
     market.close_betting()
     market.resolve("oracle", 1)
     market.redeem_pool()
-    assert_view_fresh(market.pool)
+    assert_kernel_fresh(market)
     # every outcome reserve is 0, so each combined reserve is the collateral
     r0 = market.pool.r_micro[0] / UNIT
-    assert market.pool.float_view()[1] == (0.0,) + (r0,) * market.spec.k
+    assert float_view(market.pool)[1] == (0.0,) + (r0,) * market.spec.k
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -158,34 +169,37 @@ def test_quote_after_rebinding_target_balance():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_buy_seeds_the_view_it_leaves_behind(engine, monkeypatch):
+def test_buy_leaves_the_reserves_its_record_reports(engine):
     market = funded(engine)
-    pool = market.pool
-    seeds = []
-    seed = pool.seed_float_view
-
-    def spy(rf, tbf):
-        view = seed(rf, tbf)
-        seeds.append((rf, view))
-        return view
-
-    monkeypatch.setattr(pool, "seed_float_view", spy)
     record = market.buy("bettor", 1, amount(60))
-    [(rf, view)] = seeds
-    assert rf is record.post_r  # seeded from the record's floats
-    # served from the seed, not rebuilt
-    assert pool.float_view() is view and len(seeds) == 1
-    assert view[1] == (0.0, *[x + rf[0] for x in rf[1:]])
-    assert_view_fresh(pool)
+    rf = record.post_r
+    assert rf == tuple(n / UNIT for n in market.pool.r_micro)
+    assert float_view(market.pool)[1] == (0.0, *[x + rf[0] for x in rf[1:]])
+    assert_quotes_fresh(market)
 
 
 def test_float_view_contents():
     pool = PoolState(r=[Decimal("1.5"), Decimal("2.25"), Decimal("4")],
                      tb=Decimal("3.125"))
-    assert pool.float_view() == (3.125, (0.0, 3.75, 5.5))
-    assert pool.float_view() is pool.float_view()
-    assert CpmmPool(r=[ZERO, Decimal("2"), Decimal("3")]).float_view() == (
-        0.0, (0.0, 2.0, 3.0))
+    assert float_view(pool) == (3.125, (0.0, 3.75, 5.5))
+    assert pool.tb_float == 3.125
+    cpmm = CpmmPool(r=[ZERO, Decimal("2"), Decimal("3")])
+    assert float_view(cpmm) == (0.0, (0.0, 2.0, 3.0))
+    assert cpmm.tb_float == 0.0
+    # a quote after each mutation equals a fresh pool's
+    fair = FairPriceVector((0.4, 0.6))
+
+    def check(p):
+        for i in (1, 2):
+            for kernel in (calc_odds, cpmm_odds):
+                assert outcome_of(kernel, p, fair, i, 0.5) == \
+                    outcome_of(kernel, fresh_pool(p), fair, i, 0.5)
+
+    for p in (pool, cpmm):
+        p.r_micro[1] += 7
+        check(p)
+    pool.tb = Decimal("2.5")
+    check(pool)
 
 
 # -- stateful: any sequence of operations --------------------------------------
@@ -198,8 +212,8 @@ WAGER = st.decimals(min_value="0.01", max_value="3000", places=2)
 class PoolMachine(RuleBasedStateMachine):
     """Deposit, add, remove, quote and buy on one market, then close,
     resolve, redeem and settle the pool; after every step each quote (or,
-    once betting has closed, the float view) equals a fresh pool's and the
-    market's books balance."""
+    once betting has closed, the quote kernel's figures) equals a fresh
+    pool's and the market's books balance."""
 
     engine = "uamm"
 
@@ -272,7 +286,7 @@ class PoolMachine(RuleBasedStateMachine):
         if self.is_open():
             assert_quotes_fresh(self.market)
         else:
-            assert_view_fresh(self.market.pool)
+            assert_kernel_fresh(self.market)
 
     @invariant()
     def books_balance(self):

@@ -52,8 +52,11 @@ K3_SUMMARY = {
 
 #: sha256 of every quote (odd, implied price, slippage, fee, reject reason)
 #: and every executed bet (odd, fee, s_lp, post_r) of the k=3 runs above.
+#: The UAMM's was re-derived when shares became ints of 10**-18 units, from
+#: the earlier records with each ``s_lp`` replayed in Fraction arithmetic
+#: (``floor(wager * ts / (r0 + sum f_k * r_k))`` to 18 places).
 K3_DIGEST = {
-    "uamm": "deb970486468af971f76662669acf10fbff9d887bdadaebceedd550503fac1a8",
+    "uamm": "b54551d99803e852ba8760c1860d862d95591d6ecaecadd3550a3c9d86dbc7a7",
     "cpmm": "07c90fef157c57c4bf1834194b8c45e96c0911d732c8abee2f1cbd1c441bb0b9",
 }
 
@@ -67,21 +70,22 @@ THIN_SUMMARY = {
     "vigorish": "0.14568392459533375",
 }
 
-#: (odd, fee, s_lp, post_r) of every executed bet of market 0 at seed 3.
+#: (odd, fee, s_lp, post_r) of every executed bet of market 0 at seed 3; the
+#: UAMM's ``s_lp`` re-derived in Fraction arithmetic, as for ``K3_DIGEST``.
 RECORDS = {
     "uamm": [
-        ("905.605148", "7.101000000", "283.6894037100059413445876250", "(9378.434852, 905.605148, 0.0, 905.605148)"),
-        ("2.280000", "0.028500000", "1.170893548429880962776862571", "(9379.574852, 905.605148, 0.0, 903.325148)"),
-        ("81.040000", "1.013000000", "41.62281455393000413398111503", "(9420.094852, 905.605148, 0.0, 822.285148)"),
-        ("24.820000", "0.310250000", "12.79934752494954009938907078", "(9432.504852, 905.605148, 0.0, 797.465148)"),
-        ("43.740747", "0.356250000", "14.71363435664167206660885008", "(9403.014105, 949.345895, 0.0, 841.205895)"),
-        ("37.880000", "0.473500000", "19.58405708869561809661234274", "(9421.954105, 949.345895, 0.0, 803.325895)"),
-        ("4.340000", "0.054250000", "2.248035140487360866987737862", "(9424.124105, 949.345895, 0.0, 798.985895)"),
-        ("56.896650", "0.464250000", "19.23907887873948863732656763", "(9385.797455, 1006.242545, 0.0, 855.882545)"),
-        ("43.450000", "0.217250000", "9.019795272619600089146451371", "(9394.487455, 962.792545, 0.0, 855.882545)"),
-        ("2418.331041", "33.073000000", "1358.882992521334457846459880", "(9154.958959, 2525.241041, 1562.448496, 0.0)"),
-        ("107.233334", "0.804250000", "37.36048930951731489256010055", "(9187.128959, 2525.241041, 1455.215162, 0.0)"),
-        ("53.566666", "0.401750000", "18.72209965714353184446123079", "(9203.198959, 2525.241041, 1401.648496, 0.0)"),
+        ("905.605148", "7.101000000", "283.689403710005941344", "(9378.434852, 905.605148, 0.0, 905.605148)"),
+        ("2.280000", "0.028500000", "1.170893548429880962", "(9379.574852, 905.605148, 0.0, 903.325148)"),
+        ("81.040000", "1.013000000", "41.622814553930004133", "(9420.094852, 905.605148, 0.0, 822.285148)"),
+        ("24.820000", "0.310250000", "12.799347524949540099", "(9432.504852, 905.605148, 0.0, 797.465148)"),
+        ("43.740747", "0.356250000", "14.713634356641672066", "(9403.014105, 949.345895, 0.0, 841.205895)"),
+        ("37.880000", "0.473500000", "19.584057088695618096", "(9421.954105, 949.345895, 0.0, 803.325895)"),
+        ("4.340000", "0.054250000", "2.248035140487360866", "(9424.124105, 949.345895, 0.0, 798.985895)"),
+        ("56.896650", "0.464250000", "19.239078878739488637", "(9385.797455, 1006.242545, 0.0, 855.882545)"),
+        ("43.450000", "0.217250000", "9.019795272619600089", "(9394.487455, 962.792545, 0.0, 855.882545)"),
+        ("2418.331041", "33.073000000", "1358.882992521334457845", "(9154.958959, 2525.241041, 1562.448496, 0.0)"),
+        ("107.233334", "0.804250000", "37.360489309517314892", "(9187.128959, 2525.241041, 1455.215162, 0.0)"),
+        ("53.566666", "0.401750000", "18.722099657143531844", "(9203.198959, 2525.241041, 1401.648496, 0.0)"),
     ],
     "cpmm": [
         ("897.974484", "7.101000000", "0.000000", "(4284.04, 6000.0, 1768.692183, 0.0)"),
@@ -176,7 +180,9 @@ def test_per_bet_outputs_are_pinned(engine):
 
 #: ``snapshot()`` of each engine's market after the lifecycle in
 #: :func:`test_lifecycle_snapshot_is_pinned`, recorded before the engines were
-#: folded into one market class.
+#: folded into one market class; the share and target-balance lines
+#: (``lp/*``, ``pool/tb``, ``pool/ts``, ``pool/treasury_shares``) re-derived
+#: in Fraction arithmetic when they became 18-place reads of int wads.
 SNAPSHOTS = {
     "uamm": (
         "balance/bettor/collateral=531.638835000\n"
@@ -189,7 +195,7 @@ SNAPSHOTS = {
         "balance/lp/outcome3=0.000000\n"
         "engine=uamm\n"
         "locked=0.000000\n"
-        "lp/lp=1000.000000\n"
+        "lp/lp=1000.000000000000000000\n"
         "market=pin\n"
         "phase=resolved\n"
         "pool/fee_accrued=4.321000000\n"
@@ -197,9 +203,9 @@ SNAPSHOTS = {
         "pool/r1=0.000000\n"
         "pool/r2=0.000000\n"
         "pool/r3=0.000000\n"
-        "pool/tb=1000.000000\n"
-        "pool/treasury_shares=176.6624974659584350971379423\n"
-        "pool/ts=1176.662497465958435097137942\n"
+        "pool/tb=1000.000000000000000000\n"
+        "pool/treasury_shares=176.662497465958435096\n"
+        "pool/ts=1176.662497465958435096\n"
         "winner=3\n"
     ),
     "cpmm": (
@@ -213,7 +219,7 @@ SNAPSHOTS = {
         "balance/lp/outcome3=0.000000\n"
         "engine=cpmm\n"
         "locked=0.000000\n"
-        "lp/lp=1000.000000\n"
+        "lp/lp=1000.000000000000000000\n"
         "market=pin\n"
         "phase=resolved\n"
         "pool/fee_accrued=4.321000000\n"

@@ -117,6 +117,10 @@ EXAMPLES = {
 @example(case=EXAMPLES["unfillable"])
 @example(case=EXAMPLES["zero wager"])
 @example(case=EXAMPLES["cpmm huge wager"])
+# removing all of an LP's shares after trades and a second add: with shares
+# computed in the Decimal context, ``held * 5 / 5`` rounded above ``held``
+@example(case=("uamm", [1, 1], 50, [("buy", 1, 0.01), ("buy", 1, 0.01), ("add", 1, 0.01),
+                                    ("remove", 5, 0.01)], 1, 0.0))
 def test_kernel_quote_equals_reference_pipeline(case):
     engine, weights, funding, moves, outcome, wager = case
     market = build(engine, weights, funding, moves)

@@ -1,11 +1,12 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import assert_conserved
-from uamm_lab.fixedpoint import ZERO, amount
+from uamm_lab.fixedpoint import UNIT, ZERO, amount
 from uamm_lab.ledger import InsufficientBalance, MarketSpec, PhaseError
 from uamm_lab.uamm import (
     FairPriceVector,
@@ -57,19 +58,28 @@ def test_fair_prices_renormalize_exactly():
 # -- total value -------------------------------------------------------------------
 
 
+def total_value(pool, fair):
+    """The pool's exact int value over its power-of-two scale, in collateral,
+    checked against r0 + sum f_k * r_k taken in Fractions of its reserves."""
+    tv = Fraction(pool.value(fair), fair.weights[0] * UNIT)
+    r = [Fraction(x) for x in pool.r]
+    assert tv == r[0] + sum(Fraction(f) * x for f, x in zip(fair.probs, r[1:]))
+    return tv
+
+
 def test_total_value_pure_collateral():
     pool = PoolState(r=[amount(10_000), ZERO, ZERO])
-    assert pool.total_value(FairPriceVector((0.3, 0.7))) == Decimal("10000.000000")
+    assert total_value(pool, FairPriceVector((0.3, 0.7))) == Decimal("10000.000000")
 
 
 def test_total_value_mergeable_set():
     pool = PoolState(r=[ZERO, amount(100), amount(100)])
-    assert pool.total_value(FairPriceVector((0.5, 0.5))) == Decimal("100.000000")
+    assert total_value(pool, FairPriceVector((0.5, 0.5))) == Decimal("100.000000")
 
 
 def test_total_value_mixed_holdings():
     pool = PoolState(r=[amount(50), amount(30), ZERO])
-    tv = pool.total_value(FairPriceVector((0.8, 0.2)))
+    tv = total_value(pool, FairPriceVector((0.8, 0.2)))
     assert float(tv) == pytest.approx(74.0, rel=1e-12)
 
 
@@ -163,6 +173,108 @@ def test_tb_changes_only_on_liquidity_operations():
     market.deposit("lp", amount(500))
     market.add_liquidity("lp", amount(500))
     assert market.pool.tb > tb
+
+
+def test_remove_all_shares_after_trades_and_a_second_add():
+    """An LP can burn every share it holds: shares are exact ints, so the
+    amount it reads back is the amount it holds, after bets have minted
+    treasury shares and a second add has minted its own."""
+    market = make_market()
+    for i, w in ((1, 250), (2, 40.5), (1, 3.21)):
+        market.buy("bettor", i, amount(w))
+    market.deposit("lp", amount(777.77))
+    market.add_liquidity("lp", amount(777.77))
+    market.buy("bettor", 2, amount(12))
+    held = market.lp_shares["lp"]
+    assert market.remove_liquidity("lp", held) > 0
+    assert market.lp_shares["lp"] == 0
+    assert market.pool.ts == market.pool.treasury_shares > 0
+    assert_conserved(market)
+
+
+def test_shares_are_exact_18_place_reads_of_int_wads():
+    market = make_market()
+    market.buy("bettor", 1, amount(250))
+    market.deposit("lp2", amount(500))
+    s = market.add_liquidity("lp2", amount(500))
+    pool = market.pool
+    assert s.as_tuple().exponent == -18 == pool.ts.as_tuple().exponent
+    assert type(pool.ts_wad) is type(pool.tb_wad) is type(pool.treasury_wad) is int
+    assert pool.ts_wad == market.lp_wad["lp"] + market.lp_wad["lp2"] + pool.treasury_wad
+    assert market.lp_shares["lp2"] == s and market.bets[0].s_lp == pool.treasury_shares
+    assert pool.tb == Decimal("10500") and pool.tb_float == 10_500.0
+    # an off-grid request is floored to the wad
+    held = market.lp_wad["lp2"]
+    market.remove_liquidity("lp2", Decimal("1.0000000000000000009"))
+    assert market.lp_wad["lp2"] == held - 10**18
+
+
+def test_treasury_mint_is_the_floor_of_the_exact_share_price():
+    market = make_market(k=3, probs=(0.2, 0.3, 0.5))
+    ts = Fraction(10_000)
+    for i, w in ((1, 40), (3, 120.5), (2, 12.34)):
+        record = market.buy("bettor", i, amount(w))
+        r = [Fraction(x) for x in market.pool.r]
+        value = r[0] + sum(Fraction(f) * x for f, x in zip(market.fair.probs, r[1:]))
+        exact = Fraction(record.wager) * ts / value
+        assert Fraction(record.s_lp) == Fraction(math.floor(exact * 10**18), 10**18)
+        ts += Fraction(record.s_lp)
+    assert Fraction(market.pool.ts) == ts
+
+
+def test_records_and_snapshots_do_not_depend_on_the_decimal_context():
+    """A seeded market (trades, a second add, removals, settlement) leaves
+    the same records, share figures and snapshots under a 12-digit and a
+    50-digit caller context as under the default 28.  The test's own
+    share requests are exact Fractions, so that only the library could
+    differ."""
+
+    def run():
+        rng = np.random.default_rng(29)
+        market = make_market(k=3, probs=(0.2, 0.3, 0.5), funding=250_000)
+        market.deposit("bettor", amount(88_557.925))
+        snapshots = []
+        for step in range(400):
+            wager = amount(round(float(rng.lognormal(3.0, 1.2)), 2))
+            try:
+                market.buy("bettor", int(rng.integers(1, 4)), wager)
+            except (InsufficientBalance, UnfillableQuote):
+                pass
+            if step == 150:
+                market.deposit("lp2", amount(123_456.789012))
+                market.add_liquidity("lp2", amount(123_456.789012))
+            if step in (250, 300):
+                for lp in ("lp", "lp2"):
+                    market.remove_liquidity(lp, Fraction(market.lp_shares[lp]) / 3)
+            if step % 50 == 0:
+                snapshots.append(market.snapshot())
+        market.close_betting()
+        market.resolve("oracle", 2)
+        for account in ("bettor", "lp", "lp2"):
+            market.redeem(account)
+        market.redeem_pool()
+        snapshots.append(market.snapshot())
+        assert_conserved(market)
+        return repr(market.bets), snapshots
+
+    expected = run()
+    for prec in (12, 50):
+        with localcontext(prec=prec):
+            assert run() == expected, prec
+
+
+def test_fee_payer_balance_reads_exactly_under_a_narrow_context():
+    market = UammMarket(MarketSpec(market_id="m", k=2, fee_rate=Decimal("0.025")),
+                        FairPriceVector((0.5, 0.5)))
+    market.deposit("lp", 10_000)
+    market.add_liquidity("lp", 10_000)
+    market.deposit("bettor", Decimal("88568.175"))
+    market.buy("bettor", 1, 10)  # costs 10 plus an exact fee of 0.250
+    snapshot = market.snapshot()
+    assert "balance/bettor/collateral=88557.925000000\n" in snapshot
+    with localcontext(prec=12):
+        assert str(market.ledger.balance("bettor")) == "88557.925000000"
+        assert market.snapshot() == snapshot
 
 
 # -- quoting -------------------------------------------------------------------------
