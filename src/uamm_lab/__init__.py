@@ -50,7 +50,6 @@ from .uamm import (
     UammMarket,
     UnfillableQuote,
     calc_odds,
-    spot_price,
     swap_out,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "run_prob_sweep",
     "run_rejection_sweep",
     "run_single_market",
-    "spot_price",
     "summarize",
     "swap_out",
 ]

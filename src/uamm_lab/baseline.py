@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .fixedpoint import PRECISION, UNIT, mul_exact, to_micro
+from .fixedpoint import PRECISION, UNIT, mul_exact, to_micro, to_wad
 from .uamm import _INF, Market, Quote, Reserves, _quote_edge, _record
 
 
@@ -94,8 +94,9 @@ class CpmmMarket(Market):
         bettor's ``d`` is added."""
         return cpmm_swap(d, r_in, r_out)
 
-    def _fund(self, account: str, funding: Decimal) -> Decimal:
-        """Seed reserves from ``funding`` collateral at true-probability prices.
+    def _fund(self, account: str, funding: Decimal) -> int:
+        """Seed reserves from ``funding`` collateral at true-probability
+        prices, and return the LP shares, one per unit of funding, in wads.
 
         The LP mints a full set and hands the pool ``funding * f_min / f_k``
         of each token; the excess tokens of likelier outcomes stay with the
@@ -108,4 +109,4 @@ class CpmmMarket(Market):
             reserve = to_micro(float(funding) * fmin / f[k - 1])
             self.ledger.debit(account, k, mul_exact(PRECISION, reserve))
             self.pool.r_micro[k] += reserve
-        return funding
+        return to_wad(funding)

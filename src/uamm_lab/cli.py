@@ -18,6 +18,12 @@ Subcommands::
 * ``summary.csv``   -- one aggregate row (mode, seed + metrics columns)
 * per-mode plot-data files (x/y columns ready for any external plotter)
 
+``bets.csv`` is written as each market finishes, and the market's log is
+then dropped, so memory holds one market's bet log at a time.  The rows go
+to ``bets.csv.tmp``, which replaces ``bets.csv`` only when the run succeeds;
+an error exit removes it, leaving no partial ``bets.csv`` (an earlier run's
+file in the same directory stays as it was).
+
 The ``UAMM_LAB_SEED`` environment variable overrides the configured seed.
 Exit codes: 0 success, 1 usage/config error, 2 invariant violation (a
 failed property probe), 3 unfillable quote (the ``quote`` wager would drain
@@ -30,7 +36,7 @@ import argparse
 import csv
 import os
 import sys
-from itertools import chain
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import metrics, sim
@@ -136,10 +142,31 @@ def _market_row(r, pnl) -> tuple:
             ";".join(map(repr, r.r_end)))
 
 
+@contextmanager
+def _bet_log(out: Path):
+    """Stream ``bets.csv``: yields a function that writes one market's
+    ``bet_log`` rows as soon as the market finishes.
+
+    The rows go to the sibling file ``bets.csv.tmp``, which replaces
+    ``bets.csv`` only when the block exits normally.  When it raises, the
+    temporary file is removed, so a run that fails part-way leaves no
+    partial ``bets.csv`` (a ``bets.csv`` from an earlier run stays as it
+    was)."""
+    path = out / "bets.csv"
+    tmp = out / "bets.csv.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(sim.BETS_FIELDS)
+            yield writer.writerows
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list[tuple]:
-    """Write bets.csv, markets.csv and summary.csv; return the markets rows."""
-    _write_csv(out / "bets.csv", sim.BETS_FIELDS,
-               chain.from_iterable(r.bet_log for r in results))
+    """Write markets.csv and summary.csv; return the markets rows."""
     market_rows = list(map(_market_row, results, report.market_pnl))
     _write_csv(out / "markets.csv", MARKETS_FIELDS, market_rows)
     summary = {"mode": mode, "seed": seed, **report.csv_row()}
@@ -165,7 +192,9 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "single":
-        result = sim.run_single_market(cfg)
+        with _bet_log(out) as write_bets:
+            result = sim.run_single_market(cfg)
+            write_bets(result.bet_log)
         report = metrics.summarize([result], cfg.engine)
         _write_run_outputs(out, [result], report, args.mode, cfg.seed)
         fields = (["step"] + [f"balance_{j}" for j in range(1, result.k + 1)]
@@ -174,7 +203,17 @@ def cmd_simulate(args) -> int:
                 for t in result.trajectory]
         _write_csv(out / "plot_single_market.csv", fields, rows)
     elif args.mode in ("multi", "full"):
-        results, report = sim.run_multi_market(cfg, keep_log=True, keep_records=False)
+        # sim.run_multi_market's list and report, with each market's bet log
+        # written as the market finishes and then dropped: a run holds one
+        # market's log at a time
+        results = []
+        with _bet_log(out) as write_bets:
+            for m in range(cfg.n_markets):
+                result = sim.simulate_one(cfg, m, keep_log=True, keep_records=False)
+                write_bets(result.bet_log)
+                result.bet_log.clear()
+                results.append(result)
+        report = metrics.summarize(results, cfg.engine)
         market_rows = _write_run_outputs(out, results, report, args.mode, cfg.seed)
         columns = [MARKETS_FIELDS.index(f) for f in PLOT_MARKETS_FIELDS[1:]]
         rows = [(i, *(row[c] for c in columns)) for i, row in enumerate(market_rows)]

@@ -68,7 +68,7 @@ on their way into the ledger), sit a whole half-unit from any tie.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation, localcontext
 
 PRECISION = Decimal("0.000001")
 ZERO = Decimal("0.000000")
@@ -150,8 +150,19 @@ def amount(value) -> Decimal:
 def to_wad(value) -> int:
     """Floor a share amount (an int, float, Decimal or Fraction) to an int
     count of wads, exactly: a request off the 18-place grid is floored."""
+    if type(value) is int:
+        return value * WAD
     num, den = value.as_integer_ratio()
     return num * WAD // den
+
+
+def sum_exact(values, start: Decimal) -> Decimal:
+    """The exact sum of ``start`` and ``values`` (Decimals or ints),
+    whatever the caller's context: ``sum`` in a context that never rounds,
+    so each term costs a Decimal ``+`` (about half an :func:`add_exact`
+    call)."""
+    with localcontext(_EXACT):
+        return sum(values, start)
 
 
 def from_wad(n: int) -> Decimal:

@@ -74,10 +74,13 @@ class MarketSpec:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("a market needs at least two outcomes")
-        fee = Decimal(str(self.fee_rate))
+        fee = self.fee_rate
+        if type(fee) is not Decimal:
+            # a float reads as its shortest repr, 0.025 as Decimal("0.025")
+            fee = Decimal(str(fee))
+            object.__setattr__(self, "fee_rate", fee)
         if not (fee.is_finite() and 0 <= fee < 1):
             raise ValueError("fee_rate must be in [0, 1)")
-        object.__setattr__(self, "fee_rate", fee)
 
     @property
     def outcomes(self) -> range:

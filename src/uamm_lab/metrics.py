@@ -14,6 +14,8 @@ from decimal import Decimal
 
 import numpy as np
 
+from .fixedpoint import sum_exact
+
 
 def ev(r_cond, fair) -> float:
     """Expected value of conditional pool balances under the fair prices.
@@ -142,8 +144,8 @@ def summarize(results, engine: str) -> MetricsReport:
     eip_vals, epp_vals, tv_vals, ev_vals = zip(*pnl)
     eip_mean, eip_std = float(np.mean(eip_vals)), float(np.std(eip_vals))
     epp_mean, epp_std = float(np.mean(epp_vals)), float(np.std(epp_vals))
-    volume = sum((r.volume for r in results), Decimal(0))
-    fee = sum((r.fee for r in results), Decimal(0))
+    volume = sum_exact((r.volume for r in results), Decimal(0))
+    fee = sum_exact((r.fee for r in results), Decimal(0))
     return MetricsReport(
         engine=engine,
         n_markets=len(results),

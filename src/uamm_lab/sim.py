@@ -30,7 +30,8 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import PRECISION, UNIT, WAD, ZERO, amount, mul_exact, to_micro
+from .fixedpoint import (PRECISION, UNIT, WAD, ZERO, amount, mul_exact, sum_exact,
+                         to_micro)
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
 from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
@@ -177,29 +178,37 @@ def _draw_streams(rng, cfg: SimConfig, fair: FairPriceVector,
     A true-probability side inverts ``fair.cdf`` at one uniform per bettor:
     the stream and the values of ``rng.choice(range(1, k + 1), size=n,
     p=fair.probs)``, without re-validating and re-summing ``p`` per call.
+    Each stream is drawn as one array, rounded and shifted in place, and
+    read back as a list once.
     """
     if cfg.wager_sigma > 0:
-        wagers = np.exp(rng.normal(cfg.wager_mu, cfg.wager_sigma, n))
+        wagers = rng.normal(cfg.wager_mu, cfg.wager_sigma, n)
+        np.exp(wagers, out=wagers)
     else:
         try:
             wagers = np.full(n, math.exp(cfg.wager_mu))
         except OverflowError:  # inf, as np.exp gives it, and rejected below
             wagers = np.full(n, math.inf)
-    wagers = np.maximum(np.round(wagers, 2), 0.01)
-    if n and not wagers.max() < 2.0 ** 33:
+    wagers.round(2, out=wagers)
+    np.maximum(wagers, 0.01, out=wagers)
+    wagers = wagers.tolist()
+    if not sum(wagers) < 2.0 ** 33:
         # Below 2**33 a cent-rounded float is within half an ulp (under half a
         # micro-unit) of its whole-cent value; from 2**33 up floats are spaced
         # more than a micro-unit apart.  Either way a finite draw below 1e22
         # lies on the grid already, so only inf and 1e22 or more are left for
-        # to_micro to reject, before any bet is made.
-        for w in wagers.tolist():
+        # to_micro to reject, before any bet is made.  Every wager is
+        # positive, so the sum reaches 2**33 when any wager does, and is NaN
+        # or inf when any wager is.
+        for w in wagers:
             to_micro(w)
     if cfg.side_mode == "uniform":
         sides = rng.integers(1, len(fair) + 1, n)
     else:
-        sides = fair.cdf.searchsorted(rng.random(n), side="right") + 1
+        sides = np.array(fair.cdf).searchsorted(rng.random(n), side="right")
+        sides += 1
     thresholds = rng.normal(cfg.rej_mean, cfg.rej_std, n)
-    return list(zip(wagers.tolist(), sides.tolist(), thresholds.tolist()))
+    return list(zip(wagers, sides.tolist(), thresholds.tolist()))
 
 
 def _draw_winner(rng, fair: FairPriceVector) -> int:
@@ -221,7 +230,8 @@ def _sample_market_params(rng, cfg: SimConfig):
             probs = (p, 1.0 - p)
         else:
             v = rng.uniform(lo, hi, k)
-            probs = tuple(float(x) for x in v / v.sum())
+            v /= v.sum()
+            probs = tuple(v.tolist())
     n = cfg.n_bets
     if isinstance(n, tuple) and n and n[0] == "lognormal":
         _, mu, sigma = n
@@ -314,7 +324,8 @@ def run_market(
     fair = market.fair.probs
     r_start = tuple([x / UNIT for x in market.pool.r_micro])
     volume = 0  # micro-units
-    fee = ZERO
+    bets = market.bets
+    first_bet = len(bets)
     accepted = rejected = unfillable = 0
     log: list[tuple] = []
     traj: list[dict] = []
@@ -358,7 +369,6 @@ def run_market(
                 else:
                     accepted += 1
                     volume += n
-                    fee += record.fee
                     if keep_log:
                         log_row(idx, side, w, quote, 1, "")
         if trajectory:
@@ -390,9 +400,9 @@ def run_market(
         n_rejected=rejected,
         n_unfillable=unfillable,
         volume=mul_exact(PRECISION, volume),
-        fee=fee,
+        fee=sum_exact([r.fee for r in bets[first_bet:]], ZERO),
         overround_final=overround,
-        records=list(market.bets) if keep_records else [],
+        records=list(bets) if keep_records else [],
         bet_log=log,
         trajectory=traj,
     )

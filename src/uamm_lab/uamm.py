@@ -12,11 +12,11 @@ pool dips below TB.
 ledger, the market lifecycle (deposit, close, resolve, redeem, settle the
 pool, snapshot) and the bet pipeline, which has two faces:
 
-* pure quoting (:func:`calc_odds`, :func:`spot_price`) in float arithmetic,
-  never touching live state: a quote moves only its output pool, on a
-  scalar, and returns the figures a bettor reads (no post-trade pool).  Each
-  engine has one quote kernel with its swap rule written inline in the leg
-  loop, so a quote costs its arithmetic and one call, not a call per leg;
+* pure quoting (:func:`calc_odds`) in float arithmetic, never touching
+  live state: a quote moves only its output pool, on a scalar, and returns
+  the figures a bettor reads (no post-trade pool).  Each engine has one
+  quote kernel with its swap rule written inline in the leg loop, so a
+  quote costs its arithmetic and one call, not a call per leg;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.  Its legs call the engine's public
   swap kernel (:func:`swap_out` here), which the quote kernel matches bit
@@ -46,11 +46,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .fixedpoint import (PRECISION, UNIT, WAD, WAD_PRECISION, ZERO, add_exact, amount,
                          format_micro, from_wad, mul_exact, to_micro, to_wad)
@@ -77,6 +75,8 @@ _OPEN = Phase.OPEN
 #: ``math.inf`` as a module global, which the quote kernels' finiteness test
 #: reads faster than the attribute.
 _INF = math.inf
+#: Wads per micro-unit of collateral.
+_WADS_PER_MICRO = WAD // UNIT
 
 
 class FairPriceVector:
@@ -99,22 +99,21 @@ class FairPriceVector:
         p[-1] = 1.0 - math.fsum(p[:-1])
         #: The probabilities, a tuple of floats.
         self.probs = tuple(p)
-        den = max(x.as_integer_ratio()[1] for x in p)
+        ratios = [x.as_integer_ratio() for x in p]
+        den = max(d for _, d in ratios)
         #: The weights of the exact pool value: ``weights[0]`` is a power of
         #: two ``D`` and ``weights[k] / D`` is ``probs[k - 1]`` exactly, so
         #: that ``sum(w * r for w, r in zip(weights, reserves))`` is ``D``
         #: times ``r0 + sum f_k * r_k``, an exact int.
-        self.weights = (den, *[a * den // d for a, d in map(float.as_integer_ratio, p)])
-
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """The cumulative distribution a seeded draw inverts, computed once
-        and bit for bit as ``Generator.choice(..., p=probs)`` computes it:
-        outcome ``k`` is drawn for a uniform ``u`` when ``k - 1`` entries
-        are ``<= u``."""
-        cdf = np.array(self.probs).cumsum()
-        cdf /= cdf[-1]
-        return cdf
+        self.weights = (den, *[a * den // d for a, d in ratios])
+        acc = list(accumulate(p))
+        total = acc[-1]
+        #: The cumulative distribution a seeded draw inverts, a tuple of
+        #: floats, bit for bit as ``Generator.choice(..., p=probs)`` computes
+        #: it: numpy's ``cumsum`` is this running sum in index order, and
+        #: ``cdf /= cdf[-1]`` this division.  Outcome ``k`` is drawn for a
+        #: uniform ``u`` when ``k - 1`` entries are ``<= u``.
+        self.cdf = tuple([c / total for c in acc])
 
     def of(self, k: int) -> float:
         """Probability of outcome ``k`` (1-based)."""
@@ -157,12 +156,15 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
 
 
 def _exact_micro(value):
-    """The exact micro-unit count of a collateral amount: an int on the
-    6-decimal grid, an exact Fraction off it."""
+    """The exact micro-unit count of a collateral amount (an int, float,
+    Decimal or Fraction): an int on the 6-decimal grid, an exact Fraction
+    off it."""
     if type(value) is int:
         return value * UNIT
-    n = Fraction(value) * UNIT
-    return n.numerator if n.denominator == 1 else n
+    num, den = value.as_integer_ratio()  # in lowest terms
+    if UNIT % den:
+        return Fraction(num * UNIT, den)
+    return num * (UNIT // den)
 
 
 def _collateral(n):
@@ -273,10 +275,12 @@ class PoolState(Reserves):
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
         n = _exact_micro(d)
+        # the deposit in wads: exact on the grid, floored off it
+        w = n * _WADS_PER_MICRO if type(n) is int else to_wad(d)
         ts = self.ts_wad
-        s = to_wad(d) if ts == 0 else n * ts * fair.weights[0] // self.value(fair)
+        s = w if ts == 0 else n * ts * fair.weights[0] // self.value(fair)
         self.r_micro[0] += n
-        self._set_tb(self.tb_wad + to_wad(d))
+        self._set_tb(self.tb_wad + w)
         self.ts_wad = ts + s
         return from_wad(s)
 
@@ -447,12 +451,6 @@ def calc_odds(
     ))
 
 
-def spot_price(pool: PoolState, fair: FairPriceVector, i: int, eps: float = 1e-4) -> float:
-    """Marginal implied probability for outcome ``i`` (price of an
-    infinitesimal wager, probed numerically at ``eps`` collateral)."""
-    return calc_odds(pool, fair, i, eps).implied_price
-
-
 class BetRecord(NamedTuple):
     """An executed bet and the pool state it left behind: the wager, fee,
     odd and treasury LP shares as Decimals (the shares an exact 18-place
@@ -482,7 +480,8 @@ class Market:
     supplies ``engine`` (its name), ``pool_type``, ``_odds`` (its quote
     kernel, called as :func:`calc_odds` is), ``_leg`` (the one-leg swap rule
     :meth:`buy` calls, see :func:`fair_leg`) and ``_fund`` (its genesis:
-    what adding liquidity puts into the pool); everything else is shared.
+    what adding liquidity puts into the pool; it returns the LP shares
+    minted, in int wads); everything else is shared.
     """
 
     spec: MarketSpec
@@ -525,7 +524,7 @@ class Market:
         d = amount(d)
         if d <= 0:
             raise ValueError("liquidity deposit must be positive")
-        s = to_wad(self._fund(account, d))
+        s = self._fund(account, d)
         self.lp_wad[account] = self.lp_wad.get(account, 0) + s
         return from_wad(s)
 
@@ -695,9 +694,12 @@ class UammMarket(Market):
     _odds = staticmethod(calc_odds)
     _leg = staticmethod(fair_leg)
 
-    def _fund(self, account: str, d: Decimal) -> Decimal:
+    def _fund(self, account: str, d: Decimal) -> int:
         self.ledger.debit(account, COLLATERAL, d)
-        return self.pool.add(d, self.fair)
+        pool = self.pool
+        ts = pool.ts_wad
+        pool.add(d, self.fair)
+        return pool.ts_wad - ts
 
     def _mint_treasury(self, n: int) -> Decimal:
         """A bet mints LP shares worth its ``n`` micro-units at the

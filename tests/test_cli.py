@@ -1,9 +1,10 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from uamm_lab import cli
+from uamm_lab import cli, sim
 
 QUOTE_ARGS = [
     "quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "10000",
@@ -200,6 +201,66 @@ def test_simulate_rejects_unrepresentable_wagers(tmp_path, capsys, extra, messag
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_failed_simulate_leaves_no_bets_csv(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_CFG + "wager_mu = 800\n")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_simulate_failing_part_way_keeps_the_earlier_bets_csv(tmp_path, capsys,
+                                                              monkeypatch, mode):
+    """``bets.csv`` is streamed to a temporary file that replaces it only
+    when the run succeeds."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--mode", mode, "--out", str(out)]) == 0
+    before = (out / "bets.csv").read_bytes()
+
+    simulate_one = sim.simulate_one
+
+    def failing_simulate_one(cfg, index, **run_opts):
+        # multi fails at its third market, after two have been written
+        if index == 2 or mode == "single":
+            raise ValueError("market failed")
+        return simulate_one(cfg, index, **run_opts)
+
+    monkeypatch.setattr(sim, "simulate_one", failing_simulate_one)
+    assert cli.main(["simulate", "--config", cfg, "--mode", mode, "--seed", "6",
+                     "--out", str(out)]) == 1
+    assert "market failed" in capsys.readouterr().err
+    assert (out / "bets.csv").read_bytes() == before
+    assert not (out / "bets.csv.tmp").exists()
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_one_market_bet_log_at_a_time(tmp_path, capsys):
+    """Ten times the bets per market (20 markets of 50, then of 500) grows
+    a run's peak traced memory by less than 1 MiB: only the market being
+    run keeps its bet log.  Holding every log until the end grows it by
+    about 2.5 MiB."""
+    def argv(n_bets):
+        cfg = write_cfg(tmp_path, f"n_bets = {n_bets}\nn_markets = 20\nseed = 3\n",
+                        name=f"n{n_bets}.cfg")
+        return ["simulate", "--config", cfg, "--mode", "multi",
+                "--out", str(tmp_path / f"out{n_bets}")]
+
+    assert cli.main(argv(50)) == 0  # warm-up: first-use allocations
+    small, large = _traced_peak(argv(50)), _traced_peak(argv(500))
+    assert len(read_rows(tmp_path / "out500" / "bets.csv")) == 20 * 500
+    assert large - small < 2 ** 20
 
 
 def test_simulate_missing_config_file(tmp_path):

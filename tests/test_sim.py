@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -99,7 +99,7 @@ def test_draws_match_numpy_choice_on_a_twin_generator(case):
     fair = FairPriceVector(probs)
     cdf = np.asarray(fair.probs).cumsum()
     cdf /= cdf[-1]
-    assert fair.cdf.tolist() == cdf.tolist()
+    assert list(fair.cdf) == cdf.tolist()
 
     cfg = SimConfig(k=k_choices, probs=(0.5, 0.5), n_bets=n)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -393,3 +393,18 @@ def test_market_result_counts_add_up():
     res = run_single_market(SimConfig(seed=2, n_bets=300))
     assert res.n_accepted + res.n_rejected + res.n_unfillable == res.n_attempts
     assert res.n_attempts == 300
+
+
+def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
+    """A market's fee and a run's fee and volume are exact sums: a narrow
+    caller's context rounds neither (at 12 digits a rounding sum would read
+    43298905.6700 and 1082472.64175)."""
+    cfg = SimConfig(n_markets=20, n_bets=200, funding=1e6, wager_mu=9, seed=1)
+    results, report = run_multi_market(cfg)
+    with localcontext(prec=12):
+        narrow_results, narrow_report = run_multi_market(cfg)
+    assert str(report.volume) == "43298905.670000"
+    assert str(report.fee_revenue) == "1082472.641750000"
+    assert narrow_report.csv_row() == report.csv_row()
+    assert ([(str(r.volume), str(r.fee)) for r in narrow_results]
+            == [(str(r.volume), str(r.fee)) for r in results])

@@ -14,7 +14,6 @@ from uamm_lab.uamm import (
     UammMarket,
     UnfillableQuote,
     calc_odds,
-    spot_price,
 )
 
 
@@ -47,6 +46,17 @@ def test_fair_prices_must_sum_to_one():
         FairPriceVector((0.5,))
     with pytest.raises(ValueError):
         FairPriceVector((0.0, 1.0))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+def test_fair_prices_outside_the_open_unit_interval_are_rejected(bad, position):
+    """Each bad value is caught wherever it sits, a trailing NaN included
+    (which ``min`` and ``max`` would both skip)."""
+    probs = [0.3, 0.3, 0.4]
+    probs[position] = bad
+    with pytest.raises(ValueError, match=r"probabilities must lie in \(0, 1\)"):
+        FairPriceVector(probs)
 
 
 def test_fair_prices_renormalize_exactly():
@@ -496,6 +506,13 @@ def test_conservation_through_full_lifecycle():
 
 
 # -- spot prices ------------------------------------------------------------------------
+
+
+def spot_price(pool: PoolState, fair: FairPriceVector, i: int, eps: float = 1e-4) -> float:
+    """Marginal implied probability for outcome ``i``: the implied price of
+    a quote for ``eps`` collateral, an infinitesimal wager probed
+    numerically."""
+    return calc_odds(pool, fair, i, eps).implied_price
 
 
 def test_spot_price_in_surplus_equals_fair():
