@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .fixedpoint import PRECISION, UNIT, mul_exact, to_micro, to_wad
+from .fixedpoint import UNIT, to_micro, to_wad
 from .uamm import _INF, Market, Quote, Reserves, _quote_edge, _record
 
 
@@ -39,7 +39,8 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
     same float operations in the same order.  Each pool is read from the int
     reserves with the collateral liquidity combined into it, as
     ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once), and
-    each input pool before the bettor's ``d`` is added to it.
+    each input pool before the bettor's ``d`` is added to it.  The legs are
+    the vector's leg plan, ``fair.others[i]``.
 
     The rule's zero branch needs no test here: every reserve is ``>= 0``, and
     the formula gives 0.0 for an empty output pool, as the branch does.  Nor
@@ -52,12 +53,11 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
     c = r[0] / UNIT
     ri = r[i] / UNIT + c
     odd = d
-    for j in range(1, len(r)):
-        if j != i:
-            rj = r[j] / UNIT + c
-            s = ri - rj * ri / (rj + d)
-            ri -= s
-            odd += s
+    for j in fair.others[i]:
+        rj = r[j] / UNIT + c
+        s = ri - rj * ri / (rj + d)
+        ri -= s
+        odd += s
     implied = d / odd
     return _record(Quote, (
         engine, market_id, i, d, odd, implied, implied - fair.probs[i - 1],
@@ -104,9 +104,11 @@ class CpmmMarket(Market):
         """
         f = self.fair.probs
         fmin = min(f)
-        self.ledger.mint(account, funding)
+        ledger, r = self.ledger, self.pool.r_micro
+        ledger.mint(account, funding)
+        x = float(funding)
         for k in self.spec.outcomes:
-            reserve = to_micro(float(funding) * fmin / f[k - 1])
-            self.ledger.debit(account, k, mul_exact(PRECISION, reserve))
-            self.pool.r_micro[k] += reserve
+            reserve = to_micro(x * fmin / f[k - 1])
+            ledger.debit_micro(account, k, reserve)
+            r[k] += reserve
         return to_wad(funding)

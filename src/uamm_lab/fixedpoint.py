@@ -13,15 +13,13 @@ LP shares and the target balance are ints too, of 10**-18 units: "wads", the
 with floor division (see :class:`uamm_lab.uamm.PoolState`) and read as
 18-place Decimals.
 
-Balances, ``locked``, reserves, snapshot lines and share reads are built
-exactly, whatever the caller's Decimal context: each is the product of an
-int and a power of ten, taken in a context that never rounds
+Balances, ``locked``, reserves, snapshot lines, share reads and a bet
+record's wager, fee and odd are built exactly, whatever the caller's Decimal
+context: each is the product of an int and a power of ten (a fee, of the
+wager and the fee rate), taken in a context that never rounds
 (:func:`mul_exact`).  A Decimal operator would round it to the caller's
 precision instead (a balance of ``1234567.891234`` reads ``1234567.89123``
-under ``localcontext(prec=12)``).  A bet record's wager, fee and odd, built
-on every bet, keep the cheaper Decimal operator, which rounds to the
-caller's precision: they are exact when they have no more digits than it
-carries (any amount below 1e16 in the default 28 digits).
+under ``localcontext(prec=12)``).
 
 The converters:
 

@@ -144,9 +144,10 @@ class ConditionalLedger:
         self._account(account)[token] += to_micro(d)
 
     def debit(self, account: str, token: int, d) -> None:
-        self._take(account, token, to_micro(d))
+        self.debit_micro(account, token, to_micro(d))
 
-    def _take(self, account: str, token: int, n: int) -> None:
+    def debit_micro(self, account: str, token: int, n: int) -> None:
+        """:meth:`debit` of ``n`` micro-units, an int."""
         acct = self._account(account)
         if acct[token] < n:
             raise InsufficientBalance(
@@ -197,7 +198,7 @@ class ConditionalLedger:
         n = _non_negative_micro(d, "mint amount")
         if n == 0:
             return
-        self._take(account, COLLATERAL, n)
+        self.debit_micro(account, COLLATERAL, n)
         acct = self.bal_micro[account]
         for k in self.spec.outcomes:
             acct[k] += n

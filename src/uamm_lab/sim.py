@@ -42,6 +42,8 @@ ORACLE = "oracle"
 
 #: Bet counts sampled from a log-normal are clamped to this range.
 BET_COUNT_CLAMP = (1, 40)
+#: A log-space bet count above this rounds above the clamp's upper end.
+_LOG_COUNT_CAP = math.log(BET_COUNT_CLAMP[1] + 1)
 
 CONFIG_KEYS = (
     "k", "funding", "probs", "n_bets", "n_markets", "wager_mu", "wager_sigma",
@@ -97,12 +99,30 @@ class SimConfig:
                 raise ConfigError(f"{key} must be finite")
         if self.funding <= 0:
             raise ConfigError("funding must be positive")
-        if isinstance(self.n_bets, int) and self.n_bets < 0:
+        for key in ("wager_sigma", "rej_std"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        choices = self.k if isinstance(self.k, tuple) else (self.k,)
+        if not choices or not all(isinstance(k, int) and k >= 2 for k in choices):
+            raise ConfigError(f"k must be an outcome count >= 2, or a tuple of "
+                              f"them, got {self.k!r}")
+        n = self.n_bets
+        if isinstance(n, tuple) and n and n[0] == "lognormal":
+            if not (len(n) == 3 and math.isfinite(n[1]) and math.isfinite(n[2])
+                    and n[2] >= 0):
+                raise ConfigError("n_bets ('lognormal', mu, sigma) needs a finite "
+                                  f"mu and a finite sigma >= 0, got {n!r}")
+        elif isinstance(n, int) and n < 0:
             raise ConfigError("n_bets must be >= 0")
         if not 0 <= self.fee_rate < 1:
             raise ConfigError("fee_rate must be in [0, 1)")
-        if isinstance(self.probs, tuple) and self.probs and self.probs[0] != "uniform":
-            FairPriceVector(self.probs)  # validates
+        probs = self.probs
+        if isinstance(probs, tuple) and probs and probs[0] == "uniform":
+            if not (len(probs) == 3 and 0 < probs[1] <= probs[2] < 1):
+                raise ConfigError("probs ('uniform', lo, hi) needs 0 < lo <= hi < 1, "
+                                  f"got {probs!r}")
+        elif isinstance(probs, tuple) and probs:
+            FairPriceVector(probs)  # validates
 
 
 #: Uncontrolled full-market experiment defaults: outcome count, probabilities
@@ -235,7 +255,9 @@ def _sample_market_params(rng, cfg: SimConfig):
     n = cfg.n_bets
     if isinstance(n, tuple) and n and n[0] == "lognormal":
         _, mu, sigma = n
-        n = int(round(math.exp(rng.normal(mu, sigma))))
+        # any draw above the cap's log clamps to the cap, so a large one is
+        # capped before exp can overflow (the same count, for any draw)
+        n = int(round(math.exp(min(rng.normal(mu, sigma), _LOG_COUNT_CAP))))
         n = min(max(n, BET_COUNT_CLAMP[0]), BET_COUNT_CLAMP[1])
     return k, probs, n
 

@@ -25,8 +25,9 @@ pool, snapshot) and the bet pipeline, which has two faces:
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
 tuples, built straight from the tuple of their field values.  A quote reads
 the pool's int reserves (and the float of its target balance) directly, and
-the probabilities from plain attributes of the :class:`FairPriceVector`, so
-it derives no market constant again and keeps no cache.
+its legs and their fair rates from the leg plan the :class:`FairPriceVector`
+builds once per market, so it derives no market constant again and keeps no
+cache of pool state.
 
 The pool's books are plain ints: reserves in micro-units, LP shares and the
 target balance in wads (10**-18 units, see :mod:`uamm_lab.fixedpoint`), so
@@ -42,6 +43,7 @@ constant-product engine is :class:`uamm_lab.baseline.CpmmMarket`.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -79,11 +81,23 @@ _INF = math.inf
 _WADS_PER_MICRO = WAD // UNIT
 
 
+@functools.cache
+def _leg_order(k: int) -> tuple[tuple[int, ...], ...]:
+    """For each outcome ``i`` of ``k`` (1-based; index 0 empty), the other
+    outcomes in ascending order: the legs a bet on ``i`` swaps."""
+    return ((), *[tuple([j for j in range(1, k + 1) if j != i])
+                  for i in range(1, k + 1)])
+
+
 class FairPriceVector:
     """Outcome probabilities used as the engine's pricing reference.
 
     Probabilities must each lie in (0, 1) and sum to 1 within 1e-9; the
     vector is renormalized so the stored floats sum to exactly 1.0.
+
+    The vector also holds each outcome's leg plan, a market constant: the
+    legs a bet swaps (:attr:`others`) and the fair rate of each
+    (:attr:`rates`), so a quote neither finds its legs nor divides per leg.
     """
 
     def __init__(self, probs):
@@ -114,6 +128,13 @@ class FairPriceVector:
         #: ``cdf /= cdf[-1]`` this division.  Outcome ``k`` is drawn for a
         #: uniform ``u`` when ``k - 1`` entries are ``<= u``.
         self.cdf = tuple([c / total for c in acc])
+        #: ``others[i]``: the outcomes other than ``i`` (1-based), ascending,
+        #: the order of a bet's swap legs; ``others[0]`` is empty.
+        self.others = others = _leg_order(len(p))
+        #: ``rates[i]``: each leg's fair rate ``probs[j - 1] / probs[i - 1]``
+        #: for ``j`` in ``others[i]``, in that order; ``rates[0]`` is empty.
+        self.rates = ((), *[tuple([p[j - 1] / fi for j in js])
+                            for fi, js in zip(p, others[1:])])
 
     def of(self, k: int) -> float:
         """Probability of outcome ``k`` (1-based)."""
@@ -392,7 +413,10 @@ def calc_odds(
 
     Each leg is :func:`swap_out`'s piecewise rule written inline, with the
     same float operations in the same order, so a quote equals the one that
-    calls ``swap_out`` leg by leg, bit for bit.  Only the order of the
+    calls ``swap_out`` leg by leg, bit for bit.  The legs and their rates
+    ``rho = f_j / f_i`` come from the vector's leg plan
+    (:attr:`FairPriceVector.rates`), divided once per market, the same
+    division ``swap_out`` makes on every call.  Only the order of the
     branch tests differs, to cost the surplus and deficit legs least: for
     the non-negative reserves and target balance every pool holds, each leg
     takes the branch ``swap_out`` would.  Only a straddling leg can drain
@@ -412,17 +436,12 @@ def calc_odds(
     d = float(wager)
     if not (0 < i < len(r) and 0.0 < d < _INF):
         return _quote_edge(r, fair, i, d, market_id, engine)
-    f = fair.probs
-    fi = f[i - 1]
     # the output pool with the collateral liquidity combined into it
     ri = r[i] / UNIT + r[0] / UNIT
     tb = pool.tb_float
     tt = tb * tb
     odd = d
-    for j, fj in enumerate(f, 1):
-        if j == i:
-            continue
-        rho = fj / fi
+    for rho in fair.rates[i]:
         delta = rho * d
         if tb <= ri:
             if ri - delta > tb:
@@ -447,17 +466,19 @@ def calc_odds(
         odd += s
     implied = d / odd
     return _record(Quote, (
-        engine, market_id, i, d, odd, implied, implied - fi, float(fee_rate) * d,
+        engine, market_id, i, d, odd, implied, implied - fair.probs[i - 1],
+        float(fee_rate) * d,
     ))
 
 
 class BetRecord(NamedTuple):
     """An executed bet and the pool state it left behind: the wager, fee,
-    odd and treasury LP shares as Decimals (the shares an exact 18-place
-    read, the rest Decimal products in the caller's context, see
-    :mod:`uamm_lab.fixedpoint`), the implied price and slippage as floats,
-    and ``post_r``, the float of every reserve after the bet (collateral
-    first).  A named tuple, like :class:`Quote`."""
+    odd and treasury LP shares as exact Decimals, whatever the caller's
+    context (the shares an 18-place read, the rest 6-place amounts, the fee
+    at the fee rate's exponent when exact, see :mod:`uamm_lab.fixedpoint`),
+    the implied price and slippage as floats, and ``post_r``, the float of
+    every reserve after the bet (collateral first).  A named tuple, like
+    :class:`Quote`."""
 
     index: int
     market_id: str
@@ -585,16 +606,17 @@ class Market:
             ))
             self.bets.append(record)
             return record
-        d = PRECISION * n
+        d = mul_exact(PRECISION, n)
         fee_n, exact = self.fee_micro(n)
-        fee = d * spec.fee_rate if exact else PRECISION * fee_n
+        fee = mul_exact(d, spec.fee_rate) if exact else mul_exact(PRECISION, fee_n)
         cost = n + fee_n
         acct = ledger.bal_micro.get(account)
         if acct is None or acct[COLLATERAL] < cost:
             raise InsufficientBalance(
                 f"{account} cannot cover wager {d} plus fee {fee}"
             )
-        f = self.fair.probs
+        fair = self.fair
+        f = fair.probs
         fi = f[i - 1]
         leg = self._leg
         # Work on a scratch copy; commit only if every leg is fillable.
@@ -605,9 +627,7 @@ class Market:
         df = n / UNIT
         tbf = pool.tb_float
         odd = n
-        for j in range(1, K + 1):
-            if j == i:
-                continue
+        for j in fair.others[i]:
             s = to_micro(leg(df, f[j - 1], fi, rw[j] / UNIT, rw[i] / UNIT, tbf))
             rw[j] += n
             if s < 0 or s > rw[i]:
@@ -631,7 +651,7 @@ class Market:
         s_lp = self._mint_treasury(n)
         implied = df / (odd / UNIT)
         record = _record(BetRecord, (
-            len(self.bets), spec.market_id, i, d, fee, PRECISION * odd, s_lp,
+            len(self.bets), spec.market_id, i, d, fee, mul_exact(PRECISION, odd), s_lp,
             implied, implied - fi, tuple([x / UNIT for x in rw]),
         ))
         self.bets.append(record)

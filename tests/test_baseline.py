@@ -5,7 +5,8 @@ import pytest
 
 from conftest import assert_conserved
 from uamm_lab.baseline import CpmmMarket, cpmm_swap
-from uamm_lab.fixedpoint import ZERO, amount
+from uamm_lab import ledger
+from uamm_lab.fixedpoint import UNIT, ZERO, amount
 from uamm_lab.ledger import MarketSpec
 from uamm_lab.uamm import FairPriceVector
 
@@ -63,6 +64,25 @@ def test_initial_reserves_price_at_true_probabilities():
     for i, f in ((1, 0.7), (2, 0.3)):
         q = market.quote(i, amount("0.01"))
         assert q.implied_price == pytest.approx(f, abs=1e-3)
+
+
+@pytest.mark.parametrize("k,probs", [(2, (0.75, 0.25)), (3, (0.2, 0.3, 0.5))])
+def test_genesis_debits_the_reserves_as_int_micro_units(monkeypatch, k, probs):
+    """The ledger rounds only the LP's deposit and the mint of its full set;
+    each reserve leaves the LP's account as the int the pool receives."""
+    calls = []
+    to_micro = ledger.to_micro
+    monkeypatch.setattr(ledger, "to_micro", lambda d: calls.append(d) or to_micro(d))
+    market = make_market(k=k, probs=probs)
+    assert len(calls) == 3  # the LP's and the bettor's deposits, the mint
+    lp = market.ledger.bal_micro["lp"]
+    funding = 10_000 * UNIT
+    for j, f in enumerate(probs, 1):
+        reserve = market.pool.r_micro[j]
+        assert type(reserve) is int
+        assert reserve == to_micro(10_000.0 * min(probs) / f)
+        assert lp[j] == funding - reserve
+    assert_conserved(market)
 
 
 def test_seeding_excess_tokens_stay_with_lp():

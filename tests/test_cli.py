@@ -180,6 +180,24 @@ def test_simulate_rejects_non_finite_config(tmp_path, capsys):
     assert err.startswith("error:") and "rej_mean" in err
 
 
+@pytest.mark.parametrize("line", ["rej_std = -0.1", "k = 1,2", "probs = uniform:0.5,1.5",
+                                  "n_bets = lognormal:2,-1"])
+def test_simulate_rejects_a_bad_sampling_rule_before_any_market_runs(
+        tmp_path, capsys, monkeypatch, line):
+    def no_market(*args, **kwargs):
+        raise AssertionError("a market ran")
+
+    monkeypatch.setattr(sim, "simulate_one", no_market)
+    monkeypatch.setattr(sim, "run_single_market", no_market)
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("k = 2\nprobs = 0.5,0.5\n", "") + line + "\n")
+    out = tmp_path / "o"
+    for mode in ("single", "multi"):
+        assert cli.main(["simulate", "--mode", mode, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split(" ")[0] in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_huge_funding(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_CFG + "funding = 1e22\n")
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -213,6 +213,51 @@ def test_non_finite_values_rejected(key, value):
         SimConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("probs", ("uniform", 0.5, 1.5)),
+    ("probs", ("uniform", 0.0, 0.5)),
+    ("probs", ("uniform", 0.6, 0.4)),
+    ("probs", ("uniform", math.nan, 0.5)),
+    ("probs", ("uniform", 0.2)),
+    ("k", (1, 2)),
+    ("k", 1),
+    ("k", ()),
+    ("n_bets", ("lognormal", 2.0, -1.0)),
+    ("n_bets", ("lognormal", math.nan, 1.0)),
+    ("n_bets", ("lognormal", math.inf, 1.0)),
+    ("n_bets", ("lognormal", 2.0, math.inf)),
+    ("n_bets", ("lognormal", 2.0)),
+    ("wager_sigma", -1.0),
+    ("rej_std", -0.1),
+])
+def test_bad_sampling_rules_are_rejected_when_the_config_is_built(key, value):
+    with pytest.raises(ConfigError, match=key):
+        SimConfig(**{key: value})
+
+
+def test_edge_sampling_rules_are_accepted():
+    cfg = SimConfig(k=(2, 3), probs=("uniform", 0.4, 0.4), n_bets=("lognormal", 2.0, 0.0),
+                    wager_sigma=0.0, rej_std=0.0, n_markets=3)
+    results, _ = run_multi_market(cfg)
+    assert all(r.n_attempts == round(math.exp(2.0)) for r in results)
+    assert all(r.fair[0] == 0.4 for r in results if r.k == 2)
+
+
+def test_a_bet_count_draw_beyond_the_clamp_caps_instead_of_overflowing():
+    # exp of a log-space draw near 1000 overflows a float; the count clamps
+    res = simulate_one(SimConfig(n_bets=("lognormal", 1000.0, 1.0), n_markets=1), 0)
+    assert res.n_attempts == sim.BET_COUNT_CLAMP[1]
+
+
+@given(mu=st.floats(-10, 10), sigma=st.floats(0, 5), seed=st.integers(0, 2**32))
+def test_capped_bet_counts_equal_the_uncapped_draws(mu, sigma, seed):
+    cfg = SimConfig(n_bets=("lognormal", mu, sigma))
+    _, _, n = sim._sample_market_params(np.random.default_rng(seed), cfg)
+    x = np.random.default_rng(seed).normal(mu, sigma)
+    lo, hi = sim.BET_COUNT_CLAMP
+    assert n == min(max(int(round(math.exp(x))), lo), hi)
+
+
 def test_full_config_samples_hyperparameters():
     cfg = full_config(seed=3)
     assert cfg.k == (2, 3)

@@ -287,6 +287,24 @@ def test_fee_payer_balance_reads_exactly_under_a_narrow_context():
         assert market.snapshot() == snapshot
 
 
+@pytest.mark.parametrize("prec", [12, 50])
+def test_bet_records_are_exact_under_any_context(prec):
+    """A record's wager, fee and odd are exact products: a 12-digit caller
+    context rounded them to 1234567.89000, 30864.1972500 and 2224666.89268
+    when they were built with Decimal operators."""
+
+    def bet():
+        market = make_market(funding=5_000_000)
+        market.deposit("bettor", 2_000_000)
+        return market.buy("bettor", 1, Decimal("1234567.89"))
+
+    record = bet()
+    assert (str(record.wager), str(record.fee), str(record.odd)) == (
+        "1234567.890000", "30864.197250000", "2224666.892675")
+    with localcontext(prec=prec):
+        assert repr(bet()) == repr(record)
+
+
 # -- quoting -------------------------------------------------------------------------
 
 
