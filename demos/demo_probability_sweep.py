@@ -14,7 +14,7 @@ def main():
 
     print("Permanent LP PnL (EPP) across the true probability of outcome 1")
     print("(100 markets x 100 bets per point, $10,000 funding):\n")
-    sweep = run_prob_sweep(cfg, keep_records=False)
+    sweep = run_prob_sweep(cfg)
     print(f"  {'p(1)':>5}  {'EPP true-prob':>14}  {'EPP uniform':>12}")
     for tp_row, un_row in zip(sweep.rows_for("true-prob"), sweep.rows_for("uniform")):
         print(f"  {tp_row['prob']:>5}  {tp_row['epp_mean']:>13.1f}$"
@@ -28,7 +28,7 @@ def main():
 
     print("Profit versus the bettors' fixed rejection threshold "
           "(threshold 1.0 accepts everything):\n")
-    rows = run_rejection_sweep(cfg, keep_records=False)
+    rows = run_rejection_sweep(cfg)
     print(f"  {'threshold':>9}  {'acceptance':>10}  {'EIP':>9}  {'volume':>12}")
     for r in rows:
         print(f"  {r['threshold']:>9}  {r['acceptance_rate']:>9.1%}"

@@ -19,9 +19,8 @@ def main():
     wins = 0
     for seed in range(5):
         cfg = SimConfig(n_markets=100, n_bets=100, seed=seed)
-        _, uamm = run_multi_market(cfg, keep_records=False)
-        _, cpmm = run_multi_market(replace(cfg, engine="cpmm"),
-                                   keep_records=False)
+        _, uamm = run_multi_market(cfg)
+        _, cpmm = run_multi_market(replace(cfg, engine="cpmm"))
         wins += uamm.epp_mean > cpmm.epp_mean
         print(f"  {seed:>4}  {uamm.epp_mean:>8.1f}$  {cpmm.epp_mean:>9.1f}$"
               f"  {uamm.rejection_rate:>8.1%}  {cpmm.rejection_rate:>8.1%}")

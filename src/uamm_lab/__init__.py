@@ -14,83 +14,29 @@ Building blocks:
 * :mod:`uamm_lab.probes` -- numeric probes for the engine's structural
   properties.
 * :mod:`uamm_lab.cli` -- the ``uamm-lab`` command-line driver.
+
+The package namespace holds the names the README, the demos and the
+benchmark import from it; everything else is imported from its module.
 """
 
-from .baseline import CpmmMarket, CpmmPool, cpmm_swap
-from .fixedpoint import PRECISION, ZERO, amount
-from .ledger import (
-    COLLATERAL,
-    ConditionalLedger,
-    InsufficientBalance,
-    LedgerError,
-    MarketSpec,
-    OracleError,
-    Phase,
-    PhaseError,
-)
-from .metrics import MetricsReport, ev, summarize
-from .probes import continuity_report, property_report
-from .sim import (
-    ConfigError,
-    MarketResult,
-    SimConfig,
-    build_market,
-    full_config,
-    load_config,
-    run_multi_market,
-    run_prob_sweep,
-    run_rejection_sweep,
-    run_single_market,
-)
-from .uamm import (
-    BetRecord,
-    FairPriceVector,
-    PoolState,
-    Quote,
-    UammMarket,
-    UnfillableQuote,
-    calc_odds,
-    swap_out,
-)
+from .baseline import cpmm_swap
+from .fixedpoint import amount
+from .ledger import ConditionalLedger
+from .metrics import summarize
+from .sim import SimConfig, build_market, run_multi_market
+from .uamm import UnfillableQuote, calc_odds, swap_out
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetRecord",
-    "COLLATERAL",
     "ConditionalLedger",
-    "ConfigError",
-    "CpmmMarket",
-    "CpmmPool",
-    "FairPriceVector",
-    "InsufficientBalance",
-    "LedgerError",
-    "MarketResult",
-    "MarketSpec",
-    "MetricsReport",
-    "OracleError",
-    "Phase",
-    "PhaseError",
-    "PoolState",
-    "PRECISION",
-    "Quote",
     "SimConfig",
-    "UammMarket",
     "UnfillableQuote",
-    "ZERO",
     "amount",
     "build_market",
     "calc_odds",
-    "continuity_report",
     "cpmm_swap",
-    "ev",
-    "full_config",
-    "load_config",
-    "property_report",
     "run_multi_market",
-    "run_prob_sweep",
-    "run_rejection_sweep",
-    "run_single_market",
     "summarize",
     "swap_out",
 ]

@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
         results = []
         with _bet_log(out) as write_bets:
             for m in range(cfg.n_markets):
-                result = sim.simulate_one(cfg, m, keep_log=True, keep_records=False)
+                result = sim.simulate_one(cfg, m, keep_log=True)
                 write_bets(result.bet_log)
                 result.bet_log.clear()
                 results.append(result)
@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
         rows = [(i, *(row[c] for c in columns)) for i, row in enumerate(market_rows)]
         _write_csv(out / "plot_markets.csv", PLOT_MARKETS_FIELDS, rows)
     else:  # sweep
-        sweep = sim.run_prob_sweep(cfg, keep_records=False)
+        sweep = sim.run_prob_sweep(cfg)
         fields = ("prob", "side_mode", "eip_mean", "epp_mean", "epp_std",
                   "epp_se", "ev_mean", "epp_norm")
         _write_csv(out / "plot_prob_sweep.csv", fields,
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
                    ["side_mode", "epp_spread_band", "epp_spread_observed"],
                    [(m, b["epp_spread_band"], b["epp_spread_observed"])
                     for m, b in sweep.bands.items()])
-        rej = sim.run_rejection_sweep(cfg, keep_records=False)
+        rej = sim.run_rejection_sweep(cfg)
         fields = ("threshold", "acceptance_rate", "eip_mean", "epp_mean", "volume")
         _write_csv(out / "plot_rejection_sweep.csv", fields,
                    [[r[f] for f in fields] for r in rej])

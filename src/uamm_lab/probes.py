@@ -72,12 +72,16 @@ def _state_gap(a: PoolState, b: PoolState) -> float:
     )
 
 
-def property_report(n_states: int = 1000, seed: int = 0) -> PropertyReport:
+#: Randomized pool states the liquidity probe visits, drawn from seed 0.
+_N_STATES = 1000
+
+
+def property_report() -> PropertyReport:
     """Max relative error of the additivity/reversibility properties over
-    ``n_states`` randomized pool states."""
-    rng = np.random.default_rng(seed)
+    1,000 randomized pool states."""
+    rng = np.random.default_rng(0)
     add_add = rem_add = add_rev = rem_rev = 0.0
-    for _ in range(n_states):
+    for _ in range(_N_STATES):
         pool, fair = _random_pool(rng)
         d1 = amount(float(rng.uniform(1.0, 10_000.0)))
         d2 = amount(float(rng.uniform(1.0, 10_000.0)))
@@ -117,7 +121,7 @@ def property_report(n_states: int = 1000, seed: int = 0) -> PropertyReport:
         paid = rt2.remove(w)
         s_back = rt2.add(paid, fair)
         rem_rev = max(rem_rev, _state_gap(rt2, pool), _rel_err(s_back, w))
-    return PropertyReport(n_states, add_add, rem_add, add_rev, rem_rev)
+    return PropertyReport(_N_STATES, add_add, rem_add, add_rev, rem_rev)
 
 
 @dataclass
@@ -129,18 +133,15 @@ class ContinuityReport:
         return max(g for _, _, g in self.rows)
 
 
-def continuity_report(
-    rhos=(0.25, 0.5, 1.0, 2.0, 4.0),
-    d_ins=(1.0, 10.0, 100.0),
-    r_out: float = 10_000.0,
-) -> ContinuityReport:
+def continuity_report(r_out: float = 10_000.0) -> ContinuityReport:
     """Gap between the straddling and surplus swap branches at their shared
-    boundary ``tb == r_out - delta``, over a grid of exchange rates."""
+    boundary ``tb == r_out - delta``, over a grid of exchange rates ``rho``
+    and input amounts ``d_in``."""
     rows = []
-    for rho in rhos:
+    for rho in (0.25, 0.5, 1.0, 2.0, 4.0):
         f_out = 1.0 / (1.0 + rho)
         f_in = rho * f_out
-        for d_in in d_ins:
+        for d_in in (1.0, 10.0, 100.0):
             delta = rho * d_in
             tb = r_out - delta
             at_boundary = swap_out(d_in, f_in, f_out, r_out, tb)

@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import (PRECISION, UNIT, WAD, ZERO, amount, mul_exact, sum_exact,
-                         to_micro)
+from .fixedpoint import PRECISION, UNIT, ZERO, amount, mul_exact, sum_exact, to_micro
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
-from .uamm import BetRecord, FairPriceVector, UammMarket, UnfillableQuote
+from .uamm import FairPriceVector, UammMarket, UnfillableQuote
 
 LP = "lp"
 BETTOR = "bettor"
@@ -44,11 +43,6 @@ ORACLE = "oracle"
 BET_COUNT_CLAMP = (1, 40)
 #: A log-space bet count above this rounds above the clamp's upper end.
 _LOG_COUNT_CAP = math.log(BET_COUNT_CLAMP[1] + 1)
-
-CONFIG_KEYS = (
-    "k", "funding", "probs", "n_bets", "n_markets", "wager_mu", "wager_sigma",
-    "side_mode", "rej_mean", "rej_std", "fee_rate", "seed", "engine",
-)
 
 #: The columns of ``bets.csv``, and the order of each ``MarketResult.bet_log``
 #: row.
@@ -123,6 +117,13 @@ class SimConfig:
                                   f"got {probs!r}")
         elif isinstance(probs, tuple) and probs:
             FairPriceVector(probs)  # validates
+            if any(k != len(probs) for k in choices):
+                raise ConfigError(f"k must equal the number of fixed probs "
+                                  f"({len(probs)}), got {self.k!r}")
+
+
+#: The config keys, in :class:`SimConfig` field order.
+CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
 
 
 #: Uncontrolled full-market experiment defaults: outcome count, probabilities
@@ -280,7 +281,6 @@ class MarketResult:
     engine: str
     k: int
     fair: tuple[float, ...]
-    funding: float
     r_start: tuple[float, ...]
     r_end: tuple[float, ...]
     winner: int
@@ -291,7 +291,6 @@ class MarketResult:
     volume: Decimal
     fee: Decimal
     overround_final: float
-    records: list[BetRecord] = field(default_factory=list)
     bet_log: list[tuple] = field(default_factory=list)
     trajectory: list[dict] = field(default_factory=list)
 
@@ -326,8 +325,6 @@ def run_market(
     draws: list[tuple[float, int, float]],
     winner: int,
     *,
-    funding: float | None = None,
-    keep_records: bool = True,
     keep_log: bool = False,
     trajectory: bool = False,
 ) -> MarketResult:
@@ -341,7 +338,8 @@ def run_market(
     treat any caller.  :func:`_draw_streams` draws only wagers on the grid,
     so a simulated bet is quoted at exactly what it executes; an off-grid
     wager handed straight to this function is quoted unrounded and executed
-    rounded (its bet-log row shows it as given).
+    rounded (its bet-log row shows it as given).  Each executed bet's
+    record stays in ``market.bets``.
     """
     fair = market.fair.probs
     r_start = tuple([x / UNIT for x in market.pool.r_micro])
@@ -381,7 +379,7 @@ def run_market(
                 n = to_micro(w)
                 deposit_micro(BETTOR, n + fee_micro(n)[0])
                 try:
-                    record = buy(BETTOR, side, w)
+                    buy(BETTOR, side, w)
                 except UnfillableQuote:
                     # fixed-point execution can hit the pool edge the float
                     # quote just cleared
@@ -413,7 +411,6 @@ def run_market(
         engine=engine,
         k=market.spec.k,
         fair=fair,
-        funding=sum(market.lp_wad.values()) / WAD if funding is None else funding,
         r_start=r_start,
         r_end=r_end,
         winner=winner,
@@ -424,14 +421,15 @@ def run_market(
         volume=mul_exact(PRECISION, volume),
         fee=sum_exact([r.fee for r in bets[first_bet:]], ZERO),
         overround_final=overround,
-        records=list(bets) if keep_records else [],
         bet_log=log,
         trajectory=traj,
     )
 
 
-def simulate_one(cfg: SimConfig, index: int, **run_opts) -> MarketResult:
-    """Simulate market ``index`` of a run on its own RNG substream."""
+def seeded_market(cfg: SimConfig, index: int):
+    """Market ``index`` of a run, funded and not yet traded, with its bettor
+    draws and winner: ``(market, draws, winner)``, all from the market's own
+    RNG substream."""
     rng = np.random.default_rng([cfg.seed, index])
     k, probs, n = _sample_market_params(rng, cfg)
     fair = FairPriceVector(probs)
@@ -440,19 +438,23 @@ def simulate_one(cfg: SimConfig, index: int, **run_opts) -> MarketResult:
     market = build_market(
         cfg.engine, f"m{index:05d}", k, fair, cfg.funding, cfg.fee_rate,
     )
-    return run_market(market, draws, winner, funding=cfg.funding, **run_opts)
+    return market, draws, winner
 
 
-def run_single_market(cfg: SimConfig, index: int = 0, **run_opts) -> MarketResult:
-    """One market with its full per-step trajectory recorded."""
-    run_opts.setdefault("trajectory", True)
-    run_opts.setdefault("keep_log", True)
-    return simulate_one(cfg, index, **run_opts)
+def simulate_one(cfg: SimConfig, index: int, **run_opts) -> MarketResult:
+    """Simulate market ``index`` of a run on its own RNG substream;
+    ``run_opts`` are :func:`run_market`'s ``keep_log`` and ``trajectory``."""
+    return run_market(*seeded_market(cfg, index), **run_opts)
 
 
-def run_multi_market(cfg: SimConfig, **run_opts) -> tuple[list[MarketResult], MetricsReport]:
+def run_single_market(cfg: SimConfig) -> MarketResult:
+    """Market 0 with its bet log and full per-step trajectory recorded."""
+    return simulate_one(cfg, 0, keep_log=True, trajectory=True)
+
+
+def run_multi_market(cfg: SimConfig) -> tuple[list[MarketResult], MetricsReport]:
     """``n_markets`` independent markets, aggregated into a report."""
-    results = [simulate_one(cfg, m, **run_opts) for m in range(cfg.n_markets)]
+    results = [simulate_one(cfg, m) for m in range(cfg.n_markets)]
     return results, summarize(results, cfg.engine)
 
 
@@ -490,20 +492,15 @@ class SweepReport:
         return [r for r in self.rows if r["side_mode"] == side_mode]
 
 
-def run_prob_sweep(
-    cfg: SimConfig,
-    probs_grid=PROB_GRID,
-    side_modes=SIDE_MODES,
-    **run_opts,
-) -> SweepReport:
-    """Multi-market runs across a grid of true first-outcome probabilities,
-    for two-outcome markets, under both bet-side models."""
+def run_prob_sweep(cfg: SimConfig) -> SweepReport:
+    """Multi-market runs across :data:`PROB_GRID`, the true first-outcome
+    probabilities of two-outcome markets, under both bet-side models."""
     rows = []
     bands = {}
-    for mode in side_modes:
-        for p in probs_grid:
+    for mode in SIDE_MODES:
+        for p in PROB_GRID:
             sub = replace(cfg, k=2, probs=(p, 1.0 - p), side_mode=mode)
-            _, report = run_multi_market(sub, **run_opts)
+            _, report = run_multi_market(sub)
             se = report.epp_std / math.sqrt(report.n_markets)
             rows.append({
                 "prob": p,
@@ -527,16 +524,13 @@ def run_prob_sweep(
     return SweepReport(rows, bands)
 
 
-def run_rejection_sweep(
-    cfg: SimConfig,
-    thresholds=REJECTION_GRID,
-    **run_opts,
-) -> list[dict]:
-    """Multi-market runs with a fixed odds-rejection threshold per point."""
+def run_rejection_sweep(cfg: SimConfig) -> list[dict]:
+    """Multi-market runs with a fixed odds-rejection threshold per point of
+    :data:`REJECTION_GRID`."""
     rows = []
-    for t in thresholds:
+    for t in REJECTION_GRID:
         sub = replace(cfg, rej_mean=t, rej_std=0.0)
-        _, report = run_multi_market(sub, **run_opts)
+        _, report = run_multi_market(sub)
         rows.append({
             "threshold": t,
             "acceptance_rate": 1.0 - report.rejection_rate,

@@ -727,10 +727,9 @@ class UammMarket(Market):
         pool's treasury tally, not to the bettor.  The value and the share
         count are exact ints: ``n * ts / value`` with the value's power-of-two
         scale (see :meth:`PoolState.value`) multiplied back in."""
-        pool = self.pool
-        weights = self.fair.weights
-        tv = sum(map(mul, weights, pool.r_micro))
-        s = n * pool.ts_wad * weights[0] // tv if pool.ts_wad > 0 and tv > 0 else 0
+        pool, fair = self.pool, self.fair
+        tv = pool.value(fair)
+        s = n * pool.ts_wad * fair.weights[0] // tv if pool.ts_wad > 0 and tv > 0 else 0
         pool.ts_wad += s
         pool.treasury_wad += s
         return mul_exact(WAD_PRECISION, s)

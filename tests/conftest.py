@@ -1,8 +1,10 @@
 import math
 import sys
 
+from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
 from uamm_lab.fixedpoint import UNIT
+from uamm_lab.metrics import summarize
 from uamm_lab.uamm import PoolState, Quote, UnfillableQuote, swap_out
 
 _config = None
@@ -37,19 +39,32 @@ def announce(number, name, ok, detail=""):
     assert ok, f"criterion {number} {name} failed{suffix}"
 
 
-def recompute_from_records(results) -> dict:
+def run_seeded_markets(cfg, **run_opts):
+    """``sim.run_multi_market(cfg)`` market by market, keeping each market:
+    ``(results, report, bets)``, where ``bets[m]`` is market ``m``'s
+    ``market.bets``, the records of its executed bets."""
+    results, bets = [], []
+    for m in range(cfg.n_markets):
+        market, draws, winner = sim.seeded_market(cfg, m)
+        results.append(sim.run_market(market, draws, winner, **run_opts))
+        bets.append(market.bets)
+    return results, summarize(results, cfg.engine), bets
+
+
+def recompute_from_records(results, bets) -> dict:
     """Independent brute-force recomputation of EV/EIP/EPP from raw bets.
 
-    Re-derives each market's final pool state from its bet records (the last
-    record's post-trade snapshot) instead of trusting the streaming pool
-    state, and re-evaluates the formulas with plain Python loops.  Used as a
-    cross-check oracle against :func:`uamm_lab.metrics.summarize`.
+    Re-derives each market's final pool state from its bet records
+    (``bets[m]``, the last record's post-trade snapshot) instead of trusting
+    the streaming pool state, and re-evaluates the formulas with plain
+    Python loops.  Used as a cross-check oracle against
+    :func:`uamm_lab.metrics.summarize`.
     """
     eip_vals = []
     epp_vals = []
     ev_vals = []
-    for r in results:
-        r_end = r.records[-1].post_r if r.records else r.r_start
+    for r, records in zip(results, bets, strict=True):
+        r_end = records[-1].post_r if records else r.r_start
         k_count = len(r_end) - 1
         deltas = []
         for k in range(1, k_count + 1):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import spearmanr
 
-from conftest import announce, recompute_from_records
+from conftest import announce, recompute_from_records, run_seeded_markets
 from uamm_lab import cli, sim
 from uamm_lab.fixedpoint import ZERO, amount
 from uamm_lab.ledger import InsufficientBalance, InvariantViolation, MarketSpec
@@ -85,7 +85,7 @@ def test_criterion_02_liquidity_properties():
     """Additivity and reversibility of add/remove hold to 1e-9 relative over
     1000 randomized pool states, in under 5 seconds."""
     start = time.monotonic()
-    report = property_report(n_states=1000, seed=0)
+    report = property_report()
     elapsed = time.monotonic() - start
     ok = report.max_error < 1e-9 and elapsed < 5.0
     announce(2, "liquidity add/remove properties", ok,
@@ -156,12 +156,11 @@ def test_criterion_05_single_market_reproduction():
     higher = 0
     for seed in range(20):
         cfg = SimConfig(seed=seed, side_mode="uniform")
-        r = sim.run_single_market(cfg, keep_records=False)
+        r = sim.run_single_market(cfg)
         rates.append((r.n_rejected + r.n_unfillable) / r.n_attempts)
         final = r.trajectory[-1]["balances"]
         balance_ratios.extend(b / cfg.funding for b in final)
-        r2 = sim.run_single_market(replace(cfg, probs=(0.8, 0.2)),
-                                   keep_records=False)
+        r2 = sim.run_single_market(replace(cfg, probs=(0.8, 0.2)))
         rate2 = (r2.n_rejected + r2.n_unfillable) / r2.n_attempts
         rates_skewed.append(rate2)
         higher += rate2 > rates[-1]
@@ -184,7 +183,7 @@ def test_criterion_06_multi_market_reproduction():
     mean impermanent PnL positive and monotone in bet count across
     {10, 50, 100, 500} (Spearman rho > 0.9 over 10-seed means)."""
     cfg = SimConfig(n_markets=100, n_bets=100, seed=0)
-    _, report = sim.run_multi_market(cfg, keep_records=False)
+    _, report = sim.run_multi_market(cfg)
     ev_ok = abs(report.ev_mean) < 0.001 * cfg.funding
 
     bet_counts = (10, 50, 100, 500)
@@ -192,9 +191,7 @@ def test_criterion_06_multi_market_reproduction():
     for n in bet_counts:
         per_seed = []
         for seed in range(10):
-            _, rep = sim.run_multi_market(
-                replace(cfg, n_bets=n, seed=seed), keep_records=False
-            )
+            _, rep = sim.run_multi_market(replace(cfg, n_bets=n, seed=seed))
             per_seed.append(rep.eip_mean)
         means.append(float(np.mean(per_seed)))
     rho = float(spearmanr(bet_counts, means).statistic)
@@ -210,7 +207,7 @@ def test_criterion_07_probability_sweep():
     is flat: its funding-normalized spread stays below half the spread band
     the sweep report declares."""
     cfg = SimConfig(n_markets=100, n_bets=100, seed=0)
-    sweep = sim.run_prob_sweep(cfg, keep_records=False)
+    sweep = sim.run_prob_sweep(cfg)
     nonneg = all(row["epp_mean"] >= 0 for row in sweep.rows)
     band = sweep.bands["true-prob"]
     flat = band["epp_spread_observed"] < 0.5 * band["epp_spread_band"]
@@ -226,7 +223,7 @@ def test_criterion_08_full_simulation_summary():
     stake, and total bets within +-20% of 1203.  Under 2 minutes."""
     start = time.monotonic()
     cfg = sim.full_config(seed=0)
-    _, report = sim.run_multi_market(cfg, keep_records=False)
+    _, report = sim.run_multi_market(cfg)
     elapsed = time.monotonic() - start
     fee_exact = report.fee_revenue == Decimal("0.025") * report.volume
     at_stake = report.n_markets * cfg.funding
@@ -249,10 +246,8 @@ def test_criterion_09_baseline_comparison():
     wins = 0
     for seed in range(10):
         cfg = SimConfig(n_markets=100, n_bets=100, seed=seed)
-        _, rep_u = sim.run_multi_market(cfg, keep_records=False)
-        _, rep_c = sim.run_multi_market(
-            replace(cfg, engine="cpmm"), keep_records=False
-        )
+        _, rep_u = sim.run_multi_market(cfg)
+        _, rep_c = sim.run_multi_market(replace(cfg, engine="cpmm"))
         wins += rep_u.epp_mean > rep_c.epp_mean
     announce(9, "baseline comparison", wins >= 8, f"{wins}/10 seed batches")
 
@@ -261,8 +256,9 @@ def test_criterion_10_metrics_oracle_equivalence():
     """EV/EIP/EPP from the streaming implementation agree with a brute-force
     recomputation from raw bet records to 1e-9 relative on 100 trajectories."""
     cfg = sim.full_config(seed=5)
-    results, report = sim.run_multi_market(cfg)
-    raw = recompute_from_records(results)
+    results, report, bets = run_seeded_markets(cfg)
+    assert report == sim.run_multi_market(cfg)[1]
+    raw = recompute_from_records(results, bets)
     errs = {
         key: abs(raw[key] - got) / max(1.0, abs(got))
         for key, got in (

@@ -198,6 +198,18 @@ def test_simulate_rejects_a_bad_sampling_rule_before_any_market_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["k = 3", "k = 2,3"])
+def test_simulate_rejects_k_choices_unlike_the_fixed_probs(tmp_path, capsys, line):
+    # the default probs are 0.5,0.5: two outcomes
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("k = 2\nprobs = 0.5,0.5\n", "") + line + "\n")
+    out = tmp_path / "o"
+    for mode in ("single", "multi", "sweep"):
+        assert cli.main(["simulate", "--mode", mode, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k must equal" in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_huge_funding(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_CFG + "funding = 1e22\n")
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

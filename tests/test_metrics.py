@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import recompute_from_records
+from conftest import recompute_from_records, run_seeded_markets
 from uamm_lab import metrics, sim
 from uamm_lab.metrics import ev, summarize
 from uamm_lab.sim import SimConfig
@@ -90,9 +90,7 @@ def test_epp_plus_fee_identity():
 
 
 def test_eip_is_expected_epp_under_winner_resampling():
-    results, report = sim.run_multi_market(
-        SimConfig(n_markets=20, n_bets=100, seed=4), keep_records=False
-    )
+    results, report = sim.run_multi_market(SimConfig(n_markets=20, n_bets=100, seed=4))
     rng = np.random.default_rng(0)
     n_resamples = 10_000
     totals = np.zeros(n_resamples)
@@ -110,8 +108,8 @@ def test_eip_is_expected_epp_under_winner_resampling():
 
 
 def test_streaming_and_bruteforce_paths_agree():
-    results, report = sim.run_multi_market(SimConfig(n_markets=10, n_bets=100, seed=8))
-    raw = recompute_from_records(results)
+    results, report, bets = run_seeded_markets(SimConfig(n_markets=10, n_bets=100, seed=8))
+    raw = recompute_from_records(results, bets)
     for key, streamed in (
         ("eip_mean", report.eip_mean),
         ("epp_mean", report.epp_mean),

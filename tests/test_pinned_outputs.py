@@ -12,10 +12,12 @@ import json
 from decimal import Decimal
 
 import pytest
-from conftest import reference_quote
+from conftest import reference_quote, run_seeded_markets
 
-from uamm_lab import CpmmMarket, MarketSpec, UammMarket, UnfillableQuote
-from uamm_lab.sim import BETS_FIELDS, SimConfig, run_multi_market, simulate_one
+from uamm_lab.baseline import CpmmMarket
+from uamm_lab.ledger import MarketSpec
+from uamm_lab.sim import BETS_FIELDS, SimConfig, run_market, run_multi_market, seeded_market
+from uamm_lab.uamm import UammMarket, UnfillableQuote
 
 
 def _k3(engine):
@@ -149,13 +151,14 @@ def _log_cells(row, *columns):
 
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_k3_summary_row_is_pinned(engine):
-    results, report = run_multi_market(_k3(engine), keep_log=True)
+    assert run_multi_market(_k3(engine))[1].csv_row() == K3_SUMMARY[engine]
+    results, report, bets = run_seeded_markets(_k3(engine), keep_log=True)
     assert report.csv_row() == K3_SUMMARY[engine]
     quotes = [_log_cells(row, "odd", "implied_price", "slippage", "fee",
                          "reject_reason")
               for r in results for row in r.bet_log]
     records = [[str(x.odd), str(x.fee), str(x.s_lp), repr(x.post_r)]
-               for r in results for x in r.records]
+               for market_bets in bets for x in market_bets]
     text = json.dumps([quotes, records])
     assert hashlib.sha256(text.encode()).hexdigest() == K3_DIGEST[engine]
 
@@ -169,9 +172,10 @@ def test_thin_k2_summary_row_is_pinned():
 def test_per_bet_outputs_are_pinned(engine):
     cfg = SimConfig(k=3, probs=(0.2, 0.3, 0.5), n_bets=12, n_markets=1,
                     seed=3, engine=engine)
-    result = simulate_one(cfg, 0, keep_log=True)
+    market, draws, winner = seeded_market(cfg, 0)
+    result = run_market(market, draws, winner, keep_log=True)
     records = [(str(r.odd), str(r.fee), str(r.s_lp), repr(r.post_r))
-               for r in result.records]
+               for r in market.bets]
     assert records == RECORDS[engine]
     quotes = [tuple(_log_cells(row, "odd", "slippage", "reject_reason"))
               for row in result.bet_log]

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,9 +102,12 @@ def test_draws_match_numpy_choice_on_a_twin_generator(case):
     cdf /= cdf[-1]
     assert list(fair.cdf) == cdf.tolist()
 
-    cfg = SimConfig(k=k_choices, probs=(0.5, 0.5), n_bets=n)
+    cfg = SimConfig(n_bets=n)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    k, _, _ = sim._sample_market_params(rng, cfg)
+    # the k-choice draw alone: a SimConfig refuses k choices that differ
+    # from the length of a fixed probs vector
+    params = SimpleNamespace(k=k_choices, probs=probs, n_bets=n)
+    k, _, _ = sim._sample_market_params(rng, params)
     draws = sim._draw_streams(rng, cfg, fair, n)
     winner = sim._draw_winner(rng, fair)
 
@@ -151,7 +155,7 @@ def test_unrepresentable_wager_draws_are_rejected(mu, sigma, message):
 
 def test_rejection_sweep_acceptance_and_profit_rise_with_threshold():
     cfg = SimConfig(n_markets=20, n_bets=100, seed=6)
-    rows = run_rejection_sweep(cfg, keep_records=False)
+    rows = run_rejection_sweep(cfg)
     acc = [r["acceptance_rate"] for r in rows]
     assert acc == sorted(acc)
     assert rows[-1]["acceptance_rate"] == 1.0
@@ -233,6 +237,17 @@ def test_non_finite_values_rejected(key, value):
 def test_bad_sampling_rules_are_rejected_when_the_config_is_built(key, value):
     with pytest.raises(ConfigError, match=key):
         SimConfig(**{key: value})
+
+
+@pytest.mark.parametrize("k", [3, (2, 3), (3, 3)])
+def test_k_choices_must_equal_the_length_of_fixed_probs(k):
+    with pytest.raises(ConfigError, match=r"k must equal the number of fixed probs \(2\)"):
+        SimConfig(k=k)
+    with pytest.raises(ConfigError, match="k must equal"):
+        SimConfig(k=2, probs=(0.2, 0.3, 0.5))
+    assert SimConfig(k=(3, 3), probs=(0.2, 0.3, 0.5)).k == (3, 3)
+    # a sampled probs rule draws one probability per outcome, whatever k is
+    assert SimConfig(k=k, probs=("uniform", 0.2, 0.8)).k == k
 
 
 def test_edge_sampling_rules_are_accepted():
@@ -324,8 +339,8 @@ def test_run_market_quotes_an_off_grid_wager_as_given_and_executes_it_rounded(en
     row = dict(zip(sim.BETS_FIELDS, res.bet_log[0]))
     assert (row["wager"], row["odd"], row["slippage"]) == (w, quote.odd, quote.slippage)
     twin.deposit(sim.BETTOR, amount("12.654321"))  # 12.345679 plus its fee
-    assert res.records == [twin.buy(sim.BETTOR, 1, w)]
-    assert res.volume == res.records[0].wager == Decimal("12.345679")
+    assert market.bets == [twin.buy(sim.BETTOR, 1, w)]
+    assert res.volume == market.bets[0].wager == Decimal("12.345679")
     assert str(res.fee) == "0.308642"
     assert twin.ledger.balance(sim.BETTOR) == 0
 
@@ -349,18 +364,16 @@ def test_seeded_markets_fund_each_bet_in_micro_units(engine):
     for seed in range(4):
         cfg = SimConfig(k=3, probs=(0.2, 0.3, 0.5), n_bets=200, funding=2_000.0,
                         seed=seed, engine=engine)
-        rng = np.random.default_rng([seed, 0])
-        fair = FairPriceVector(cfg.probs)
-        draws = sim._draw_streams(rng, cfg, fair, cfg.n_bets)
-        market = sim.build_market(engine, "m", 3, fair, cfg.funding, cfg.fee_rate)
-        res = sim.run_market(market, draws, 1)
-        assert res.n_accepted == len(res.records) > 0
+        market, draws, winner = sim.seeded_market(cfg, 0)
+        res = sim.run_market(market, draws, winner)
+        bets = market.bets
+        assert res.n_accepted == len(bets) > 0
         market.check_invariants()
         assert market.ledger.balance(sim.BETTOR) == 0
         assert market.ledger.deposited_micro == to_micro(cfg.funding) + sum(
-            to_micro(r.wager + r.fee) for r in res.records)
-        assert res.volume == sum(r.wager for r in res.records)
-        assert str(res.volume) == str(sum((r.wager for r in res.records), ZERO))
+            to_micro(r.wager + r.fee) for r in bets)
+        assert res.volume == sum(r.wager for r in bets)
+        assert str(res.volume) == str(sum((r.wager for r in bets), ZERO))
 
 
 def test_zero_bet_run_leaves_pool_at_initial_state():

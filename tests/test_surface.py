@@ -1,0 +1,76 @@
+"""The package namespace is exactly what its users import from it.
+
+The README, the demos and the benchmark import some names from
+``uamm_lab`` itself; every other name is imported from its module.  These
+tests collect those imports, check that each resolves and that
+``uamm_lab.__all__`` lists exactly the ones that are not submodules, and run
+the README's Quick start.
+"""
+
+import ast
+import contextlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+import uamm_lab
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def _python_blocks(text: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def _top_level_imports(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "uamm_lab" and not node.level:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imported_names() -> dict[str, set[str]]:
+    """Each name imported ``from uamm_lab``, with the files importing it."""
+    sources = [(path, path.read_text()) for pattern in
+               ("perfbench/*.py", "perfbench/tests/*.py", "demos/*.py")
+               for path in sorted(ROOT.glob(pattern))]
+    sources += [(README, block) for block in _python_blocks(README.read_text())]
+    found: dict[str, set[str]] = {}
+    for path, source in sources:
+        for name in _top_level_imports(source):
+            found.setdefault(name, set()).add(path.relative_to(ROOT).as_posix())
+    return found
+
+
+def _is_submodule(name: str) -> bool:
+    return importlib.util.find_spec(f"uamm_lab.{name}") is not None
+
+
+def test_every_imported_name_resolves():
+    found = _imported_names()
+    assert "SimConfig" in found and "sim" in found
+    for name, paths in found.items():
+        # what ``from uamm_lab import name`` finds: an attribute, else a submodule
+        assert hasattr(uamm_lab, name) or _is_submodule(name), (name, sorted(paths))
+
+
+def test_all_is_exactly_the_imported_names_that_are_not_submodules():
+    names = {n for n in _imported_names() if not _is_submodule(n)}
+    assert len(uamm_lab.__all__) == len(set(uamm_lab.__all__))
+    assert set(uamm_lab.__all__) == names
+    assert all(hasattr(uamm_lab, n) for n in uamm_lab.__all__)
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text()
+    section = text.split("## Quick start", 1)[1]
+    block = _python_blocks(section)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md (Quick start)", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("19.99000999")  # the figure the README shows
