@@ -18,11 +18,16 @@ Subcommands::
 * ``summary.csv``   -- one aggregate row (mode, seed + metrics columns)
 * per-mode plot-data files (x/y columns ready for any external plotter)
 
-``bets.csv`` is written as each market finishes, and the market's log is
-then dropped, so memory holds one market's bet log at a time.  The rows go
-to ``bets.csv.tmp``, which replaces ``bets.csv`` only when the run succeeds;
-an error exit removes it, leaving no partial ``bets.csv`` (an earlier run's
-file in the same directory stays as it was).
+Every CSV is streamed.  Each market's ``bets.csv`` and ``markets.csv`` rows
+(and in ``multi`` and ``full`` its ``plot_markets.csv`` row) are written as
+soon as the market finishes (:func:`uamm_lab.sim.iter_markets`), and the
+market is then dropped; ``summary.csv`` is written from the one-pass fold
+(:class:`uamm_lab.metrics.MetricsFold`), which keeps a few floats per
+market.  So a run holds one market at a time, and its memory stays flat as
+the market count grows.  Each file's rows go to ``<name>.tmp``, which
+replaces the file only when the run succeeds; an error exit removes it,
+leaving no partial file (an earlier run's files in the same directory stay
+as they were).
 
 The ``UAMM_LAB_SEED`` environment variable overrides the configured seed.
 Exit codes: 0 success, 1 usage/config error, 2 invariant violation (a
@@ -36,7 +41,7 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import metrics, sim
@@ -91,12 +96,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _csv_file(path: Path, header):
+    """Stream a CSV: yields a ``csv.writer`` that has written ``header``.
+
+    The rows go to the sibling file ``<name>.tmp``, which replaces ``path``
+    only when the block exits normally.  When it raises, the temporary file
+    is removed, so a run that fails part-way leaves no partial file (one
+    from an earlier run stays as it was).  ``csv`` writes a float as its
+    ``repr``, ``None`` as an empty cell and anything else as its ``str``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            yield writer
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """A header and rows of cells; ``csv`` writes a float as its ``repr``,
-    ``None`` as an empty cell and anything else as its ``str``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    with _csv_file(path, header) as writer:
         writer.writerows(rows)
 
 
@@ -142,38 +164,6 @@ def _market_row(r, pnl) -> tuple:
             ";".join(map(repr, r.r_end)))
 
 
-@contextmanager
-def _bet_log(out: Path):
-    """Stream ``bets.csv``: yields a function that writes one market's
-    ``bet_log`` rows as soon as the market finishes.
-
-    The rows go to the sibling file ``bets.csv.tmp``, which replaces
-    ``bets.csv`` only when the block exits normally.  When it raises, the
-    temporary file is removed, so a run that fails part-way leaves no
-    partial ``bets.csv`` (a ``bets.csv`` from an earlier run stays as it
-    was)."""
-    path = out / "bets.csv"
-    tmp = out / "bets.csv.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(sim.BETS_FIELDS)
-            yield writer.writerows
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_run_outputs(out: Path, results, report, mode: str, seed: int) -> list[tuple]:
-    """Write markets.csv and summary.csv; return the markets rows."""
-    market_rows = list(map(_market_row, results, report.market_pnl))
-    _write_csv(out / "markets.csv", MARKETS_FIELDS, market_rows)
-    summary = {"mode": mode, "seed": seed, **report.csv_row()}
-    _write_csv(out / "summary.csv", summary.keys(), [summary.values()])
-    return market_rows
-
-
 def cmd_simulate(args) -> int:
     cfg = sim.load_config(args.config) if args.config else SimConfig()
     if args.mode == "full" and not args.config:
@@ -191,34 +181,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.mode == "single":
-        with _bet_log(out) as write_bets:
-            result = sim.run_single_market(cfg)
-            write_bets(result.bet_log)
-        report = metrics.summarize([result], cfg.engine)
-        _write_run_outputs(out, [result], report, args.mode, cfg.seed)
-        fields = (["step"] + [f"balance_{j}" for j in range(1, result.k + 1)]
-                  + ["rejected_cum", "eip"])
-        rows = [(t["step"], *t["balances"], t["rejected_cum"], t["eip"])
-                for t in result.trajectory]
-        _write_csv(out / "plot_single_market.csv", fields, rows)
-    elif args.mode in ("multi", "full"):
-        # sim.run_multi_market's list and report, with each market's bet log
-        # written as the market finishes and then dropped: a run holds one
-        # market's log at a time
-        results = []
-        with _bet_log(out) as write_bets:
-            for m in range(cfg.n_markets):
-                result = sim.simulate_one(cfg, m, keep_log=True)
-                write_bets(result.bet_log)
-                result.bet_log.clear()
-                results.append(result)
-        report = metrics.summarize(results, cfg.engine)
-        market_rows = _write_run_outputs(out, results, report, args.mode, cfg.seed)
-        columns = [MARKETS_FIELDS.index(f) for f in PLOT_MARKETS_FIELDS[1:]]
-        rows = [(i, *(row[c] for c in columns)) for i, row in enumerate(market_rows)]
-        _write_csv(out / "plot_markets.csv", PLOT_MARKETS_FIELDS, rows)
-    else:  # sweep
+    if args.mode == "sweep":
         sweep = sim.run_prob_sweep(cfg)
         fields = ("prob", "side_mode", "eip_mean", "epp_mean", "epp_std",
                   "epp_se", "ev_mean", "epp_norm")
@@ -236,8 +199,33 @@ def cmd_simulate(args) -> int:
             print(f"sweep[{m}]: epp spread {b['epp_spread_observed']:.6g} "
                   f"(declared band {b['epp_spread_band']:.6g})")
         return 0
-    row = report.csv_row()
-    print(", ".join(f"{k}={row[k]}" for k in
+
+    single = args.mode == "single"
+    results = [sim.run_single_market(cfg)] if single else sim.iter_markets(cfg, keep_log=True)
+    plot_file = (nullcontext() if single else
+                 _csv_file(out / "plot_markets.csv", PLOT_MARKETS_FIELDS))
+    fold = metrics.MetricsFold(cfg.engine)
+    # each market's rows are written as it finishes, and the market is then
+    # dropped: a run holds one market at a time
+    with (_csv_file(out / "bets.csv", sim.BETS_FIELDS) as bets,
+          _csv_file(out / "markets.csv", MARKETS_FIELDS) as markets,
+          plot_file as plot):
+        for i, result in enumerate(results):
+            bets.writerows(result.bet_log)
+            result.bet_log.clear()  # result stays bound while the next market runs
+            eip, epp, _, ev_final = pnl = fold.add(result)
+            markets.writerow(_market_row(result, pnl))
+            if plot:
+                plot.writerow((i, eip, epp, ev_final))
+        summary = {"mode": args.mode, "seed": cfg.seed, **fold.report().csv_row()}
+        _write_csv(out / "summary.csv", summary.keys(), [summary.values()])
+    if single:
+        fields = (["step"] + [f"balance_{j}" for j in range(1, result.k + 1)]
+                  + ["rejected_cum", "eip"])
+        rows = [(t["step"], *t["balances"], t["rejected_cum"], t["eip"])
+                for t in result.trajectory]
+        _write_csv(out / "plot_single_market.csv", fields, rows)
+    print(", ".join(f"{k}={summary[k]}" for k in
                     ("engine", "n_markets", "total_bets", "volume",
                      "fee_revenue", "eip_mean", "epp_mean", "epp_plus_fee",
                      "rejection_rate")))

@@ -141,13 +141,16 @@ class ConditionalLedger:
         self.locked_micro = to_micro(value)
 
     def credit(self, account: str, token: int, d) -> None:
-        self._account(account)[token] += to_micro(d)
+        n = _non_negative_micro(d, "credit")
+        self._account(account)[token] += n
 
     def debit(self, account: str, token: int, d) -> None:
-        self.debit_micro(account, token, to_micro(d))
+        self.debit_micro(account, token, _non_negative_micro(d, "debit"))
 
     def debit_micro(self, account: str, token: int, n: int) -> None:
         """:meth:`debit` of ``n`` micro-units, an int."""
+        if n < 0:
+            raise ValueError("debit must be non-negative")
         acct = self._account(account)
         if acct[token] < n:
             raise InsufficientBalance(

@@ -9,12 +9,13 @@ tell different stories about the same pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from .fixedpoint import sum_exact
+from .fixedpoint import add_exact
 
 
 def ev(r_cond, fair) -> float:
@@ -79,12 +80,7 @@ def epp_values(results) -> list[float]:
 
 @dataclass
 class MetricsReport:
-    """Aggregate result bundle for one experiment.
-
-    ``market_pnl`` keeps the :func:`market_pnl` tuple of every market, in
-    result order, for per-market output; it is not part of :meth:`csv_row`
-    and takes no part in comparisons.
-    """
+    """Aggregate result bundle for one experiment."""
 
     engine: str
     n_markets: int
@@ -102,7 +98,6 @@ class MetricsReport:
     tp: float
     tv_pnl_mean: float
     vigorish: float
-    market_pnl: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def rejection_rate(self) -> float:
@@ -136,32 +131,58 @@ class MetricsReport:
         }
 
 
+class MetricsFold:
+    """A running :func:`summarize`, fed one market at a time.
+
+    :meth:`add` folds in a market and returns its :func:`market_pnl`
+    tuple; :meth:`report` gives the :class:`MetricsReport` of the markets
+    added so far.  The fold keeps the counts and exact sums, plus the five
+    floats per market whose ``np.mean`` / ``np.std`` the report takes, so a
+    run need not keep its market results.
+    """
+
+    def __init__(self, engine: str):
+        self.engine = engine
+        # bets attempted, accepted, rejected and unfillable, in report order
+        self.bets = [0, 0, 0, 0]
+        self.volume = self.fee = Decimal(0)
+        # eip, epp, tv_pnl, ev_final and overround_final, in market order
+        self.floats = tuple(array("d") for _ in range(5))
+
+    def add(self, r) -> tuple[float, float, float, float]:
+        pnl = market_pnl(r)
+        for values, x in zip(self.floats, (*pnl, r.overround_final)):
+            values.append(x)
+        for i, n in enumerate((r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable)):
+            self.bets[i] += n
+        self.volume = add_exact(self.volume, r.volume)
+        self.fee = add_exact(self.fee, r.fee)
+        return pnl
+
+    def report(self) -> MetricsReport:
+        eip, epp, tv_pnl, ev_final, overround = self.floats
+        if not eip:
+            raise ValueError("no market results to summarize")
+        epp_mean = float(np.mean(epp))
+        return MetricsReport(
+            self.engine, len(eip), *self.bets, self.volume, self.fee,
+            ev_mean=float(np.mean(ev_final)), tp=len(eip) * epp_mean,
+            eip_mean=float(np.mean(eip)), eip_std=float(np.std(eip)),
+            epp_mean=epp_mean, epp_std=float(np.std(epp)),
+            tv_pnl_mean=float(np.mean(tv_pnl)), vigorish=float(np.mean(overround)),
+        )
+
+
 def summarize(results, engine: str) -> MetricsReport:
-    """Fold per-market results into a :class:`MetricsReport`."""
-    if not results:
-        raise ValueError("no market results to summarize")
-    pnl = tuple(map(market_pnl, results))
-    eip_vals, epp_vals, tv_vals, ev_vals = zip(*pnl)
-    eip_mean, eip_std = float(np.mean(eip_vals)), float(np.std(eip_vals))
-    epp_mean, epp_std = float(np.mean(epp_vals)), float(np.std(epp_vals))
-    volume = sum_exact((r.volume for r in results), Decimal(0))
-    fee = sum_exact((r.fee for r in results), Decimal(0))
-    return MetricsReport(
-        engine=engine,
-        n_markets=len(results),
-        total_bets=sum(r.n_attempts for r in results),
-        accepted=sum(r.n_accepted for r in results),
-        rejected=sum(r.n_rejected for r in results),
-        unfillable=sum(r.n_unfillable for r in results),
-        volume=volume,
-        fee_revenue=fee,
-        ev_mean=float(np.mean(ev_vals)),
-        eip_mean=eip_mean,
-        eip_std=eip_std,
-        epp_mean=epp_mean,
-        epp_std=epp_std,
-        tp=len(results) * epp_mean,
-        tv_pnl_mean=float(np.mean(tv_vals)),
-        vigorish=float(np.mean([r.overround_final for r in results])),
-        market_pnl=pnl,
-    )
+    """Fold per-market results into a :class:`MetricsReport` in one pass.
+
+    ``results`` may be any iterable, a generator such as
+    :func:`uamm_lab.sim.iter_markets` included: each result is folded in
+    (see :class:`MetricsFold`) and can be dropped before the next arrives,
+    so memory does not hold the run's results.  The report equals the one
+    a list of the same results gives, bit for bit.
+    """
+    fold = MetricsFold(engine)
+    for r in results:
+        fold.add(r)
+    return fold.report()

@@ -452,9 +452,21 @@ def run_single_market(cfg: SimConfig) -> MarketResult:
     return simulate_one(cfg, 0, keep_log=True, trajectory=True)
 
 
+def iter_markets(cfg: SimConfig, keep_log: bool = False):
+    """The run's ``n_markets`` markets, simulated one at a time and yielded
+    in index order as each finishes (``keep_log`` as for :func:`run_market`).
+
+    This is the one loop over a run's markets: :func:`run_multi_market`,
+    the sweeps and the CLI consume it, and each can drop a result before
+    the next market runs.  It calls :func:`simulate_one` through this
+    module's namespace, so a replacement put there takes effect."""
+    for m in range(cfg.n_markets):
+        yield simulate_one(cfg, m, keep_log=keep_log)
+
+
 def run_multi_market(cfg: SimConfig) -> tuple[list[MarketResult], MetricsReport]:
     """``n_markets`` independent markets, aggregated into a report."""
-    results = [simulate_one(cfg, m) for m in range(cfg.n_markets)]
+    results = list(iter_markets(cfg))
     return results, summarize(results, cfg.engine)
 
 
@@ -500,7 +512,7 @@ def run_prob_sweep(cfg: SimConfig) -> SweepReport:
     for mode in SIDE_MODES:
         for p in PROB_GRID:
             sub = replace(cfg, k=2, probs=(p, 1.0 - p), side_mode=mode)
-            _, report = run_multi_market(sub)
+            report = summarize(iter_markets(sub), cfg.engine)
             se = report.epp_std / math.sqrt(report.n_markets)
             rows.append({
                 "prob": p,
@@ -530,7 +542,7 @@ def run_rejection_sweep(cfg: SimConfig) -> list[dict]:
     rows = []
     for t in REJECTION_GRID:
         sub = replace(cfg, rej_mean=t, rej_std=0.0)
-        _, report = run_multi_market(sub)
+        report = summarize(iter_markets(sub), cfg.engine)
         rows.append({
             "threshold": t,
             "acceptance_rate": 1.0 - report.rejection_rate,

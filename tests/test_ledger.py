@@ -216,3 +216,27 @@ def test_deposits_reject_negative_amounts():
         with pytest.raises(ValueError, match="non-negative"):
             deposit("a", d)
     assert snapshot(ledger) == before
+
+
+@pytest.mark.parametrize("token", [COLLATERAL, 1])
+def test_credits_and_debits_reject_negative_amounts(token):
+    # a negative debit would create tokens from nothing and a negative credit
+    # would leave a negative balance; each is refused before any book moves,
+    # including for an account the ledger has not seen
+    ledger = fresh()
+    ledger.mint("a", amount(10))
+    before = snapshot(ledger)
+    for op, d in ((ledger.credit, -5), (ledger.credit, Decimal("-0.000001")),
+                  (ledger.credit, -1e-7), (ledger.debit, -5),
+                  (ledger.debit, Decimal("-0.01")), (ledger.debit, "-0.0000001"),
+                  (ledger.debit_micro, -1)):
+        for account in ("a", "new"):
+            with pytest.raises(ValueError, match="non-negative"):
+                op(account, token, d)
+            assert snapshot(ledger) == before
+    ledger.check_invariants()
+    for op in (ledger.credit, ledger.debit, ledger.debit_micro):
+        op("a", token, 0)  # zero moves nothing
+    ledger.credit("a", token, -0.0)
+    ledger.debit("a", token, Decimal("-0"))
+    assert snapshot(ledger) == before

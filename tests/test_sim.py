@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab import sim
+from uamm_lab import metrics, sim
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.sim import (
     ConfigError,
@@ -403,6 +403,30 @@ def test_markets_are_order_independent():
         assert s.r_end == r.r_end
         assert s.volume == r.volume
         assert s.winner == r.winner
+
+
+def test_iter_markets_runs_one_market_per_step(monkeypatch):
+    """``iter_markets`` simulates market ``m`` only when result ``m`` is
+    asked for, through ``sim.simulate_one``; summarizing the stream gives
+    the list's report, every float bit for bit."""
+    cfg = full_config(n_markets=6, seed=9)
+    results, report = run_multi_market(cfg)
+    calls = []
+
+    def counted(cfg, index, **run_opts):
+        calls.append(index)
+        return simulate_one(cfg, index, **run_opts)
+
+    monkeypatch.setattr(sim, "simulate_one", counted)
+    stream = sim.iter_markets(cfg)
+    assert calls == []
+    for m, r in enumerate(stream):
+        assert calls == list(range(m + 1))
+        assert (r.market_id, r.r_end, r.volume) == (
+            results[m].market_id, results[m].r_end, results[m].volume)
+    streamed = metrics.summarize(sim.iter_markets(cfg), cfg.engine)
+    assert streamed == report
+    assert streamed.csv_row() == report.csv_row()
 
 
 def test_full_run_degenerates_to_single_market():
