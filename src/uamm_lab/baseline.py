@@ -32,15 +32,15 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     return r_out - (r_in * r_out) / (r_in + d_in)
 
 
-def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
-              engine: str = "cpmm") -> Quote:
+def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
     """The constant-product engine's quote kernel: :func:`~uamm_lab.uamm.calc_odds`
     with :func:`cpmm_swap`'s product rule written inline as each leg, the
-    same float operations in the same order.  Each pool is read from the int
-    reserves with the collateral liquidity combined into it, as
-    ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once), and
-    each input pool before the bettor's ``d`` is added to it.  The legs are
-    the vector's leg plan, ``fair.others[i]``.
+    same float operations in the same order, and the same signature and
+    record (which carries no engine name or market id).  Each pool is read
+    from the int reserves with the collateral liquidity combined into it,
+    as ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once),
+    and each input pool before the bettor's ``d`` is added to it.  The legs
+    are the vector's leg plan, ``fair.others[i]``.
 
     The rule's zero branch needs no test here: every reserve is ``>= 0``, and
     the formula gives 0.0 for an empty output pool, as the branch does.  Nor
@@ -49,7 +49,7 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
     r = pool.r_micro
     d = float(wager)
     if not (0 < i < len(r) and 0.0 < d < _INF):
-        return _quote_edge(r, fair, i, d, market_id, engine)
+        return _quote_edge(r, fair, i, d)
     c = r[0] / UNIT
     ri = r[i] / UNIT + c
     odd = d
@@ -60,8 +60,7 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0, market_id: str = "",
         odd += s
     implied = d / odd
     return _record(Quote, (
-        engine, market_id, i, d, odd, implied, implied - fair.probs[i - 1],
-        float(fee_rate) * d,
+        i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
     ))
 
 

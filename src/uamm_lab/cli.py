@@ -132,7 +132,9 @@ def cmd_quote(args) -> int:
     )
     quote = market.quote(args.outcome, amount(args.wager))
     if args.format == "csv":
-        row = quote.csv_row()
+        # the quote carries no market identity: the market owns it
+        row = {"engine": market.engine, "market_id": market.spec.market_id,
+               **quote._asdict()}
         writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
         writer.writeheader()
         writer.writerow(row)

@@ -66,7 +66,7 @@ on their way into the ledger), sit a whole half-unit from any tie.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
-from decimal import Context, Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation
 
 PRECISION = Decimal("0.000001")
 ZERO = Decimal("0.000000")
@@ -85,6 +85,8 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 mul_exact = _EXACT.multiply
 #: ``add_exact(a, b)``: the exact sum, likewise.
 add_exact = _EXACT.add
+#: ``sub_exact(a, b)``: the exact difference ``a - b``, likewise.
+sub_exact = _EXACT.subtract
 #: ``scaleb_exact(a, n)``: ``a`` times ``10**n``, exactly.
 scaleb_exact = _EXACT.scaleb
 #: The 28-digit context :func:`to_micro` rounds in, whatever the caller's.
@@ -152,15 +154,6 @@ def to_wad(value) -> int:
         return value * WAD
     num, den = value.as_integer_ratio()
     return num * WAD // den
-
-
-def sum_exact(values, start: Decimal) -> Decimal:
-    """The exact sum of ``start`` and ``values`` (Decimals or ints),
-    whatever the caller's context: ``sum`` in a context that never rounds,
-    so each term costs a Decimal ``+`` (about half an :func:`add_exact`
-    call)."""
-    with localcontext(_EXACT):
-        return sum(values, start)
 
 
 def from_wad(n: int) -> Decimal:

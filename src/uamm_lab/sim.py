@@ -30,7 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import PRECISION, UNIT, ZERO, amount, mul_exact, sum_exact, to_micro
+from .fixedpoint import PRECISION, UNIT, amount, mul_exact, sub_exact, to_micro
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
 from .uamm import FairPriceVector, UammMarket, UnfillableQuote
@@ -91,8 +91,17 @@ class SimConfig:
         for key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
-        if self.funding <= 0:
-            raise ConfigError("funding must be positive")
+        # the funding the LP deposits, on the ledger's grid: checked here,
+        # before the CLI makes its output directory or any market is built
+        try:
+            funded = to_micro(self.funding) > 0
+        except ValueError as exc:
+            raise ConfigError(f"funding: {exc}") from None
+        if not funded:
+            raise ConfigError(f"funding must be positive on the 6-decimal grid, "
+                              f"got {self.funding!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for key in ("wager_sigma", "rej_std"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
@@ -274,7 +283,8 @@ class MarketResult:
     bet, a tuple in :data:`BETS_FIELDS` order: the wager and the quote's
     odd, implied price, slippage and fee are raw floats (``csv`` writes a
     float as its ``repr``), and a bet unfillable at quote time has ``None``
-    (an empty cell) for the four quote figures.
+    (an empty cell) for the four quote figures.  ``trajectory``, one dict
+    per draw, is filled only by :func:`run_single_market`.
     """
 
     market_id: str
@@ -326,7 +336,6 @@ def run_market(
     winner: int,
     *,
     keep_log: bool = False,
-    trajectory: bool = False,
 ) -> MarketResult:
     """Stream ``(wager, side, threshold)`` draws through quote -> rejection
     -> buy and settle.
@@ -339,27 +348,23 @@ def run_market(
     so a simulated bet is quoted at exactly what it executes; an off-grid
     wager handed straight to this function is quoted unrounded and executed
     rounded (its bet-log row shows it as given).  Each executed bet's
-    record stays in ``market.bets``.
+    record stays in ``market.bets``, and its ``post_r`` is the pool after
+    that draw (:func:`run_single_market` rebuilds the trajectory from them).
+
+    The result's ``fee`` is what the pool's fee book (``pool.fee_accrued``)
+    gained over the run, an exact difference.  For a market that starts
+    with an empty book, as every seeded market does, it is the exact sum of
+    the run's record fees, value and text alike; for one that traded
+    before, the value is that sum, and its text follows the book's
+    exponent.
     """
-    fair = market.fair.probs
-    r_start = tuple([x / UNIT for x in market.pool.r_micro])
+    pool = market.pool
+    r_start = tuple([x / UNIT for x in pool.r_micro])
+    fee_start = pool.fee_accrued
     volume = 0  # micro-units
-    bets = market.bets
-    first_bet = len(bets)
     accepted = rejected = unfillable = 0
     log: list[tuple] = []
-    traj: list[dict] = []
     engine, market_id = market.engine, market.spec.market_id
-
-    def log_row(idx, side, w, quote, accepted, reason):
-        if quote is None:
-            log.append((engine, market_id, idx, side, w, None, None, None, None,
-                        accepted, reason))
-        else:
-            log.append((engine, market_id, idx, side, w, quote.odd,
-                        quote.implied_price, quote.slippage, quote.fee,
-                        accepted, reason))
-
     quote_bet, buy = market.quote, market.buy
     deposit_micro, fee_micro = market.ledger.deposit_micro, market.fee_micro
     for idx, (w, side, threshold) in enumerate(draws):
@@ -367,13 +372,11 @@ def run_market(
             quote = quote_bet(side, w)
         except UnfillableQuote:
             unfillable += 1
-            if keep_log:
-                log_row(idx, side, w, None, 0, "unfillable")
+            quote, reason = None, "unfillable"
         else:
             if quote.slippage > threshold:
                 rejected += 1
-                if keep_log:
-                    log_row(idx, side, w, quote, 0, "threshold")
+                reason = "threshold"
             else:
                 # fund exactly what buy charges: the wager plus its fee
                 n = to_micro(w)
@@ -384,33 +387,27 @@ def run_market(
                     # fixed-point execution can hit the pool edge the float
                     # quote just cleared
                     unfillable += 1
-                    if keep_log:
-                        log_row(idx, side, w, quote, 0, "unfillable")
+                    reason = "unfillable"
                 else:
                     accepted += 1
                     volume += n
-                    if keep_log:
-                        log_row(idx, side, w, quote, 1, "")
-        if trajectory:
-            r = [x / UNIT for x in market.pool.r_micro]
-            traj.append({
-                "step": idx,
-                "balances": tuple(r[0] + r[k] for k in range(1, len(r))),
-                "rejected_cum": rejected + unfillable,
-                "eip": math.fsum(
-                    f * (r[k + 1] - r_start[k + 1]) for k, f in enumerate(fair)
-                ),
-            })
+                    reason = ""
+        if keep_log:
+            # the quote's odd, implied price, slippage and fee: empty cells
+            # for a bet unfillable at its quote
+            cells = (None,) * 4 if quote is None else quote[2:]
+            log.append((engine, market_id, idx, side, w, *cells,
+                        0 if reason else 1, reason))
 
     overround = _overround(market)
-    r_end = tuple([x / UNIT for x in market.pool.r_micro])
+    r_end = tuple([x / UNIT for x in pool.r_micro])
     market.close_betting()
     market.resolve(ORACLE, winner)
     return MarketResult(
         market_id=market_id,
         engine=engine,
         k=market.spec.k,
-        fair=fair,
+        fair=market.fair.probs,
         r_start=r_start,
         r_end=r_end,
         winner=winner,
@@ -419,10 +416,9 @@ def run_market(
         n_rejected=rejected,
         n_unfillable=unfillable,
         volume=mul_exact(PRECISION, volume),
-        fee=sum_exact([r.fee for r in bets[first_bet:]], ZERO),
+        fee=sub_exact(pool.fee_accrued, fee_start),
         overround_final=overround,
         bet_log=log,
-        trajectory=traj,
     )
 
 
@@ -441,15 +437,40 @@ def seeded_market(cfg: SimConfig, index: int):
     return market, draws, winner
 
 
-def simulate_one(cfg: SimConfig, index: int, **run_opts) -> MarketResult:
-    """Simulate market ``index`` of a run on its own RNG substream;
-    ``run_opts`` are :func:`run_market`'s ``keep_log`` and ``trajectory``."""
-    return run_market(*seeded_market(cfg, index), **run_opts)
+def simulate_one(cfg: SimConfig, index: int, keep_log: bool = False) -> MarketResult:
+    """Simulate market ``index`` of a run on its own RNG substream
+    (``keep_log`` as for :func:`run_market`)."""
+    return run_market(*seeded_market(cfg, index), keep_log=keep_log)
 
 
 def run_single_market(cfg: SimConfig) -> MarketResult:
-    """Market 0 with its bet log and full per-step trajectory recorded."""
-    return simulate_one(cfg, 0, keep_log=True, trajectory=True)
+    """Market 0 with its bet log and its per-step trajectory.
+
+    The trajectory is rebuilt after the run, one step per draw: a draw
+    whose log row is accepted moved the pool to its record's ``post_r``
+    (the floats of ``pool.r_micro`` after the bet, in ``market.bets``
+    order), and any other draw left it where it was.  ``balances`` are the
+    combined outcome reserves ``r0 + rk``, ``rejected_cum`` counts the
+    draws not accepted so far, and ``eip`` is the fair-priced change of the
+    outcome reserves since the start."""
+    market, draws, winner = seeded_market(cfg, 0)
+    result = run_market(market, draws, winner, keep_log=True)
+    fair, r_start = result.fair, result.r_start
+    r, executed, rejected = r_start, iter(market.bets), 0
+    for _, _, step, *_, accepted, _ in result.bet_log:
+        if accepted:
+            r = next(executed).post_r
+        else:
+            rejected += 1
+        result.trajectory.append({
+            "step": step,
+            "balances": tuple(r[0] + r[k] for k in range(1, len(r))),
+            "rejected_cum": rejected,
+            "eip": math.fsum(
+                f * (r[k + 1] - r_start[k + 1]) for k, f in enumerate(fair)
+            ),
+        })
+    return result
 
 
 def iter_markets(cfg: SimConfig, keep_log: bool = False):

@@ -23,7 +23,10 @@ pool, snapshot) and the bet pipeline, which has two faces:
   for bit.
 
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
-tuples, built straight from the tuple of their field values.  A quote reads
+tuples, built straight from the tuple of their field values.  Neither
+carries the market's identity: the market owns it (``market.engine`` and
+``market.spec.market_id``), and a caller that tags a row with it reads it
+there, as the CLI's ``quote`` command and the bet log do.  A quote reads
 the pool's int reserves (and the float of its target balance) directly, and
 its legs and their fair rates from the leg plan the :class:`FairPriceVector`
 builds once per market, so it derives no market constant again and keeps no
@@ -336,13 +339,12 @@ class PoolState(Reserves):
 class Quote(NamedTuple):
     """An indicative (non-mutating) odds quotation for one wager: what a
     bettor reads to accept or walk away, and nothing of the pool it would
-    leave behind (an executed bet's :class:`BetRecord` carries that).
+    leave behind (an executed bet's :class:`BetRecord` carries that) or of
+    the market that quoted it (the market owns its engine name and id).
 
     A named tuple: immutable, hashable, and equal to a plain tuple of the
     same values."""
 
-    engine: str
-    market_id: str
     outcome: int
     wager: float
     odd: float
@@ -354,18 +356,6 @@ class Quote(NamedTuple):
     def decimal_odds(self) -> float:
         return self.odd / self.wager if self.wager else 0.0
 
-    def csv_row(self) -> dict:
-        return {
-            "engine": self.engine,
-            "market_id": self.market_id,
-            "outcome": self.outcome,
-            "wager": repr(self.wager),
-            "odd": repr(self.odd),
-            "implied_price": repr(self.implied_price),
-            "slippage": repr(self.slippage),
-            "fee": repr(self.fee),
-        }
-
 
 def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
              tb: float) -> float:
@@ -376,8 +366,7 @@ def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
     return swap_out(d, f_in, f_out, r_out, tb)
 
 
-def _quote_edge(r, fair: FairPriceVector, i: int, d: float, market_id: str,
-               engine: str) -> Quote:
+def _quote_edge(r, fair: FairPriceVector, i: int, d: float) -> Quote:
     """What a quote kernel does with an input outside its hot test (a known
     outcome and a positive finite wager ``d``): raise ``ValueError`` for an
     unknown outcome or a negative, infinite or NaN wager, and otherwise (a
@@ -387,20 +376,15 @@ def _quote_edge(r, fair: FairPriceVector, i: int, d: float, market_id: str,
         raise ValueError(f"unknown outcome {i} for a {len(r) - 1}-outcome market")
     if not 0.0 <= d < _INF:
         raise ValueError(f"wager must be finite and non-negative, got {d!r}")
-    return _record(Quote, (engine, market_id, i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
+    return _record(Quote, (i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
 
 
-def calc_odds(
-    pool,
-    fair: FairPriceVector,
-    i: int,
-    wager,
-    fee_rate=0,
-    market_id: str = "",
-    engine: str = "uamm",
-) -> Quote:
+def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     """Quote the payout for betting ``wager`` collateral on outcome ``i``:
-    the fair-price engine's quote kernel.
+    the fair-price engine's quote kernel.  Every engine's kernel takes
+    ``(pool, fair, i, wager, fee_rate=0)``; the quote it returns carries no
+    market identity, which :meth:`Market.quote`'s caller reads from the
+    market.
 
     Runs the swap legs of the buy pipeline in float on the pool's combined
     reserves and returns only what a bettor reads: the odd, the implied
@@ -435,7 +419,7 @@ def calc_odds(
     r = pool.r_micro
     d = float(wager)
     if not (0 < i < len(r) and 0.0 < d < _INF):
-        return _quote_edge(r, fair, i, d, market_id, engine)
+        return _quote_edge(r, fair, i, d)
     # the output pool with the collateral liquidity combined into it
     ri = r[i] / UNIT + r[0] / UNIT
     tb = pool.tb_float
@@ -466,13 +450,13 @@ def calc_odds(
         odd += s
     implied = d / odd
     return _record(Quote, (
-        engine, market_id, i, d, odd, implied, implied - fair.probs[i - 1],
-        float(fee_rate) * d,
+        i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
     ))
 
 
 class BetRecord(NamedTuple):
-    """An executed bet and the pool state it left behind: the wager, fee,
+    """An executed bet and the pool state it left behind (the market it ran
+    on, as for a :class:`Quote`, is not a field): the wager, fee,
     odd and treasury LP shares as exact Decimals, whatever the caller's
     context (the shares an 18-place read, the rest 6-place amounts, the fee
     at the fee rate's exponent when exact, see :mod:`uamm_lab.fixedpoint`),
@@ -481,7 +465,6 @@ class BetRecord(NamedTuple):
     :class:`Quote`."""
 
     index: int
-    market_id: str
     outcome: int
     wager: Decimal
     fee: Decimal
@@ -559,10 +542,7 @@ class Market:
     def quote(self, i: int, wager) -> Quote:
         if self.ledger.phase is not _OPEN:
             raise PhaseError("market is not open for betting")
-        return self._odds(
-            self.pool, self.fair, i, wager, self._fee_float,
-            self.spec.market_id, self.engine,
-        )
+        return self._odds(self.pool, self.fair, i, wager, self._fee_float)
 
     def fee_micro(self, n: int) -> tuple[int, bool]:
         """The fee :meth:`buy` charges on a wager of ``n`` micro-units, in
@@ -601,7 +581,7 @@ class Market:
             if n or float(wager) < 0:
                 raise ValueError("wager must be non-negative")
             record = _record(BetRecord, (
-                len(self.bets), spec.market_id, i, ZERO, ZERO, ZERO, ZERO,
+                len(self.bets), i, ZERO, ZERO, ZERO, ZERO,
                 self.fair.of(i), 0.0, tuple([x / UNIT for x in pool.r_micro]),
             ))
             self.bets.append(record)
@@ -651,7 +631,7 @@ class Market:
         s_lp = self._mint_treasury(n)
         implied = df / (odd / UNIT)
         record = _record(BetRecord, (
-            len(self.bets), spec.market_id, i, d, fee, mul_exact(PRECISION, odd), s_lp,
+            len(self.bets), i, d, fee, mul_exact(PRECISION, odd), s_lp,
             implied, implied - fi, tuple([x / UNIT for x in rw]),
         ))
         self.bets.append(record)

@@ -111,14 +111,14 @@ def float_view(pool):
     return tb, (0.0, *[x + rf[0] for x in rf[1:]])
 
 
-def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm",
-                    branches=None):
+def reference_quote(pool, fair, i, wager, fee_rate=0, engine="uamm", branches=None):
     """A quote computed leg by leg through the public swap kernels.
 
     The quote pipeline as it ran before each engine had its own kernel: one
     loop for both engines calling :func:`~uamm_lab.uamm.swap_out` (UAMM) or
     :func:`~uamm_lab.baseline.cpmm_swap` (CPMM) once per leg, with the
     kernels' input checks.  The kernels must equal it bit for bit.
+    ``engine`` selects the swap rule (the quote does not carry it), and
     ``branches``, a list, collects the :func:`swap_branch` of every UAMM leg.
     """
     tb, comb = float_view(pool)
@@ -130,7 +130,7 @@ def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm
     f = fair.probs
     fi = f[i - 1]
     if d == 0.0:
-        return Quote(engine, market_id, i, 0.0, 0.0, fi, 0.0, 0.0)
+        return Quote(i, 0.0, 0.0, fi, 0.0, 0.0)
     ri = comb[i]
     odd = d
     for j, fj in enumerate(f, 1):
@@ -147,4 +147,4 @@ def reference_quote(pool, fair, i, wager, fee_rate=0, market_id="", engine="uamm
         ri -= s
         odd += s
     implied = d / odd
-    return Quote(engine, market_id, i, d, odd, implied, implied - fi, float(fee_rate) * d)
+    return Quote(i, d, odd, implied, implied - fi, float(fee_rate) * d)

@@ -108,11 +108,6 @@ def test_zero_wager_zero_odd():
     assert record.odd == ZERO
 
 
-def test_quote_row_tagged_cpmm():
-    market = make_market()
-    assert market.quote(1, amount(10)).csv_row()["engine"] == "cpmm"
-
-
 def test_conservation_over_random_buys():
     market = make_market(k=3, probs=(0.5, 0.3, 0.2))
     rng = np.random.default_rng(13)

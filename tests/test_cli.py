@@ -44,8 +44,12 @@ def test_quote_csv_format(capsys):
     assert cli.main(QUOTE_ARGS + ["--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
-    assert header[0] == "engine"
-    assert "odd" in header
+    assert header == [
+        "engine", "market_id", "outcome", "wager", "odd",
+        "implied_price", "slippage", "fee",
+    ]
+    row = dict(zip(header, lines[1].split(",")))
+    assert (row["engine"], row["market_id"]) == ("uamm", "quote")
 
 
 def test_quote_rejects_bad_probabilities(capsys):
@@ -210,12 +214,24 @@ def test_simulate_rejects_k_choices_unlike_the_fixed_probs(tmp_path, capsys, lin
     assert not out.exists()
 
 
-def test_simulate_rejects_huge_funding(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_CFG + "funding = 1e22\n")
-    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize("extra,flags,message", [
+    ("funding = 1e22\n", [], "1e+22"),
+    ("funding = 1e30\n", [], "too many digits"),
+    ("funding = 1e-9\n", [], "funding must be positive"),
+    ("seed = -1\n", [], "seed must be >= 0"),
+    ("", ["--seed", "-1"], "seed must be >= 0"),
+], ids=["funding-1e22", "funding-1e30", "funding-1e-9", "seed-negative", "seed-flag-negative"])
+def test_simulate_rejects_huge_funding(tmp_path, capsys, monkeypatch, extra, flags, message):
+    """A config no market can be built from exits 1 before the output
+    directory is made."""
+    monkeypatch.delenv("UAMM_LAB_SEED", raising=False)
+    cfg = write_cfg(tmp_path, SMALL_CFG + extra)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "1e+22" in err
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -254,15 +270,15 @@ def test_simulate_failing_part_way_keeps_the_earlier_bets_csv(tmp_path, capsys,
     assert {"markets.csv", "summary.csv"} <= set(earlier)
     assert ("plot_markets.csv" in earlier) == (mode == "multi")
 
-    simulate_one = sim.simulate_one
+    seeded_market = sim.seeded_market
 
-    def failing_simulate_one(cfg, index, **run_opts):
+    def failing_seeded_market(cfg, index):
         # multi fails at its third market, after two have been written
         if index == 2 or mode == "single":
             raise ValueError("market failed")
-        return simulate_one(cfg, index, **run_opts)
+        return seeded_market(cfg, index)
 
-    monkeypatch.setattr(sim, "simulate_one", failing_simulate_one)
+    monkeypatch.setattr(sim, "seeded_market", failing_seeded_market)
     assert cli.main(["simulate", "--config", cfg, "--mode", mode, "--seed", "6",
                      "--out", str(out)]) == 1
     assert "market failed" in capsys.readouterr().err

@@ -442,7 +442,7 @@ def test_quote_grid_is_pinned(engine, k):
 
     def reference(i, w):
         return reference_quote(market.pool, market.fair, i, w, float(market.spec.fee_rate),
-                               market.spec.market_id, engine, branches)
+                               engine, branches)
 
     assert _grid_quotes(reference, k) == QUOTE_GRID[engine, k]
     if engine == "uamm":

@@ -67,7 +67,7 @@ def both(market, i, wager, branches=None):
     kernel = outcome_of(market.quote, i, wager)
     reference = outcome_of(
         reference_quote, market.pool, market.fair, i, wager,
-        float(market.spec.fee_rate), market.spec.market_id, market.engine, branches,
+        float(market.spec.fee_rate), market.engine, branches,
     )
     return kernel, reference
 
@@ -160,8 +160,8 @@ def test_kernel_equals_reference_on_bare_pools(pool, wager):
     for i in (1, 2, 3):
         for kernel, engine in ((calc_odds, "uamm"), (cpmm_odds, "cpmm")):
             view = pool if engine == "uamm" else CpmmPool(r=pool.r)
-            assert outcome_of(kernel, view, fair, i, wager, 0.025, "b", engine) == \
-                outcome_of(reference_quote, view, fair, i, wager, 0.025, "b", engine)
+            assert outcome_of(kernel, view, fair, i, wager, 0.025) == \
+                outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_seeded_markets
+
 from uamm_lab import metrics, sim
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.sim import (
@@ -20,7 +22,7 @@ from uamm_lab.sim import (
     run_single_market,
     simulate_one,
 )
-from uamm_lab.uamm import FairPriceVector
+from uamm_lab.uamm import FairPriceVector, UnfillableQuote
 
 
 # -- bettor draws -----------------------------------------------------------------
@@ -208,6 +210,14 @@ def test_invalid_values_rejected():
         SimConfig(funding=0)
     with pytest.raises(ValueError):
         SimConfig(probs=(0.9, 0.9))
+    # each of these failed only when the first market was built
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
+    for funding in (1e22, 1e30):
+        with pytest.raises(ConfigError, match="too many digits"):
+            SimConfig(funding=funding)
+    with pytest.raises(ConfigError, match="funding must be positive"):
+        SimConfig(funding=1e-9)
 
 
 @pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"])
@@ -471,6 +481,44 @@ def test_trajectory_tracks_rejections_and_eip():
     assert last["eip"] == pytest.approx(expect)
 
 
+#: A thin pool with wide thresholds and large wagers: its bets are accepted,
+#: rejected on the threshold and, on the UAMM, unfillable at quote time.
+THIN_CFG = SimConfig(k=2, probs=(0.8, 0.2), funding=200.0, side_mode="uniform",
+                     rej_mean=0.5, rej_std=0.5, n_bets=300, seed=5, wager_mu=4.5)
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_trajectory_equals_a_draw_by_draw_replay(engine):
+    """The trajectory ``run_single_market`` rebuilds from its bet log and
+    records equals the pool read after each draw of a replay, exactly."""
+    cfg = replace(THIN_CFG, engine=engine)
+    result = run_single_market(cfg)
+    assert result.n_accepted > 0 and result.n_rejected > 0
+    # a product-rule quote never drains its pool
+    assert (result.n_unfillable > 0) == (engine == "uamm")
+    market, draws, _ = sim.seeded_market(cfg, 0)
+    market.deposit(sim.BETTOR, 10**9)
+    fair = market.fair.probs
+    r0 = [n / UNIT for n in market.pool.r_micro]
+    replay, rejected = [], 0
+    for step, (w, side, threshold) in enumerate(draws):
+        try:
+            accepted = market.quote(side, w).slippage <= threshold
+            if accepted:
+                market.buy(sim.BETTOR, side, w)
+        except UnfillableQuote:
+            accepted = False
+        rejected += not accepted
+        r = [n / UNIT for n in market.pool.r_micro]
+        replay.append({
+            "step": step,
+            "balances": tuple(r[0] + r[k] for k in range(1, len(r))),
+            "rejected_cum": rejected,
+            "eip": math.fsum(f * (r[k] - r0[k]) for k, f in enumerate(fair, 1)),
+        })
+    assert result.trajectory == replay
+
+
 def test_market_result_counts_add_up():
     res = run_single_market(SimConfig(seed=2, n_bets=300))
     assert res.n_accepted + res.n_rejected + res.n_unfillable == res.n_attempts
@@ -490,3 +538,22 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
     assert narrow_report.csv_row() == report.csv_row()
     assert ([(str(r.volume), str(r.fee)) for r in narrow_results]
             == [(str(r.volume), str(r.fee)) for r in results])
+    # a market's fee is what the pool's fee book gained over the run: on a
+    # seeded market, whose book starts empty, the exact sum of the run's
+    # record fees, text included; on a market that traded before the run,
+    # the value of that sum
+    for engine in sim.ENGINES:
+        cfg = SimConfig(n_markets=6, n_bets=60, fee_rate=0.0125, seed=3, engine=engine)
+        results, _, bets = run_seeded_markets(cfg)
+        assert any(bets)
+        with localcontext(prec=80):
+            sums = [sum((b.fee for b in records), ZERO) for records in bets]
+        assert [str(r.fee) for r in results] == [str(s) for s in sums]
+        market, draws, winner = sim.seeded_market(cfg, 0)
+        market.deposit("early", 1_000)
+        market.buy("early", 1, "12.34")
+        first = len(market.bets)
+        result = sim.run_market(market, draws, winner)
+        assert len(market.bets) > first
+        with localcontext(prec=80):
+            assert result.fee == sum((b.fee for b in market.bets[first:]), ZERO)

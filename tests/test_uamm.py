@@ -372,14 +372,26 @@ def test_quote_rejects_non_finite_wager(engine, wager):
     assert market.snapshot() == before
 
 
-def test_quote_csv_row_fields():
-    market = make_market()
-    row = market.quote(1, amount(10)).csv_row()
+def test_quote_csv_row_fields(capsys):
+    # a quote's CSV row is the market's identity followed by the quote's own
+    # fields, each cell the value that market's quote holds
+    from uamm_lab import cli
+    from uamm_lab.sim import build_market
+
+    args = ["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "10000",
+            "--outcome", "1", "--wager", "10", "--format", "csv"]
+    assert cli.main(args) == 0
+    header, cells = capsys.readouterr().out.strip().splitlines()
+    row = dict(zip(header.split(","), cells.split(",")))
     assert list(row) == [
         "engine", "market_id", "outcome", "wager", "odd",
         "implied_price", "slippage", "fee",
     ]
     assert row["engine"] == "uamm"
+    market = build_market("uamm", "quote", 2, (0.5, 0.5), 10_000.0, 0.025)
+    quote = market.quote(1, amount(10))
+    assert row["market_id"] == market.spec.market_id
+    assert list(row.values())[2:] == [str(v) for v in quote]
 
 
 # -- buying ---------------------------------------------------------------------------
@@ -583,13 +595,12 @@ def _records():
 
     return [
         pytest.param(
-            Quote, ("engine", "market_id", "outcome", "wager", "odd",
-                    "implied_price", "slippage", "fee"),
-            ("uamm", "m", 1, 10.0, 19.99, 0.5, 0.0, 0.25), id="Quote"),
+            Quote, ("outcome", "wager", "odd", "implied_price", "slippage", "fee"),
+            (1, 10.0, 19.99, 0.5, 0.0, 0.25), id="Quote"),
         pytest.param(
-            BetRecord, ("index", "market_id", "outcome", "wager", "fee", "odd",
+            BetRecord, ("index", "outcome", "wager", "fee", "odd",
                         "s_lp", "implied_price", "slippage", "post_r"),
-            (0, "m", 2, Decimal("10.000000"), Decimal("0.250000"),
+            (0, 2, Decimal("10.000000"), Decimal("0.250000"),
              Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0, (0.0, 1.0, 2.0)),
             id="BetRecord"),
     ]
