@@ -5,10 +5,10 @@ no fair-price reference -- exactly the behaviour the fair-price engine is
 meant to improve on.  :class:`CpmmMarket` is an engine subclass of
 :class:`~uamm_lab.uamm.Market`: it shares the fair-price engine's ledger, bet
 pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, and
-supplies only its pool type, its quote kernel (:func:`cpmm_odds`, the
-product rule written inline in the leg loop), the product rule as its buys'
-swap leg (:func:`cpmm_swap`), and its genesis, so the conservation
-invariants are identical.
+supplies only its pool type, its quote kernel (:func:`cpmm_odds`), its buys'
+leg loop (:meth:`CpmmMarket._legs`), both with the product rule of the
+reference kernel :func:`cpmm_swap` written inline, and its genesis, so the
+conservation invariants are identical.
 
 Initial reserves are seeded proportional to ``1 / f_k`` so that the implied
 prices at launch equal the true outcome probabilities; after that the pool
@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .fixedpoint import UNIT, to_micro, to_wad
-from .uamm import _INF, Market, Quote, Reserves, _quote_edge, _record
+from .fixedpoint import _FAST_LIMIT, _PRODUCT_ERROR, UNIT, to_micro, to_wad
+from .uamm import _INF, Market, Quote, Reserves, UnfillableQuote, _quote_edge, _record
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
-    """Output amount under the product rule: r_out - r_in*r_out/(r_in + d_in)."""
+    """Output amount under the product rule: r_out - r_in*r_out/(r_in + d_in).
+
+    The reference kernel of the rule: :func:`cpmm_odds` and
+    :meth:`CpmmMarket._legs` run it inline, and the tests hold them to it bit
+    for bit."""
     if d_in < 0:
         raise ValueError("swap input must be non-negative")
     if d_in == 0.0 or r_out <= 0.0:
@@ -75,7 +79,9 @@ class CpmmPool(Reserves):
 
 
 class CpmmMarket(Market):
-    """Constant-product betting market over the conditional-token ledger."""
+    """Constant-product betting market over the conditional-token ledger:
+    the product rule as quote kernel (:func:`cpmm_odds`) and as buy leg loop
+    (:meth:`_legs`), over a :class:`CpmmPool`."""
 
     engine = "cpmm"
     pool_type = CpmmPool
@@ -85,13 +91,35 @@ class CpmmMarket(Market):
     _odds = staticmethod(cpmm_odds)
 
     @staticmethod
-    def _leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
-             tb: float) -> float:
-        """:meth:`~uamm_lab.uamm.Market.buy`'s one swap leg under the product
-        rule, in the shape ``buy`` calls every engine's leg; a quote runs the
-        rule inline in :func:`cpmm_odds`.  The rule reads ``r_in`` before the
-        bettor's ``d`` is added."""
-        return cpmm_swap(d, r_in, r_out)
+    def _legs(pool, fair, i: int, n: int) -> int:
+        """:meth:`~uamm_lab.uamm.Market.buy`'s swap legs under the product
+        rule, as :meth:`~uamm_lab.uamm.UammMarket._legs` runs the fair-price
+        rule: :func:`cpmm_swap`'s formula inline on the int pools ``r[j] +
+        r[0]`` and ``r[i] + r[0]`` (each input pool read before the bettor's
+        ``n`` is added to it), every output rounded half-even to micro-units
+        by ``to_micro``'s float fast path, inline."""
+        r = pool.r_micro
+        c = r[0]
+        ri = r[i] + c
+        d = n / UNIT
+        odd = n
+        for j in fair.others[i]:
+            ro = ri / UNIT
+            rj = (r[j] + c) / UNIT
+            s = ro - (rj * ro) / (rj + d)
+            # to_micro(s), its float fast path inline
+            y = s * 1e6
+            if 0.0 < y < _FAST_LIMIT:
+                m = round(y)
+                if 0.5 - abs(y - m) <= y * _PRODUCT_ERROR:
+                    m = to_micro(s)
+            else:
+                m = to_micro(s)
+            if not 0 <= m <= ri:
+                raise UnfillableQuote
+            ri -= m
+            odd += m
+        return odd
 
     def _fund(self, account: str, funding: Decimal) -> int:
         """Seed reserves from ``funding`` collateral at true-probability

@@ -18,9 +18,10 @@ pool, snapshot) and the bet pipeline, which has two faces:
   quote kernel with its swap rule written inline in the leg loop, so a
   quote costs its arithmetic and one call, not a call per leg;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
-  ledger, so conservation stays exact.  Its legs call the engine's public
-  swap kernel (:func:`swap_out` here), which the quote kernel matches bit
-  for bit.
+  ledger, so conservation stays exact.  Each engine's execution leg loop
+  (``_legs``) runs its swap rule inline too, with the float operations of
+  the public swap kernel (:func:`swap_out` here), and rounds each leg to
+  micro-units; the merge is int algebra on the reserves.
 
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
 tuples, built straight from the tuple of their field values.  Neither
@@ -37,9 +38,10 @@ target balance in wads (10**-18 units, see :mod:`uamm_lab.fixedpoint`), so
 no figure of a market depends on the caller's Decimal context.
 
 An engine is a subclass that supplies its pool type, its quote kernel, the
-one-leg swap rule its buys use, and its genesis.  :class:`UammMarket` is the
-fair-price engine (kernel :func:`calc_odds`, leg :func:`fair_leg`); it also
-removes liquidity and mints treasury LP shares on every bet.  The
+leg loop its buys run, and its genesis.  :class:`UammMarket` is the
+fair-price engine (kernel :func:`calc_odds`, legs
+:meth:`UammMarket._legs`); it also removes liquidity and mints treasury LP
+shares on every bet.  The
 constant-product engine is :class:`uamm_lab.baseline.CpmmMarket`.
 """
 
@@ -55,8 +57,9 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .fixedpoint import (PRECISION, UNIT, WAD, WAD_PRECISION, ZERO, add_exact, amount,
-                         format_micro, from_wad, mul_exact, to_micro, to_wad)
+from .fixedpoint import (_FAST_LIMIT, _PRODUCT_ERROR, PRECISION, UNIT, WAD, WAD_PRECISION,
+                         ZERO, add_exact, amount, format_micro, from_wad, mul_exact, to_micro,
+                         to_wad)
 from .ledger import (
     COLLATERAL,
     ConditionalLedger,
@@ -163,6 +166,10 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
     2. pool above target: the fair amount ``rho * d_in`` exactly,
     3. pool below target: constant-product slippage with invariant
        ``x * r_out = tb**2``.
+
+    The reference kernel of the rule: :func:`calc_odds` and
+    :meth:`UammMarket._legs` run it inline, and the tests hold them to it
+    bit for bit.
     """
     if d_in < 0:
         raise ValueError("swap input must be non-negative")
@@ -357,15 +364,6 @@ class Quote(NamedTuple):
         return self.odd / self.wager if self.wager else 0.0
 
 
-def fair_leg(d: float, f_in: float, f_out: float, r_in: float, r_out: float,
-             tb: float) -> float:
-    """:meth:`Market.buy`'s one swap leg under the fair-price rule, in the
-    shape ``buy`` calls every engine's leg; the input pool ``r_in`` plays no
-    part in it.  A quote does not call it: :func:`calc_odds` runs the same
-    rule inline."""
-    return swap_out(d, f_in, f_out, r_out, tb)
-
-
 def _quote_edge(r, fair: FairPriceVector, i: int, d: float) -> Quote:
     """What a quote kernel does with an input outside its hot test (a known
     outcome and a positive finite wager ``d``): raise ``ValueError`` for an
@@ -482,8 +480,9 @@ class Market:
     All mutations of a market are serialized through this object; distinct
     markets share no state and may run in parallel.  An engine subclass
     supplies ``engine`` (its name), ``pool_type``, ``_odds`` (its quote
-    kernel, called as :func:`calc_odds` is), ``_leg`` (the one-leg swap rule
-    :meth:`buy` calls, see :func:`fair_leg`) and ``_fund`` (its genesis:
+    kernel, called as :func:`calc_odds` is), ``_legs`` (the leg loop
+    :meth:`buy` runs: ``(pool, fair, i, n)`` to the odd in micro-units, see
+    :meth:`UammMarket._legs`) and ``_fund`` (its genesis:
     what adding liquidity puts into the pool; it returns the LP shares
     minted, in int wads); everything else is shared.
     """
@@ -557,12 +556,17 @@ class Market:
     def buy(self, account: str, i: int, wager) -> BetRecord:
         """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.
 
-        Tokens move as int micro-units: each leg reads its reserves as
-        ``n / UNIT`` floats, exactly the floats a quote reads, and its output
-        is rounded half-even to micro-units before the next leg.  The fee is
-        ``wager * fee_rate`` exactly when that lies on the grid (any
-        whole-cent wager at a 0.025 rate), and is otherwise rounded half-even
-        to the grid, so that the ledger can hold what the bettor is charged.
+        Tokens move as int micro-units: the engine's ``_legs`` reads each
+        combined reserve ``r[k] + r[0]`` as an ``n / UNIT`` float and rounds
+        each leg's output half-even to micro-units before the next leg.  No
+        scratch pool is built: once every leg is fillable, the merge is int
+        algebra on the odd (in effect every conditional pool gains
+        ``r[0] + n`` and pool ``i`` pays the odd; the uniform set all of them
+        then hold returns to collateral), written to one new reserve list.
+        The fee is ``wager * fee_rate`` exactly when that lies on the grid
+        (any whole-cent wager at a 0.025 rate), and is otherwise rounded
+        half-even to the grid, so that the ledger can hold what the bettor is
+        charged.
 
         The wager is rounded half-even to micro-units first.  A negative
         wager raises ``ValueError``, as a quote does, even when it rounds to
@@ -596,43 +600,35 @@ class Market:
                 f"{account} cannot cover wager {d} plus fee {fee}"
             )
         fair = self.fair
-        f = fair.probs
-        fi = f[i - 1]
-        leg = self._leg
-        # Work on a scratch copy; commit only if every leg is fillable.
-        # combine: the collateral pool is minted into K uniform sets
-        c = pool.r_micro[0]
-        rw = [x + c for x in pool.r_micro]
-        rw[0] = 0
-        df = n / UNIT
-        tbf = pool.tb_float
-        odd = n
-        for j in fair.others[i]:
-            s = to_micro(leg(df, f[j - 1], fi, rw[j] / UNIT, rw[i] / UNIT, tbf))
-            rw[j] += n
-            if s < 0 or s > rw[i]:
-                raise UnfillableQuote(
-                    f"wager {d} on outcome {i} would drain the pool"
-                )
-            rw[i] -= s
-            odd += s
-        # merge the uniform set every conditional pool holds back into collateral
-        m = min(rw[1:])
-        rw = [x - m for x in rw]
-        rw[0] = m
-        # commit; the bettor's working set n plus the combined c, less the merge
+        try:
+            odd = self._legs(pool, fair, i, n)
+        except UnfillableQuote:
+            raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool") from None
+        # merge: in effect every conditional pool gains the combined r[0]
+        # and the bettor's n, and pool i pays the odd, so all of them hold
+        # r[0] + n + u in common, the uniform set that returns to collateral;
+        # u is 0 (most buys) when another outcome's pool is empty and pool i
+        # covers the odd, and then only r[0] and r[i] move
+        r = pool.r_micro
+        u = min(r[1:])
+        if r[i] - odd < u:
+            u = r[i] - odd
+        rw = [x - u for x in r] if u else r.copy()
+        rw[0] = r[0] + n + u
+        rw[i] -= odd
+        # commit
         acct[COLLATERAL] -= cost
         acct[i] += odd
         if exact:
             ledger.fee_payers.add(account)
-        ledger.locked_micro += n + c - m
+        ledger.locked_micro -= u
         pool.r_micro = rw
         pool.fee_accrued = add_exact(pool.fee_accrued, fee)
         s_lp = self._mint_treasury(n)
-        implied = df / (odd / UNIT)
+        implied = n / UNIT / (odd / UNIT)
         record = _record(BetRecord, (
             len(self.bets), i, d, fee, mul_exact(PRECISION, odd), s_lp,
-            implied, implied - fi, tuple([x / UNIT for x in rw]),
+            implied, implied - fair.probs[i - 1], tuple([x / UNIT for x in rw]),
         ))
         self.bets.append(record)
         return record
@@ -692,7 +688,56 @@ class UammMarket(Market):
     quote = Market.quote
     buy = Market.buy
     _odds = staticmethod(calc_odds)
-    _leg = staticmethod(fair_leg)
+
+    @staticmethod
+    def _legs(pool, fair: FairPriceVector, i: int, n: int) -> int:
+        """:meth:`Market.buy`'s swap legs under the fair-price rule: the odd,
+        in micro-units, that a wager of ``n`` micro-units on ``i`` pays, or
+        :class:`UnfillableQuote` if a leg would drain the pool.
+
+        The output pool is the int ``r[i] + r[0]``, the collateral combined
+        into it, read as a float on every leg.  Each leg is :func:`swap_out`'s
+        rule written inline, as in :func:`calc_odds` (same float operations,
+        same order, same branch), and its output is rounded half-even to
+        micro-units by :func:`~uamm_lab.fixedpoint.to_micro`'s float fast
+        path, inline, falling back to ``to_micro`` itself near a tie and
+        outside the fast path's range."""
+        r = pool.r_micro
+        ri = r[i] + r[0]
+        d = n / UNIT
+        tb = pool.tb_float
+        tt = tb * tb
+        odd = n
+        for rho in fair.rates[i]:
+            ro = ri / UNIT
+            delta = rho * d
+            if tb <= ro:
+                if ro - delta > tb:
+                    # above the target: the fair amount
+                    s = delta
+                else:
+                    # straddling the target (an empty pool with no target
+                    # pays 0.0 here)
+                    alpha = ro / ((0.0 if tb <= 0.0 else tt / ro) + delta)
+                    s = alpha * delta + (rho - alpha) * (ro - tb)
+            elif ro > 0.0:
+                # below the target: constant-product slippage around tb**2
+                s = ro - tt / (tt / ro + delta)
+            else:
+                s = 0.0
+            # to_micro(s), its float fast path inline
+            y = s * 1e6
+            if 0.0 < y < _FAST_LIMIT:
+                m = round(y)
+                if 0.5 - abs(y - m) <= y * _PRODUCT_ERROR:
+                    m = to_micro(s)
+            else:
+                m = to_micro(s)
+            if not 0 <= m <= ri:
+                raise UnfillableQuote
+            ri -= m
+            odd += m
+        return odd
 
     def _fund(self, account: str, d: Decimal) -> int:
         self.ledger.debit(account, COLLATERAL, d)

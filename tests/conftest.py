@@ -3,9 +3,10 @@ import sys
 
 from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
-from uamm_lab.fixedpoint import UNIT
+from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, add_exact, mul_exact, to_micro
+from uamm_lab.ledger import COLLATERAL, InsufficientBalance, Phase, PhaseError
 from uamm_lab.metrics import summarize
-from uamm_lab.uamm import PoolState, Quote, UnfillableQuote, swap_out
+from uamm_lab.uamm import BetRecord, PoolState, Quote, UnfillableQuote, swap_out
 
 _config = None
 
@@ -148,3 +149,79 @@ def reference_quote(pool, fair, i, wager, fee_rate=0, engine="uamm", branches=No
         odd += s
     implied = d / odd
     return Quote(i, d, odd, implied, implied - fi, float(fee_rate) * d)
+
+
+def reference_buy(market, account, i, wager, branches=None):
+    """``market.buy(account, i, wager)`` computed leg by leg through the
+    public swap kernels.
+
+    The execution pipeline as it ran before each engine had its own leg
+    loop: the reserves combined into a scratch copy, one
+    ``to_micro(swap_out(...))`` (UAMM) or ``to_micro(cpmm_swap(...))`` (CPMM)
+    per leg, each leg reading its pools as ``n / UNIT`` floats of the
+    scratch copy, and the merge of the smallest conditional pool back into
+    collateral.  It commits to ``market`` as ``buy`` does, so the two must
+    leave equal records and snapshots and raise the same exceptions.
+    ``branches``, a list, collects the :func:`swap_branch` of every UAMM
+    leg.
+    """
+    ledger, pool, spec = market.ledger, market.pool, market.spec
+    if ledger.phase is not Phase.OPEN:
+        raise PhaseError("market is not open for betting")
+    if not 1 <= i <= spec.k:
+        raise ValueError(f"unknown outcome {i} for a {spec.k}-outcome market")
+    n = to_micro(wager)
+    if n <= 0:
+        if n or float(wager) < 0:
+            raise ValueError("wager must be non-negative")
+        record = BetRecord(len(market.bets), i, ZERO, ZERO, ZERO, ZERO, market.fair.of(i),
+                           0.0, tuple(x / UNIT for x in pool.r_micro))
+        market.bets.append(record)
+        return record
+    d = mul_exact(PRECISION, n)
+    fee_n, exact = market.fee_micro(n)
+    fee = mul_exact(d, spec.fee_rate) if exact else mul_exact(PRECISION, fee_n)
+    cost = n + fee_n
+    acct = ledger.bal_micro.get(account)
+    if acct is None or acct[COLLATERAL] < cost:
+        raise InsufficientBalance(f"{account} cannot cover wager {d} plus fee {fee}")
+    f = market.fair.probs
+    fi = f[i - 1]
+    # combine: the collateral pool is minted into K uniform sets
+    c = pool.r_micro[0]
+    rw = [x + c for x in pool.r_micro]
+    rw[0] = 0
+    df = n / UNIT
+    tb = pool.tb_float
+    odd = n
+    for j in range(1, spec.k + 1):
+        if j == i:
+            continue
+        if market.engine == "cpmm":
+            s = to_micro(cpmm_swap(df, rw[j] / UNIT, rw[i] / UNIT))
+        else:
+            if branches is not None:
+                branches.append(swap_branch(df, f[j - 1], fi, rw[i] / UNIT, tb))
+            s = to_micro(swap_out(df, f[j - 1], fi, rw[i] / UNIT, tb))
+        rw[j] += n
+        if s < 0 or s > rw[i]:
+            raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool")
+        rw[i] -= s
+        odd += s
+    # merge the uniform set every conditional pool holds back into collateral
+    m = min(rw[1:])
+    rw = [x - m for x in rw]
+    rw[0] = m
+    acct[COLLATERAL] -= cost
+    acct[i] += odd
+    if exact:
+        ledger.fee_payers.add(account)
+    ledger.locked_micro += n + c - m
+    pool.r_micro = rw
+    pool.fee_accrued = add_exact(pool.fee_accrued, fee)
+    s_lp = market._mint_treasury(n)
+    implied = df / (odd / UNIT)
+    record = BetRecord(len(market.bets), i, d, fee, mul_exact(PRECISION, odd), s_lp,
+                       implied, implied - fi, tuple(x / UNIT for x in rw))
+    market.bets.append(record)
+    return record
