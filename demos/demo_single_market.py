@@ -6,7 +6,7 @@ slippage-driven rejections, balance drift, and the LP's final settlement.
 """
 
 from uamm_lab import SimConfig, amount, build_market
-from uamm_lab.metrics import eip_values, epp_values
+from uamm_lab.metrics import market_pnl
 from uamm_lab.sim import run_single_market
 
 
@@ -37,9 +37,10 @@ def main():
     print("Balances hover near the $10,000 funding: the fair-price rule "
           "pushes flow back toward the target balance.\n")
 
+    eip, epp, _, _ = market_pnl(result)
     print(f"Outcome {result.winner} won this market.")
-    print(f"  impermanent LP PnL (probability-weighted): ${eip_values([result])[0]:,.2f}")
-    print(f"  permanent LP PnL (winner's pool delta):    ${epp_values([result])[0]:,.2f}")
+    print(f"  impermanent LP PnL (probability-weighted): ${eip:,.2f}")
+    print(f"  permanent LP PnL (winner's pool delta):    ${epp:,.2f}")
     print(f"  fee revenue on top:                        ${result.fee}")
     print("Permanent PnL is the winner's conditional-reserve delta; the buy "
           "pipeline keeps merging the scarcest leg to zero, so single markets "

@@ -48,7 +48,7 @@ from . import metrics, sim
 from .fixedpoint import amount
 from .probes import continuity_report, property_report
 from .sim import ConfigError, SimConfig
-from .uamm import FairPriceVector, UnfillableQuote
+from .uamm import UnfillableQuote
 
 PROPERTY_TOLERANCE = 1e-9
 
@@ -122,11 +122,15 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_dicts(path: Path, rows: list[dict]) -> None:
+    """Write dict rows that share their keys; the keys are the header."""
+    _write_csv(path, rows[0].keys(), [r.values() for r in rows])
+
+
 def cmd_quote(args) -> int:
     probs = tuple(float(x) for x in args.probs.split(","))
     if len(probs) != args.k:
         raise UsageError(f"--probs lists {len(probs)} values for --k {args.k}")
-    FairPriceVector(probs)  # validates range and sum
     market = sim.build_market(
         "uamm", "quote", args.k, probs, args.funding, args.fee_rate,
     )
@@ -185,18 +189,10 @@ def cmd_simulate(args) -> int:
 
     if args.mode == "sweep":
         sweep = sim.run_prob_sweep(cfg)
-        fields = ("prob", "side_mode", "eip_mean", "epp_mean", "epp_std",
-                  "epp_se", "ev_mean", "epp_norm")
-        _write_csv(out / "plot_prob_sweep.csv", fields,
-                   [[r[f] for f in fields] for r in sweep.rows])
-        _write_csv(out / "sweep_bands.csv",
-                   ["side_mode", "epp_spread_band", "epp_spread_observed"],
-                   [(m, b["epp_spread_band"], b["epp_spread_observed"])
-                    for m, b in sweep.bands.items()])
-        rej = sim.run_rejection_sweep(cfg)
-        fields = ("threshold", "acceptance_rate", "eip_mean", "epp_mean", "volume")
-        _write_csv(out / "plot_rejection_sweep.csv", fields,
-                   [[r[f] for f in fields] for r in rej])
+        _write_dicts(out / "plot_prob_sweep.csv", sweep.rows)
+        _write_dicts(out / "sweep_bands.csv",
+                     [{"side_mode": m, **b} for m, b in sweep.bands.items()])
+        _write_dicts(out / "plot_rejection_sweep.csv", sim.run_rejection_sweep(cfg))
         for m, b in sweep.bands.items():
             print(f"sweep[{m}]: epp spread {b['epp_spread_observed']:.6g} "
                   f"(declared band {b['epp_spread_band']:.6g})")
@@ -220,7 +216,7 @@ def cmd_simulate(args) -> int:
             if plot:
                 plot.writerow((i, eip, epp, ev_final))
         summary = {"mode": args.mode, "seed": cfg.seed, **fold.report().csv_row()}
-        _write_csv(out / "summary.csv", summary.keys(), [summary.values()])
+        _write_dicts(out / "summary.csv", [summary])
     if single:
         fields = (["step"] + [f"balance_{j}" for j in range(1, result.k + 1)]
                   + ["rejected_cum", "eip"])

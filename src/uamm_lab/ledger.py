@@ -100,12 +100,12 @@ class ConditionalLedger:
     """
 
     spec: MarketSpec
-    phase: Phase = Phase.OPEN
-    winner: int | None = None
-    locked_micro: int = 0
-    deposited_micro: int = 0
-    bal_micro: dict[str, list[int]] = field(default_factory=dict)
-    fee_payers: set[str] = field(default_factory=set)
+    phase: Phase = field(default=Phase.OPEN, init=False)
+    winner: int | None = field(default=None, init=False)
+    locked_micro: int = field(default=0, init=False)
+    deposited_micro: int = field(default=0, init=False)
+    bal_micro: dict[str, list[int]] = field(default_factory=dict, init=False)
+    fee_payers: set[str] = field(default_factory=set, init=False)
 
     # -- balance plumbing ---------------------------------------------------
 

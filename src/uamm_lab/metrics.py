@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 
 import numpy as np
@@ -41,16 +41,6 @@ def pool_deltas(result) -> list[float]:
     ]
 
 
-def _eip(fair, deltas) -> float:
-    return math.fsum(f * d for f, d in zip(fair, deltas))
-
-
-def _epp(result, deltas) -> float:
-    if result.winner is None:
-        raise ValueError(f"market {result.market_id} has no sampled winner")
-    return deltas[result.winner - 1]
-
-
 def _tv_pnl(r) -> float:
     tv0 = r.r_start[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_start[1:]))
     tv1 = r.r_end[0] + math.fsum(f * x for f, x in zip(r.fair, r.r_end[1:]))
@@ -59,28 +49,27 @@ def _tv_pnl(r) -> float:
 
 def market_pnl(result) -> tuple[float, float, float, float]:
     """``(eip, epp, tv_pnl, ev_final)`` of one market, its pool deltas taken
-    once: EIP and EPP are the figures :func:`eip_values` and
-    :func:`epp_values` give for it, ``tv_pnl`` is TV_end - TV_start (the
-    collateral pool included) and ``ev_final`` is :func:`ev` of the final
-    conditional pools."""
+    once: EIP (impermanent PnL) is the pool deltas valued at the fair
+    prices, EPP (permanent PnL) the sampled winner's pool delta, ``tv_pnl``
+    TV_end - TV_start (the collateral pool included) and ``ev_final``
+    :func:`ev` of the final conditional pools."""
+    if result.winner is None:
+        raise ValueError(f"market {result.market_id} has no sampled winner")
     deltas = pool_deltas(result)
-    return (_eip(result.fair, deltas), _epp(result, deltas), _tv_pnl(result),
+    return (math.fsum(f * d for f, d in zip(result.fair, deltas)),
+            deltas[result.winner - 1], _tv_pnl(result),
             ev(result.r_end[1:], result.fair))
-
-
-def eip_values(results) -> list[float]:
-    """Impermanent PnL per market: pool deltas valued at fair prices."""
-    return [_eip(r.fair, pool_deltas(r)) for r in results]
-
-
-def epp_values(results) -> list[float]:
-    """Permanent PnL per market: the sampled winner's pool delta."""
-    return [_epp(r, pool_deltas(r)) for r in results]
 
 
 @dataclass
 class MetricsReport:
-    """Aggregate result bundle for one experiment."""
+    """Aggregate result bundle for one experiment.
+
+    Its fields are the columns of ``summary.csv``, in order (see
+    :meth:`csv_row`); ``rejection_rate``, ``tp`` (total permanent PnL) and
+    ``epp_plus_fee`` (permanent PnL per market plus total fee revenue) are
+    derived from the others.
+    """
 
     engine: str
     n_markets: int
@@ -88,6 +77,7 @@ class MetricsReport:
     accepted: int
     rejected: int
     unfillable: int
+    rejection_rate: float = field(init=False)
     volume: Decimal
     fee_revenue: Decimal
     ev_mean: float
@@ -95,40 +85,23 @@ class MetricsReport:
     eip_std: float
     epp_mean: float
     epp_std: float
-    tp: float
+    tp: float = field(init=False)
     tv_pnl_mean: float
+    epp_plus_fee: float = field(init=False)
     vigorish: float
 
-    @property
-    def rejection_rate(self) -> float:
-        return (self.rejected + self.unfillable) / self.total_bets if self.total_bets else 0.0
-
-    @property
-    def epp_plus_fee(self) -> float:
-        """Permanent PnL per market plus total fee revenue (fee on top)."""
-        return self.epp_mean + float(self.fee_revenue)
+    def __post_init__(self):
+        self.rejection_rate = ((self.rejected + self.unfillable) / self.total_bets
+                               if self.total_bets else 0.0)
+        self.tp = self.n_markets * self.epp_mean
+        self.epp_plus_fee = self.epp_mean + float(self.fee_revenue)
 
     def csv_row(self) -> dict:
-        return {
-            "engine": self.engine,
-            "n_markets": self.n_markets,
-            "total_bets": self.total_bets,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "unfillable": self.unfillable,
-            "rejection_rate": repr(self.rejection_rate),
-            "volume": str(self.volume),
-            "fee_revenue": str(self.fee_revenue),
-            "ev_mean": repr(self.ev_mean),
-            "eip_mean": repr(self.eip_mean),
-            "eip_std": repr(self.eip_std),
-            "epp_mean": repr(self.epp_mean),
-            "epp_std": repr(self.epp_std),
-            "tp": repr(self.tp),
-            "tv_pnl_mean": repr(self.tv_pnl_mean),
-            "epp_plus_fee": repr(self.epp_plus_fee),
-            "vigorish": repr(self.vigorish),
-        }
+        """The ``summary.csv`` columns: floats as their ``repr``, Decimals as
+        their ``str``, the engine and the counts as they are."""
+        return {f.name: repr(v) if isinstance(v, float) else
+                str(v) if isinstance(v, Decimal) else v
+                for f in fields(self) for v in [getattr(self, f.name)]}
 
 
 class MetricsFold:
@@ -163,12 +136,11 @@ class MetricsFold:
         eip, epp, tv_pnl, ev_final, overround = self.floats
         if not eip:
             raise ValueError("no market results to summarize")
-        epp_mean = float(np.mean(epp))
         return MetricsReport(
             self.engine, len(eip), *self.bets, self.volume, self.fee,
-            ev_mean=float(np.mean(ev_final)), tp=len(eip) * epp_mean,
+            ev_mean=float(np.mean(ev_final)),
             eip_mean=float(np.mean(eip)), eip_std=float(np.std(eip)),
-            epp_mean=epp_mean, epp_std=float(np.std(epp)),
+            epp_mean=float(np.mean(epp)), epp_std=float(np.std(epp)),
             tv_pnl_mean=float(np.mean(tv_pnl)), vigorish=float(np.mean(overround)),
         )
 

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -56,12 +56,8 @@ class PropertyReport:
 
     @property
     def max_error(self) -> float:
-        return max(
-            self.max_add_additivity,
-            self.max_remove_additivity,
-            self.max_add_reversibility,
-            self.max_remove_reversibility,
-        )
+        """The largest of the four errors: every field after ``n_states``."""
+        return max(astuple(self)[1:])
 
 
 def _state_gap(a: PoolState, b: PoolState) -> float:

@@ -131,8 +131,10 @@ class SimConfig:
                                   f"({len(probs)}), got {self.k!r}")
 
 
-#: The config keys, in :class:`SimConfig` field order.
-CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
+#: The config keys, in :class:`SimConfig` field order, each with the type of
+#: its default: the type a config file's scalar value is read as.
+_KEY_TYPES = {f.name: type(f.default) for f in fields(SimConfig)}
+CONFIG_KEYS = tuple(_KEY_TYPES)
 
 
 #: Uncontrolled full-market experiment defaults: outcome count, probabilities
@@ -147,7 +149,6 @@ FULL_DEFAULTS = dict(
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
     if key == "k":
         parts = [int(x) for x in raw.split(",") if x.strip()]
         return parts[0] if len(parts) == 1 else tuple(parts)
@@ -160,12 +161,7 @@ def _parse_value(key: str, raw: str):
         if raw.startswith("lognormal:"):
             mu, sigma = (float(x) for x in raw[len("lognormal:"):].split(","))
             return ("lognormal", mu, sigma)
-        return int(raw)
-    if key in ("n_markets", "seed"):
-        return int(raw)
-    if key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std", "fee_rate"):
-        return float(raw)
-    return raw  # side_mode, engine
+    return _KEY_TYPES[key](raw)
 
 
 def config_from_dict(d: dict) -> SimConfig:
@@ -188,7 +184,10 @@ def load_config(path) -> SimConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad {key} value {raw!r}: {exc}") from None
     return config_from_dict(values)
 
 
@@ -306,10 +305,7 @@ class MarketResult:
 
 
 def build_market(engine: str, market_id: str, k: int, probs, funding, fee_rate):
-    spec = MarketSpec(
-        market_id=market_id, k=k,
-        fee_rate=Decimal(str(fee_rate)), oracle_id=ORACLE,
-    )
+    spec = MarketSpec(market_id=market_id, k=k, fee_rate=fee_rate, oracle_id=ORACLE)
     cls = UammMarket if engine == "uamm" else CpmmMarket
     # a FairPriceVector passes through as is: normalizing it again can move a
     # probability by one ulp away from the vector the bettors were drawn from

@@ -142,10 +142,6 @@ class FairPriceVector:
         self.rates = ((), *[tuple([p[j - 1] / fi for j in js])
                             for fi, js in zip(p, others[1:])])
 
-    def of(self, k: int) -> float:
-        """Probability of outcome ``k`` (1-based)."""
-        return self.probs[k - 1]
-
     def __len__(self):
         return len(self.probs)
 
@@ -586,7 +582,7 @@ class Market:
                 raise ValueError("wager must be non-negative")
             record = _record(BetRecord, (
                 len(self.bets), i, ZERO, ZERO, ZERO, ZERO,
-                self.fair.of(i), 0.0, tuple([x / UNIT for x in pool.r_micro]),
+                self.fair.probs[i - 1], 0.0, tuple([x / UNIT for x in pool.r_micro]),
             ))
             self.bets.append(record)
             return record

@@ -174,8 +174,9 @@ def reference_buy(market, account, i, wager, branches=None):
     if n <= 0:
         if n or float(wager) < 0:
             raise ValueError("wager must be non-negative")
-        record = BetRecord(len(market.bets), i, ZERO, ZERO, ZERO, ZERO, market.fair.of(i),
-                           0.0, tuple(x / UNIT for x in pool.r_micro))
+        record = BetRecord(len(market.bets), i, ZERO, ZERO, ZERO, ZERO,
+                           market.fair.probs[i - 1], 0.0,
+                           tuple(x / UNIT for x in pool.r_micro))
         market.bets.append(record)
         return record
     d = mul_exact(PRECISION, n)

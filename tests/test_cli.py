@@ -202,6 +202,19 @@ def test_simulate_rejects_a_bad_sampling_rule_before_any_market_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["n_bets = lognormal:2", "probs = uniform:0.2",
+                                  "n_markets = 1.5", "k = 2.5"])
+def test_simulate_names_the_file_line_and_key_of_a_bad_value(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, SMALL_CFG + line + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    key = line.split(" ")[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:6: bad {key} value "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["k = 3", "k = 2,3"])
 def test_simulate_rejects_k_choices_unlike_the_fixed_probs(tmp_path, capsys, line):
     # the default probs are 0.5,0.5: two outcomes

@@ -26,6 +26,20 @@ def snapshot(ledger):
     return tuple(sorted(ledger.snapshot_items()))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("phase", Phase.RESOLVED), ("winner", 1), ("locked_micro", 5),
+    ("deposited_micro", 5), ("bal_micro", {"a": [5, 0, 0]}), ("fee_payers", {"a"}),
+])
+def test_ledger_takes_only_its_spec(name, value):
+    """The books and the lifecycle start empty and open: a caller cannot
+    construct a ledger part-way through its life."""
+    with pytest.raises(TypeError):
+        ConditionalLedger(MarketSpec(market_id="m", k=2), **{name: value})
+    ledger = ConditionalLedger(MarketSpec(market_id="m", k=2))
+    assert (ledger.phase, ledger.winner, ledger.locked_micro, ledger.deposited_micro,
+            ledger.bal_micro, ledger.fee_payers) == (Phase.OPEN, None, 0, 0, {}, set())
+
+
 def test_mint_credits_every_outcome():
     ledger = fresh()
     ledger.mint("a", 10)

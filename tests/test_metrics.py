@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -54,33 +55,42 @@ def test_ev_three_outcome_markets_equal_negative_total():
 
 def test_eip_zero_without_trades():
     res = result_stub((10_000.0, 0.0, 0.0), (10_000.0, 0.0, 0.0), (0.5, 0.5), 1)
-    assert metrics.eip_values([res]) == [0.0]
+    assert metrics.market_pnl(res)[0] == 0.0
 
 
 def test_eip_balanced_deltas_cancel():
     res = result_stub(
         (10_000.0, 0.0, 0.0), (10_000.0, 10.0, -10.0), (0.5, 0.5), 1
     )
-    assert metrics.eip_values([res]) == [pytest.approx(0.0)]
+    assert metrics.market_pnl(res)[0] == pytest.approx(0.0)
 
 
 def test_epp_picks_the_winning_pool_delta():
     res = result_stub((10_000.0, 0.0, 0.0), (10_000.0, 5.0, -3.0), (0.5, 0.5), 1)
-    assert metrics.epp_values([res]) == [pytest.approx(5.0)]
+    assert metrics.market_pnl(res)[1] == pytest.approx(5.0)
     res.winner = 2
-    assert metrics.epp_values([res]) == [pytest.approx(-3.0)]
+    assert metrics.market_pnl(res)[1] == pytest.approx(-3.0)
 
 
 def test_epp_requires_winner():
     res = result_stub((10_000.0, 0.0, 0.0), (10_000.0, 5.0, 0.0), (0.5, 0.5), 1)
     res.winner = None
     with pytest.raises(ValueError):
-        metrics.epp_values([res])
+        metrics.market_pnl(res)
 
 
 def test_tp_is_market_count_times_epp():
     results, report = sim.run_multi_market(SimConfig(n_markets=7, n_bets=20))
     assert report.tp == report.n_markets * report.epp_mean
+
+
+@pytest.mark.parametrize("name", ["rejection_rate", "tp", "epp_plus_fee"])
+def test_derived_report_figures_are_not_settable(name):
+    _, report = sim.run_multi_market(SimConfig(n_markets=2, n_bets=20))
+    values = {f.name: getattr(report, f.name) for f in fields(report) if f.init}
+    assert metrics.MetricsReport(**values) == report
+    with pytest.raises(TypeError):
+        metrics.MetricsReport(**values, **{name: 0.0})
 
 
 def test_epp_plus_fee_identity():

@@ -508,3 +508,38 @@ def test_simulate_output_bytes_are_pinned(mode, engine, tmp_path, monkeypatch, c
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
     assert digests == CLI_OUTPUT_SHA256[mode, engine]
+
+
+#: ``simulate --mode sweep`` on a small config: every file it writes and its
+#: stdout, recorded before the sweep CSV headers were taken from the rows.
+SWEEP_CONFIG = "k = 2\nn_bets = 30\nn_markets = 3\nseed = 11\n"
+SWEEP_OUTPUT_SHA256 = {
+    "uamm": {
+        "plot_prob_sweep.csv": "32707d7b237dbddc4586a11e4c4fa4392602fcfd740fb17466e59e1fd9fbdaeb",
+        "plot_rejection_sweep.csv": "79909e483bf77bcac02b3ac4daa38d6164ea884d3e1f017bfdcb529c5033cc4a",
+        "stdout": "e13f9c01dd3de728ab5d92b8380e7261558470b240e4577b83237789c13c28b5",
+        "sweep_bands.csv": "4a8719a645fc4253979c84e3a1ea0587b8f4f63417ca7b121a256f94e53ff025",
+    },
+    "cpmm": {
+        "plot_prob_sweep.csv": "8ba240f5dc7780380e2a2ffd7f633950fd953edb09c5de6553479a55daa0d173",
+        "plot_rejection_sweep.csv": "8daa10525d7277f12ad02c6278a10b0fcb9edfe404662b1fbd20959cb6ee8f1e",
+        "stdout": "f7c03a63388b682cb656b7ceff0b25d8c72f42db2f1e1ccd9d8980a674e62440",
+        "sweep_bands.csv": "7616b66020814c419ae8681aa665a415c36b82fee43be3a4af282e6848503543",
+    },
+}
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_sweep_output_bytes_are_pinned(engine, tmp_path, monkeypatch, capsys):
+    from uamm_lab import cli
+
+    monkeypatch.delenv("UAMM_LAB_SEED", raising=False)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--mode", "sweep", "--config", str(config),
+                     "--engine", engine, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == SWEEP_OUTPUT_SHA256[engine]

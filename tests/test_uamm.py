@@ -62,7 +62,7 @@ def test_fair_prices_outside_the_open_unit_interval_are_rejected(bad, position):
 def test_fair_prices_renormalize_exactly():
     f = FairPriceVector((0.1, 0.2, 0.7))
     assert math.fsum(f.probs) == 1.0
-    assert f.of(3) == pytest.approx(0.7)
+    assert f.probs[2] == pytest.approx(0.7)
 
 
 # -- total value -------------------------------------------------------------------
