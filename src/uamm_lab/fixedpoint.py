@@ -13,13 +13,20 @@ LP shares and the target balance are ints too, of 10**-18 units: "wads", the
 with floor division (see :class:`uamm_lab.uamm.PoolState`) and read as
 18-place Decimals.
 
-Balances, ``locked``, reserves, snapshot lines, share reads and a bet
-record's wager, fee and odd are built exactly, whatever the caller's Decimal
-context: each is the product of an int and a power of ten (a fee, of the
-wager and the fee rate), taken in a context that never rounds
-(:func:`mul_exact`).  A Decimal operator would round it to the caller's
-precision instead (a balance of ``1234567.891234`` reads ``1234567.89123``
-under ``localcontext(prec=12)``).
+A bet record and the pool's fee book are ints too: the record keeps its
+wager, fee and odd in micro-units and its treasury shares in wads, and the
+book its fees in micro-units, each read as a Decimal only when a caller asks.
+
+Balances, ``locked``, reserves, snapshot lines, share reads, the fee book and
+a bet record's wager, fee and odd are read exactly, whatever the caller's
+Decimal context: each is the product of an int and a power of ten, taken in
+a context that never rounds (:func:`mul_exact`, :func:`scaleb_exact`).  A
+Decimal operator would round it to the caller's precision instead (a balance
+of ``1234567.891234`` reads ``1234567.89123`` under
+``localcontext(prec=12)``).  A fee of exactly ``wager * fee_rate`` reads at
+the exponent that product has, the fee rate's less 6 (``0.308500000`` at a
+0.025 rate), and so does every figure summed from such fees:
+:func:`micro_at` reads ``n`` micro-units at a given exponent.
 
 The converters:
 
@@ -85,8 +92,6 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 mul_exact = _EXACT.multiply
 #: ``add_exact(a, b)``: the exact sum, likewise.
 add_exact = _EXACT.add
-#: ``sub_exact(a, b)``: the exact difference ``a - b``, likewise.
-sub_exact = _EXACT.subtract
 #: ``scaleb_exact(a, n)``: ``a`` times ``10**n``, exactly.
 scaleb_exact = _EXACT.scaleb
 #: The 28-digit context :func:`to_micro` rounds in, whatever the caller's.
@@ -159,6 +164,12 @@ def to_wad(value) -> int:
 def from_wad(n: int) -> Decimal:
     """``n`` wads as an exact 18-place Decimal."""
     return mul_exact(WAD_PRECISION, n)
+
+
+def micro_at(n: int, exp: int) -> Decimal:
+    """``n`` micro-units as an exact Decimal of exponent ``exp``: ``exp`` at
+    most -6, or any exponent for zero."""
+    return scaleb_exact(n * 10 ** (-6 - exp) if n else 0, exp)
 
 
 def format_micro(n: int) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .fixedpoint import PRECISION, ZERO, format_micro, mul_exact, scaleb_exact, to_micro
+from .fixedpoint import PRECISION, ZERO, format_micro, micro_at, mul_exact, to_micro
 
 #: Token id of the base (collateral) currency.  Outcome tokens use 1..K.
 COLLATERAL = 0
@@ -119,8 +119,7 @@ class ConditionalLedger:
         """The balance as an exact Decimal, whatever the caller's context."""
         n = self.bal_micro[account][token]
         if token == COLLATERAL and account in self.fee_payers:
-            exp = self.spec.fee_rate.as_tuple().exponent - 6
-            return scaleb_exact(n * 10 ** (-6 - exp), exp)
+            return micro_at(n, self.spec.fee_rate.as_tuple().exponent - 6)
         return mul_exact(PRECISION, n)
 
     def balance(self, account: str, token: int = COLLATERAL) -> Decimal:
@@ -238,15 +237,16 @@ class ConditionalLedger:
 
     # -- checks ---------------------------------------------------------------
 
-    def check_invariants(self, reserves=None, fees: Decimal = ZERO) -> None:
+    def check_invariants(self, reserves=None, fees: int = 0) -> None:
         """Raise :class:`InvariantViolation` naming every book that does not
         balance.
 
         ``reserves`` are a pool's micro-unit reserves (collateral first) and
-        ``fees`` the collateral it has charged as fees; by default there is
-        no pool.  The checks:
+        ``fees`` the collateral it has charged as fees, in micro-units; by
+        default there is no pool.  The checks:
 
-        * every stored balance, reserve and ``locked`` is an int >= 0;
+        * every stored balance, reserve, ``locked`` and the fees is an int
+          >= 0;
         * outcome-token conservation: holdings + pool == locked, for every
           outcome before resolution and for the winner after it (redeeming
           burns the losing tokens);
@@ -255,7 +255,7 @@ class ConditionalLedger:
         """
         reserves = [0] * (self.spec.k + 1) if reserves is None else reserves
         problems = []
-        stored = [("locked", self.locked_micro)]
+        stored = [("locked", self.locked_micro), ("fees", fees)]
         stored += [(f"pool r{k}", n) for k, n in enumerate(reserves)]
         stored += [(f"balance {a}/{t}", n) for a, acct in self.bal_micro.items()
                    for t, n in enumerate(acct)]
@@ -270,11 +270,8 @@ class ConditionalLedger:
                     f"outcome {k}: holdings + pool = {held} micro-units, "
                     f"locked = {self.locked_micro}"
                 )
-        fee_micro = scaleb_exact(fees, 6)
-        if fee_micro != int(fee_micro):
-            problems.append(f"fees {fees} are off the 6-decimal grid")
         collateral = (sum(acct[COLLATERAL] for acct in self.bal_micro.values())
-                      + reserves[COLLATERAL] + self.locked_micro + int(fee_micro))
+                      + reserves[COLLATERAL] + self.locked_micro + fees)
         if collateral != self.deposited_micro:
             problems.append(
                 f"collateral: accounts + pool + locked + fees = {collateral} "

@@ -30,7 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import PRECISION, UNIT, amount, mul_exact, sub_exact, to_micro
+from .fixedpoint import PRECISION, UNIT, amount, micro_at, mul_exact, to_micro
 from .ledger import MarketSpec
 from .metrics import MetricsReport, summarize
 from .uamm import FairPriceVector, UammMarket, UnfillableQuote
@@ -172,7 +172,8 @@ def config_from_dict(d: dict) -> SimConfig:
 
 
 def load_config(path) -> SimConfig:
-    """Read a flat ``key=value`` config file ('#' starts a comment)."""
+    """Read a flat ``key=value`` config file ('#' starts a comment); a key
+    given twice raises :class:`ConfigError` naming its second line."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -185,9 +186,12 @@ def load_config(path) -> SimConfig:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _parse_value(key, raw)
+                value = _parse_value(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad {key} value {raw!r}: {exc}") from None
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = value
     return config_from_dict(values)
 
 
@@ -337,18 +341,23 @@ def run_market(
     -> buy and settle.
 
     A wager crosses into micro-units once, when its bet executes: it is
-    quoted as given, and an accepted bet funds the bettor and buys with
-    ``to_micro(wager)``, rounded half-even to the grid, as
-    :meth:`~uamm_lab.uamm.Market.quote` and :meth:`~uamm_lab.uamm.Market.buy`
-    treat any caller.  :func:`_draw_streams` draws only wagers on the grid,
-    so a simulated bet is quoted at exactly what it executes; an off-grid
-    wager handed straight to this function is quoted unrounded and executed
+    quoted as given, and an accepted bet is one public
+    ``market.buy(BETTOR, side, wager, fund=True)``, which rounds the wager
+    half-even to the grid, as :meth:`~uamm_lab.uamm.Market.quote` and
+    :meth:`~uamm_lab.uamm.Market.buy` treat any caller, computes its fee
+    once and funds the bettor with exactly that cost before it executes.  A
+    bet that proves unfillable at the buy leaves the bettor holding the
+    deposit.  :func:`_draw_streams` draws only wagers on the grid, so a
+    simulated bet is quoted at exactly what it executes; an off-grid wager
+    handed straight to this function is quoted unrounded and executed
     rounded (its bet-log row shows it as given).  Each executed bet's
-    record stays in ``market.bets``, and its ``post_r`` is the pool after
-    that draw (:func:`run_single_market` rebuilds the trajectory from them).
+    record stays in ``market.bets``: the volume sums its ``wager_micro``,
+    and its ``post_r`` is the pool after that draw
+    (:func:`run_single_market` rebuilds the trajectory from them).
 
-    The result's ``fee`` is what the pool's fee book (``pool.fee_accrued``)
-    gained over the run, an exact difference.  For a market that starts
+    The result's ``fee`` is what the pool's int fee book
+    (``pool.fee_micro``) gained over the run, read at the book's exponent
+    (``pool.fee_exp``, see ``pool.fee_accrued``).  For a market that starts
     with an empty book, as every seeded market does, it is the exact sum of
     the run's record fees, value and text alike; for one that traded
     before, the value is that sum, and its text follows the book's
@@ -356,13 +365,12 @@ def run_market(
     """
     pool = market.pool
     r_start = tuple([x / UNIT for x in pool.r_micro])
-    fee_start = pool.fee_accrued
+    fee_start = pool.fee_micro
     volume = 0  # micro-units
     accepted = rejected = unfillable = 0
     log: list[tuple] = []
     engine, market_id = market.engine, market.spec.market_id
     quote_bet, buy = market.quote, market.buy
-    deposit_micro, fee_micro = market.ledger.deposit_micro, market.fee_micro
     for idx, (w, side, threshold) in enumerate(draws):
         try:
             quote = quote_bet(side, w)
@@ -374,11 +382,8 @@ def run_market(
                 rejected += 1
                 reason = "threshold"
             else:
-                # fund exactly what buy charges: the wager plus its fee
-                n = to_micro(w)
-                deposit_micro(BETTOR, n + fee_micro(n)[0])
                 try:
-                    buy(BETTOR, side, w)
+                    record = buy(BETTOR, side, w, fund=True)
                 except UnfillableQuote:
                     # fixed-point execution can hit the pool edge the float
                     # quote just cleared
@@ -386,7 +391,7 @@ def run_market(
                     reason = "unfillable"
                 else:
                     accepted += 1
-                    volume += n
+                    volume += record.wager_micro
                     reason = ""
         if keep_log:
             # the quote's odd, implied price, slippage and fee: empty cells
@@ -412,7 +417,7 @@ def run_market(
         n_rejected=rejected,
         n_unfillable=unfillable,
         volume=mul_exact(PRECISION, volume),
-        fee=sub_exact(pool.fee_accrued, fee_start),
+        fee=micro_at(pool.fee_micro - fee_start, pool.fee_exp),
         overround_final=overround,
         bet_log=log,
     )

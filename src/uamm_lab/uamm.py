@@ -21,7 +21,8 @@ pool, snapshot) and the bet pipeline, which has two faces:
   ledger, so conservation stays exact.  Each engine's execution leg loop
   (``_legs``) runs its swap rule inline too, with the float operations of
   the public swap kernel (:func:`swap_out` here), and rounds each leg to
-  micro-units; the merge is int algebra on the reserves.
+  micro-units; the merge is int algebra on the reserves, and the bet's
+  record and the pool's fee book hold ints, read as Decimals on demand.
 
 Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
 tuples, built straight from the tuple of their field values.  Neither
@@ -33,9 +34,10 @@ its legs and their fair rates from the leg plan the :class:`FairPriceVector`
 builds once per market, so it derives no market constant again and keeps no
 cache of pool state.
 
-The pool's books are plain ints: reserves in micro-units, LP shares and the
-target balance in wads (10**-18 units, see :mod:`uamm_lab.fixedpoint`), so
-no figure of a market depends on the caller's Decimal context.
+The pool's books are plain ints: reserves and fees in micro-units, LP
+shares and the target balance in wads (10**-18 units, see
+:mod:`uamm_lab.fixedpoint`), so no figure of a market depends on the
+caller's Decimal context.
 
 An engine is a subclass that supplies its pool type, its quote kernel, the
 leg loop its buys run, and its genesis.  :class:`UammMarket` is the
@@ -57,9 +59,8 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .fixedpoint import (_FAST_LIMIT, _PRODUCT_ERROR, PRECISION, UNIT, WAD, WAD_PRECISION,
-                         ZERO, add_exact, amount, format_micro, from_wad, mul_exact, to_micro,
-                         to_wad)
+from .fixedpoint import (_FAST_LIMIT, _PRODUCT_ERROR, PRECISION, UNIT, WAD, ZERO, amount,
+                         format_micro, from_wad, micro_at, mul_exact, to_micro, to_wad)
 from .ledger import (
     COLLATERAL,
     ConditionalLedger,
@@ -213,15 +214,28 @@ class Reserves:
     The quote kernels read ``r_micro`` directly, as ``n / UNIT`` floats, and
     :meth:`Market.buy` reads :attr:`tb_float`, the float of the target
     balance: 0.0 for a pool without one.
+
+    The fee book is an int too: ``fee_micro``, the fees :meth:`Market.buy`
+    has charged, in micro-units, and ``fee_exp``, the exponent
+    :attr:`fee_accrued` reads them at.
     """
 
     tb_float = 0.0
     #: The books a snapshot prints besides the reserves, by attribute name.
     books = ("fee_accrued",)
 
-    def __init__(self, r, fee_accrued=ZERO):
+    def __init__(self, r):
         self.r = r
-        self.fee_accrued = fee_accrued
+        self.fee_micro = 0
+        self.fee_exp = -6
+
+    @property
+    def fee_accrued(self) -> Decimal:
+        """The fees charged, as an exact Decimal: 6 places until a fee of
+        exactly ``wager * fee_rate`` has been charged, then that fee's
+        exponent (the fee rate's less 6), as the exact sum of the bet
+        records' fees reads."""
+        return micro_at(self.fee_micro, self.fee_exp)
 
     @classmethod
     def empty(cls, k: int):
@@ -272,8 +286,8 @@ class PoolState(Reserves):
     tb = property(lambda self: from_wad(self.tb_wad),
                   lambda self, value: self._set_tb(to_wad(value)))
 
-    def __init__(self, r, ts=0, tb=0, fee_accrued=ZERO, treasury_shares=0):
-        super().__init__(r, fee_accrued)
+    def __init__(self, r, ts=0, tb=0, treasury_shares=0):
+        super().__init__(r)
         self.ts = ts
         self.tb = tb
         self.treasury_shares = treasury_shares
@@ -450,23 +464,39 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
 
 class BetRecord(NamedTuple):
     """An executed bet and the pool state it left behind (the market it ran
-    on, as for a :class:`Quote`, is not a field): the wager, fee,
-    odd and treasury LP shares as exact Decimals, whatever the caller's
-    context (the shares an 18-place read, the rest 6-place amounts, the fee
-    at the fee rate's exponent when exact, see :mod:`uamm_lab.fixedpoint`),
-    the implied price and slippage as floats, and ``post_r``, the float of
-    every reserve after the bet (collateral first).  A named tuple, like
-    :class:`Quote`."""
+    on, as for a :class:`Quote`, is not a field).  A named tuple, like
+    :class:`Quote`, whose amounts are ints named for their unit:
+
+    * ``wager_micro``, ``fee_micro`` and ``odd_micro`` in micro-units, and
+      ``fee_exp``, the exponent the fee reads at: the fee rate's less 6 when
+      the fee is exactly ``wager * fee_rate``, else -6;
+    * ``s_lp_wad``, the treasury LP shares the bet minted, in wads, or
+      ``None`` for an engine that mints none (and for a zero bet);
+    * ``post_micro``, every reserve after the bet (collateral first), in
+      micro-units;
+
+    and the implied price and slippage as floats.  The properties
+    :attr:`wager`, :attr:`fee`, :attr:`odd`, :attr:`s_lp` and :attr:`post_r`
+    read them as exact Decimals, whatever the caller's context (the shares
+    18 places, or ``0.000000`` when none were minted; the fee at
+    ``fee_exp``; the rest 6 places), and the reserves as floats."""
 
     index: int
     outcome: int
-    wager: Decimal
-    fee: Decimal
-    odd: Decimal
-    s_lp: Decimal
+    wager_micro: int
+    fee_micro: int
+    fee_exp: int
+    odd_micro: int
+    s_lp_wad: int | None
     implied_price: float
     slippage: float
-    post_r: tuple[float, ...]
+    post_micro: tuple[int, ...]
+
+    wager = property(lambda self: mul_exact(PRECISION, self.wager_micro))
+    fee = property(lambda self: micro_at(self.fee_micro, self.fee_exp))
+    odd = property(lambda self: mul_exact(PRECISION, self.odd_micro))
+    s_lp = property(lambda self: ZERO if self.s_lp_wad is None else from_wad(self.s_lp_wad))
+    post_r = property(lambda self: tuple([x / UNIT for x in self.post_micro]))
 
 
 @dataclass
@@ -493,6 +523,8 @@ class Market:
             raise ValueError("fair-price vector length must equal K")
         self._fee_float = float(self.spec.fee_rate)
         self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
+        #: The exponent of an exact fee, ``wager * fee_rate``.
+        self._fee_exp = self.spec.fee_rate.as_tuple().exponent - 6
         self.ledger = ConditionalLedger(self.spec)
         self.pool = self.pool_type.empty(self.spec.k)
         #: Each LP's shares, in int wads.
@@ -527,10 +559,10 @@ class Market:
         self.lp_wad[account] = self.lp_wad.get(account, 0) + s
         return from_wad(s)
 
-    def _mint_treasury(self, n: int) -> Decimal:
+    def _mint_treasury(self, n: int) -> int | None:
         """LP shares minted to the treasury by a committed bet of ``n``
-        micro-units, read as a Decimal."""
-        return ZERO
+        micro-units, in int wads; ``None`` for an engine with no treasury."""
+        return None
 
     # -- betting ----------------------------------------------------------------
 
@@ -539,17 +571,7 @@ class Market:
             raise PhaseError("market is not open for betting")
         return self._odds(self.pool, self.fair, i, wager, self._fee_float)
 
-    def fee_micro(self, n: int) -> tuple[int, bool]:
-        """The fee :meth:`buy` charges on a wager of ``n`` micro-units, in
-        micro-units, and whether it is exact: ``n * fee_rate`` when that lies
-        on the grid, else rounded half-even to it."""
-        num, den = self._fee_ratio
-        fee_n, rest = divmod(n * num, den)
-        if 2 * rest > den or (2 * rest == den and fee_n & 1):
-            fee_n += 1
-        return fee_n, not rest
-
-    def buy(self, account: str, i: int, wager) -> BetRecord:
+    def buy(self, account: str, i: int, wager, *, fund: bool = False) -> BetRecord:
         """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.
 
         Tokens move as int micro-units: the engine's ``_legs`` reads each
@@ -562,17 +584,28 @@ class Market:
         The fee is ``wager * fee_rate`` exactly when that lies on the grid
         (any whole-cent wager at a 0.025 rate), and is otherwise rounded
         half-even to the grid, so that the ledger can hold what the bettor is
-        charged.
+        charged.  It goes to the pool's int fee book, ``pool.fee_micro``;
+        an exact fee lowers the book's exponent, ``pool.fee_exp``, to its
+        own (see :attr:`Reserves.fee_accrued`).
 
-        The wager is rounded half-even to micro-units first.  A negative
-        wager raises ``ValueError``, as a quote does, even when it rounds to
-        zero; a wager that rounds to zero moves nothing and is recorded as a
-        zero bet, at its own index in :attr:`bets` like every other record.
+        The wager is rounded half-even to micro-units first, once.  A
+        negative wager raises ``ValueError``, as a quote does, even when it
+        rounds to zero; a wager that rounds to zero moves nothing and is
+        recorded as a zero bet, at its own index in :attr:`bets` like every
+        other record.
+
+        With ``fund=True`` the account is first credited, from outside the
+        market (:meth:`~uamm_lab.ledger.ConditionalLedger.deposit_micro`),
+        with exactly what the bet costs, the rounded wager plus its fee, so
+        the balance check cannot fail; a bet that then proves unfillable
+        leaves the account holding that deposit.  The returned
+        :class:`BetRecord` holds int amounts (its ``wager_micro`` is the
+        rounded wager) and reads them as Decimals through its properties.
         """
-        ledger, pool, spec = self.ledger, self.pool, self.spec
+        ledger, pool = self.ledger, self.pool
         if ledger.phase is not _OPEN:
             raise PhaseError("market is not open for betting")
-        K = spec.k
+        K = self.spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
         n = to_micro(wager)
@@ -580,26 +613,37 @@ class Market:
             # the sign of a wager that rounds to zero, checked as quote does
             if n or float(wager) < 0:
                 raise ValueError("wager must be non-negative")
+            if fund:
+                ledger.deposit_micro(account, 0)  # opens the account
             record = _record(BetRecord, (
-                len(self.bets), i, ZERO, ZERO, ZERO, ZERO,
-                self.fair.probs[i - 1], 0.0, tuple([x / UNIT for x in pool.r_micro]),
+                len(self.bets), i, 0, 0, -6, 0, None,
+                self.fair.probs[i - 1], 0.0, tuple(pool.r_micro),
             ))
             self.bets.append(record)
             return record
-        d = mul_exact(PRECISION, n)
-        fee_n, exact = self.fee_micro(n)
-        fee = mul_exact(d, spec.fee_rate) if exact else mul_exact(PRECISION, fee_n)
+        # the fee, n * fee_rate: exact at the fee rate's exponent less 6 when
+        # it lies on the grid, else rounded half-even to the grid
+        num, den = self._fee_ratio
+        fee_n, rest = divmod(n * num, den)
+        if rest:
+            fee_exp = -6
+            if 2 * rest > den or (2 * rest == den and fee_n & 1):
+                fee_n += 1
+        else:
+            fee_exp = self._fee_exp
         cost = n + fee_n
+        if fund:
+            ledger.deposit_micro(account, cost)
         acct = ledger.bal_micro.get(account)
         if acct is None or acct[COLLATERAL] < cost:
-            raise InsufficientBalance(
-                f"{account} cannot cover wager {d} plus fee {fee}"
-            )
+            raise InsufficientBalance(f"{account} cannot cover wager "
+                                      f"{mul_exact(PRECISION, n)} plus fee {micro_at(fee_n, fee_exp)}")
         fair = self.fair
         try:
             odd = self._legs(pool, fair, i, n)
         except UnfillableQuote:
-            raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool") from None
+            raise UnfillableQuote(f"wager {mul_exact(PRECISION, n)} on outcome {i} "
+                                  "would drain the pool") from None
         # merge: in effect every conditional pool gains the combined r[0]
         # and the bettor's n, and pool i pays the odd, so all of them hold
         # r[0] + n + u in common, the uniform set that returns to collateral;
@@ -615,16 +659,17 @@ class Market:
         # commit
         acct[COLLATERAL] -= cost
         acct[i] += odd
-        if exact:
+        if not rest:
             ledger.fee_payers.add(account)
+            if fee_exp < pool.fee_exp:
+                pool.fee_exp = fee_exp
         ledger.locked_micro -= u
         pool.r_micro = rw
-        pool.fee_accrued = add_exact(pool.fee_accrued, fee)
-        s_lp = self._mint_treasury(n)
+        pool.fee_micro += fee_n
         implied = n / UNIT / (odd / UNIT)
         record = _record(BetRecord, (
-            len(self.bets), i, d, fee, mul_exact(PRECISION, odd), s_lp,
-            implied, implied - fair.probs[i - 1], tuple([x / UNIT for x in rw]),
+            len(self.bets), i, n, fee_n, fee_exp, odd, self._mint_treasury(n),
+            implied, implied - fair.probs[i - 1], tuple(rw),
         ))
         self.bets.append(record)
         return record
@@ -658,7 +703,7 @@ class Market:
         across the accounts, the pool, ``locked`` and the fees, and every
         stored balance is an int >= 0 of micro-units (see
         :meth:`ConditionalLedger.check_invariants`)."""
-        self.ledger.check_invariants(self.pool.r_micro, self.pool.fee_accrued)
+        self.ledger.check_invariants(self.pool.r_micro, self.pool.fee_micro)
 
     # -- snapshot -------------------------------------------------------------------
 
@@ -742,18 +787,19 @@ class UammMarket(Market):
         pool.add(d, self.fair)
         return pool.ts_wad - ts
 
-    def _mint_treasury(self, n: int) -> Decimal:
+    def _mint_treasury(self, n: int) -> int:
         """A bet mints LP shares worth its ``n`` micro-units at the
-        post-trade share price, floored to the wad; they accrue to the
-        pool's treasury tally, not to the bettor.  The value and the share
-        count are exact ints: ``n * ts / value`` with the value's power-of-two
-        scale (see :meth:`PoolState.value`) multiplied back in."""
+        post-trade share price, floored to the wad, and returns them in
+        wads; they accrue to the pool's treasury tally, not to the bettor.
+        The value and the share count are exact ints: ``n * ts / value``
+        with the value's power-of-two scale (see :meth:`PoolState.value`)
+        multiplied back in."""
         pool, fair = self.pool, self.fair
         tv = pool.value(fair)
         s = n * pool.ts_wad * fair.weights[0] // tv if pool.ts_wad > 0 and tv > 0 else 0
         pool.ts_wad += s
         pool.treasury_wad += s
-        return mul_exact(WAD_PRECISION, s)
+        return s
 
     def remove_liquidity(self, account: str, s_lp) -> Decimal:
         """Burn ``s_lp`` of ``account``'s shares, floored to the wad, and

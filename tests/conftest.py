@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
@@ -160,8 +161,11 @@ def reference_buy(market, account, i, wager, branches=None):
     ``to_micro(swap_out(...))`` (UAMM) or ``to_micro(cpmm_swap(...))`` (CPMM)
     per leg, each leg reading its pools as ``n / UNIT`` floats of the
     scratch copy, and the merge of the smallest conditional pool back into
-    collateral.  It commits to ``market`` as ``buy`` does, so the two must
-    leave equal records and snapshots and raise the same exceptions.
+    collateral.  The fee is the exact Decimal ``wager * fee_rate``, rounded
+    half-even to the grid when it lies off it, and is summed into the fee
+    book as a Decimal; the int fee fields and the book's exponent are read
+    off those Decimals.  It commits to ``market`` as ``buy`` does, so the two
+    must leave equal records and snapshots and raise the same exceptions.
     ``branches``, a list, collects the :func:`swap_branch` of every UAMM
     leg.
     """
@@ -174,14 +178,16 @@ def reference_buy(market, account, i, wager, branches=None):
     if n <= 0:
         if n or float(wager) < 0:
             raise ValueError("wager must be non-negative")
-        record = BetRecord(len(market.bets), i, ZERO, ZERO, ZERO, ZERO,
-                           market.fair.probs[i - 1], 0.0,
-                           tuple(x / UNIT for x in pool.r_micro))
+        record = BetRecord(len(market.bets), i, 0, 0, ZERO.as_tuple().exponent, 0, None,
+                           market.fair.probs[i - 1], 0.0, tuple(pool.r_micro))
         market.bets.append(record)
         return record
     d = mul_exact(PRECISION, n)
-    fee_n, exact = market.fee_micro(n)
-    fee = mul_exact(d, spec.fee_rate) if exact else mul_exact(PRECISION, fee_n)
+    fee = mul_exact(d, spec.fee_rate)
+    exact = Fraction(fee) * UNIT
+    fee_n = round(exact)  # half-even
+    if fee_n != exact:
+        fee = mul_exact(PRECISION, fee_n)
     cost = n + fee_n
     acct = ledger.bal_micro.get(account)
     if acct is None or acct[COLLATERAL] < cost:
@@ -215,14 +221,18 @@ def reference_buy(market, account, i, wager, branches=None):
     rw[0] = m
     acct[COLLATERAL] -= cost
     acct[i] += odd
-    if exact:
+    if fee_n == exact:
         ledger.fee_payers.add(account)
     ledger.locked_micro += n + c - m
     pool.r_micro = rw
-    pool.fee_accrued = add_exact(pool.fee_accrued, fee)
+    book = add_exact(pool.fee_accrued, fee)
+    pool.fee_micro += fee_n
+    pool.fee_exp = book.as_tuple().exponent
+    assert str(pool.fee_accrued) == str(book)
     s_lp = market._mint_treasury(n)
     implied = df / (odd / UNIT)
-    record = BetRecord(len(market.bets), i, d, fee, mul_exact(PRECISION, odd), s_lp,
-                       implied, implied - fi, tuple(x / UNIT for x in rw))
+    record = BetRecord(len(market.bets), i, n, fee_n, fee.as_tuple().exponent, odd, s_lp,
+                       implied, implied - fi, tuple(rw))
+    assert repr((record.wager, record.fee, record.odd)) == repr((d, fee, mul_exact(PRECISION, odd)))
     market.bets.append(record)
     return record

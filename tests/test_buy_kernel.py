@@ -179,7 +179,8 @@ def test_examples_reach_every_branch():
     assert seen["unfillable"][0] == ["straddle"]
     assert seen["unfillable"][1][0][0] is UnfillableQuote
     assert seen["insufficient"][1][0][0] is InsufficientBalance
-    assert "odd=Decimal('0.000000')" in seen["zero wager"][1][0][0]
+    assert ("wager_micro=0, fee_micro=0, fee_exp=-6, odd_micro=0, s_lp_wad=None,"
+            in seen["zero wager"][1][0][0])
     assert seen["negative wager"][1][0] == (ValueError, "wager must be non-negative")
 
 

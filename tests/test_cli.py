@@ -215,6 +215,16 @@ def test_simulate_names_the_file_line_and_key_of_a_bad_value(tmp_path, capsys, l
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["single", "multi", "full", "sweep"])
+def test_simulate_rejects_a_duplicated_config_key(tmp_path, capsys, mode):
+    # SMALL_CFG sets seed = 5 on line 5; a second seed must not silently win
+    cfg = write_cfg(tmp_path, SMALL_CFG + "seed = 6\n")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--mode", mode, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:6: duplicate key 'seed'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["k = 3", "k = 2,3"])
 def test_simulate_rejects_k_choices_unlike_the_fixed_probs(tmp_path, capsys, line):
     # the default probs are 0.5,0.5: two outcomes
@@ -238,7 +248,8 @@ def test_simulate_rejects_huge_funding(tmp_path, capsys, monkeypatch, extra, fla
     """A config no market can be built from exits 1 before the output
     directory is made."""
     monkeypatch.delenv("UAMM_LAB_SEED", raising=False)
-    cfg = write_cfg(tmp_path, SMALL_CFG + extra)
+    # a key given twice is an error of its own, so SMALL_CFG's seed line goes
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("seed = 5\n", "") + extra)
     out = tmp_path / "o"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import decimal
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -305,6 +306,94 @@ def test_bet_records_are_exact_under_any_context(prec):
         assert repr(bet()) == repr(record)
 
 
+#: ``(odd, s_lp, post_r)`` of a 1,234,567.89 bet on outcome 1 of a K=3
+#: market funded with 5,000,000, pinned as they read when records held
+#: Decimals; the bet's wager and fee read ``1234567.890000`` and
+#: ``30864.197250000`` on both engines.
+RECORD_READS = {
+    "uamm": ("Decimal('3719039.928315'), Decimal('1124223.159917126261860073')",
+             "(2515527.961685, 0.0, 3719039.928315, 3719039.928315)"),
+    "cpmm": ("Decimal('3978533.216001'), Decimal('0.000000')",
+             "(2256034.673999, 0.0, 2311866.549334, 978533.216001)"),
+}
+
+
+@pytest.mark.parametrize("context", [dict(prec=3, traps=[decimal.Inexact, decimal.Rounded]),
+                                     dict(prec=50, rounding=decimal.ROUND_FLOOR)])
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+def test_bet_record_reads_are_exact_under_any_context(engine, context):
+    """A record holds ints; its Decimal reads equal, in value and text, what
+    the record held when it stored Decimals, whatever the caller's context:
+    the fee at the fee rate's exponent, the CPMM's shares (and a zero bet's)
+    as 0.000000, an unfunded UAMM pool's as 0E-18."""
+    from uamm_lab.sim import build_market
+
+    def reads(record):
+        return repr((record.wager, record.fee, record.odd, record.s_lp, record.post_r))
+
+    market = build_market(engine, "m", 3, (0.2, 0.3, 0.5), 5_000_000.0, 0.025)
+    market.deposit("bettor", 3_000_000)
+    record = market.buy("bettor", 1, Decimal("1234567.89"))
+    zero = market.buy("bettor", 2, 0)
+    unfunded = UammMarket(MarketSpec("m", 2, Decimal("0.025")), (0.5, 0.5))
+    unfunded.deposit("bettor", 100)
+    odd_s_lp, post_r = RECORD_READS[engine]
+    with localcontext(**context):
+        assert reads(record) == ("(Decimal('1234567.890000'), Decimal('30864.197250000'), "
+                                 f"{odd_s_lp}, {post_r})")
+        assert reads(zero) == f"({', '.join([repr(ZERO)] * 4)}, {post_r})"
+        assert reads(unfunded.buy("bettor", 1, 10)) == (
+            "(Decimal('10.000000'), Decimal('0.250000000'), Decimal('10.000000'), "
+            "Decimal('0E-18'), (0.0, 0.0, 10.0))")
+        assert str(market.pool.fee_accrued) == "30864.197250000"
+
+
+# -- the funded buy -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("fee_rate,wager,cost,fee_text", [
+    # tied fees at a 0.5 rate round half-even: 1.5 micro-units to 2, 0.5 to 0
+    (0.5, 0.000003, 5, "0.000002"),
+    (0.5, 0.000001, 1, "0.000000"),
+    # an off-grid wager rounds half-even to 12.345679, its fee to 0.308642
+    (0.025, 12.3456789, 12_654_321, "0.308642"),
+    # an exact fee reads at the fee rate's exponent less 6
+    (0.025, 12.34, 12_648_500, "0.308500000"),
+])
+def test_funded_buy_deposits_exactly_its_cost(engine, fee_rate, wager, cost, fee_text):
+    """``buy(..., fund=True)`` credits the bettor with the rounded wager plus
+    its fee, exactly, and is a deposit of that cost followed by an unfunded
+    buy: the same record and the same books."""
+    from uamm_lab.sim import build_market
+
+    market = build_market(engine, "m", 2, (0.5, 0.5), 1000.0, fee_rate)
+    twin = build_market(engine, "m", 2, (0.5, 0.5), 1000.0, fee_rate)
+    deposited = market.ledger.deposited_micro
+    record = market.buy("bettor", 1, wager, fund=True)
+    assert market.ledger.deposited_micro - deposited == cost
+    assert record.wager_micro + record.fee_micro == cost
+    assert str(record.fee) == fee_text == str(market.pool.fee_accrued)
+    assert market.ledger.balance("bettor") == 0
+    market.check_invariants()
+    twin.ledger.deposit_micro("bettor", cost)
+    assert twin.buy("bettor", 1, wager) == record
+    assert twin.snapshot() == market.snapshot()
+
+
+def test_funded_buy_unfillable_at_the_buy_leaves_the_bettor_the_deposit():
+    market = make_market(funding=1_000)
+    market.buy("bettor", 2, 300.0)
+    pool, fees = list(market.pool.r_micro), market.pool.fee_micro
+    bettor, deposited = market.ledger.bal_micro["bettor"][0], market.ledger.deposited_micro
+    with pytest.raises(UnfillableQuote, match="^wager 10000.000000 on outcome 1 would drain"):
+        market.buy("bettor", 1, 10_000.0, fund=True)
+    assert market.ledger.deposited_micro - deposited == 10_250_000_000
+    assert market.ledger.bal_micro["bettor"][0] - bettor == 10_250_000_000
+    assert (market.pool.r_micro, market.pool.fee_micro, len(market.bets)) == (pool, fees, 1)
+    market.check_invariants()
+
+
 # -- quoting -------------------------------------------------------------------------
 
 
@@ -598,10 +687,11 @@ def _records():
             Quote, ("outcome", "wager", "odd", "implied_price", "slippage", "fee"),
             (1, 10.0, 19.99, 0.5, 0.0, 0.25), id="Quote"),
         pytest.param(
-            BetRecord, ("index", "outcome", "wager", "fee", "odd",
-                        "s_lp", "implied_price", "slippage", "post_r"),
-            (0, 2, Decimal("10.000000"), Decimal("0.250000"),
-             Decimal("19.990010"), Decimal("1.5"), 0.5, 0.0, (0.0, 1.0, 2.0)),
+            BetRecord, ("index", "outcome", "wager_micro", "fee_micro", "fee_exp",
+                        "odd_micro", "s_lp_wad", "implied_price", "slippage",
+                        "post_micro"),
+            (0, 2, 10_000_000, 250_000, -9, 19_990_010, 1_500_000_000_000_000_000,
+             0.5, 0.0, (0, 1_000_000, 2_000_000)),
             id="BetRecord"),
     ]
 
