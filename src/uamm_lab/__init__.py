@@ -4,10 +4,13 @@ Building blocks:
 
 * :mod:`uamm_lab.ledger` -- conditional-token accounting (mint, merge,
   resolve, redeem) with an exact collateral-conservation invariant.
-* :mod:`uamm_lab.uamm` -- the fair-price swap engine: piecewise swap rule,
-  odds calculation, bet pipeline, and LP share bookkeeping.
-* :mod:`uamm_lab.baseline` -- a constant-product comparison engine over the
-  same ledger.
+* :mod:`uamm_lab.market` -- what every engine shares: the market lifecycle,
+  the bet pipeline, the pool's reserves and fee book, the fair-price vector
+  and the quote and bet records.
+* :mod:`uamm_lab.uamm` -- the fair-price engine's rule: the piecewise swap
+  rule, its quote kernel and buy legs, and LP share bookkeeping.
+* :mod:`uamm_lab.baseline` -- the constant-product comparison engine's rule,
+  on the same market.
 * :mod:`uamm_lab.sim` -- seeded Monte-Carlo betting experiments.
 * :mod:`uamm_lab.metrics` -- LP profit/loss metrics (EV, EIP, EPP, TP,
   vigorish) over simulated trajectories.
@@ -22,9 +25,10 @@ benchmark import from it; everything else is imported from its module.
 from .baseline import cpmm_swap
 from .fixedpoint import amount
 from .ledger import ConditionalLedger
+from .market import UnfillableQuote
 from .metrics import summarize
 from .sim import SimConfig, build_market, run_multi_market
-from .uamm import UnfillableQuote, calc_odds, swap_out
+from .uamm import calc_odds, swap_out
 
 __version__ = "0.1.0"
 

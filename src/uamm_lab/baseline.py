@@ -2,13 +2,16 @@
 
 Prices come purely from pool reserves (the classic ``x * y = k`` rule), with
 no fair-price reference -- exactly the behaviour the fair-price engine is
-meant to improve on.  :class:`CpmmMarket` is an engine subclass of
-:class:`~uamm_lab.uamm.Market`: it shares the fair-price engine's ledger, bet
-pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, and
-supplies only its pool type, its quote kernel (:func:`cpmm_odds`), its buys'
-leg loop (:meth:`CpmmMarket._legs`), both with the product rule of the
-reference kernel :func:`cpmm_swap` written inline, and its genesis, so the
-conservation invariants are identical.
+meant to improve on.  This module holds only that rule, on the market every
+engine shares (:mod:`uamm_lab.market`): :class:`CpmmMarket` is a
+:class:`~uamm_lab.market.Market` subclass with the shared ledger, bet
+pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, so
+the conservation invariants are identical.  It supplies only its quote
+kernel (:func:`cpmm_odds`), its buys' leg loop (:meth:`CpmmMarket._legs`),
+both with the product rule of the reference kernel :func:`cpmm_swap` written
+inline, and its genesis.  Its pool is a bare
+:class:`~uamm_lab.market.Reserves`: a product-rule pool keeps no LP share
+or target-balance books.
 
 Initial reserves are seeded proportional to ``1 / f_k`` so that the implied
 prices at launch equal the true outcome probabilities; after that the pool
@@ -18,9 +21,10 @@ is on its own.
 from __future__ import annotations
 
 from decimal import Decimal
+from math import inf
 
-from .fixedpoint import _FAST_LIMIT, _PRODUCT_ERROR, UNIT, to_micro, to_wad
-from .uamm import _INF, Market, Quote, Reserves, UnfillableQuote, _quote_edge, _record
+from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, to_micro, to_wad
+from .market import Market, Quote, Reserves, UnfillableQuote, new_record, quote_edge
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
@@ -52,8 +56,8 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
     """
     r = pool.r_micro
     d = float(wager)
-    if not (0 < i < len(r) and 0.0 < d < _INF):
-        return _quote_edge(r, fair, i, d)
+    if not (0 < i < len(r) and 0.0 < d < inf):
+        return quote_edge(r, fair, i, d)
     c = r[0] / UNIT
     ri = r[i] / UNIT + c
     odd = d
@@ -63,28 +67,18 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
         ri -= s
         odd += s
     implied = d / odd
-    return _record(Quote, (
+    return new_record(Quote, (
         i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
     ))
-
-
-class CpmmPool(Reserves):
-    """Reserve balances in micro-units; ``r_micro[0]`` holds merged
-    collateral between bets.
-
-    Quoting reads the int reserves directly (see
-    :class:`~uamm_lab.uamm.Reserves`).  A product-rule pool has no target
-    balance; its ``tb_float`` reads 0.0.
-    """
 
 
 class CpmmMarket(Market):
     """Constant-product betting market over the conditional-token ledger:
     the product rule as quote kernel (:func:`cpmm_odds`) and as buy leg loop
-    (:meth:`_legs`), over a :class:`CpmmPool`."""
+    (:meth:`_legs`), over a bare :class:`~uamm_lab.market.Reserves`."""
 
     engine = "cpmm"
-    pool_type = CpmmPool
+    pool_type = Reserves
     # own attributes, so restoring a traced method by setattr changes nothing
     quote = Market.quote
     buy = Market.buy
@@ -92,7 +86,7 @@ class CpmmMarket(Market):
 
     @staticmethod
     def _legs(pool, fair, i: int, n: int) -> int:
-        """:meth:`~uamm_lab.uamm.Market.buy`'s swap legs under the product
+        """:meth:`~uamm_lab.market.Market.buy`'s swap legs under the product
         rule, as :meth:`~uamm_lab.uamm.UammMarket._legs` runs the fair-price
         rule: :func:`cpmm_swap`'s formula inline on the int pools ``r[j] +
         r[0]`` and ``r[i] + r[0]`` (each input pool read before the bettor's
@@ -109,9 +103,9 @@ class CpmmMarket(Market):
             s = ro - (rj * ro) / (rj + d)
             # to_micro(s), its float fast path inline
             y = s * 1e6
-            if 0.0 < y < _FAST_LIMIT:
+            if 0.0 < y < FAST_LIMIT:
                 m = round(y)
-                if 0.5 - abs(y - m) <= y * _PRODUCT_ERROR:
+                if 0.5 - abs(y - m) <= y * PRODUCT_ERROR:
                     m = to_micro(s)
             else:
                 m = to_micro(s)

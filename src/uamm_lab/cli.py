@@ -46,9 +46,9 @@ from pathlib import Path
 
 from . import metrics, sim
 from .fixedpoint import amount
+from .market import UnfillableQuote
 from .probes import continuity_report, property_report
 from .sim import ConfigError, SimConfig
-from .uamm import UnfillableQuote
 
 PROPERTY_TOLERANCE = 1e-9
 
@@ -162,10 +162,11 @@ PLOT_MARKETS_FIELDS = ("market_index", "eip", "epp", "ev_final")
 
 def _market_row(r, pnl) -> tuple:
     """One ``markets.csv`` row, in :data:`MARKETS_FIELDS` order; ``pnl`` is
-    the market's :func:`metrics.market_pnl` tuple."""
+    the market's :func:`metrics.market_pnl` tuple.  The volume and fee are
+    written in fixed-point notation, as ``summary.csv``'s totals are."""
     return (r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
             r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
-            str(r.volume), str(r.fee), *pnl,
+            format(r.volume, "f"), format(r.fee, "f"), *pnl,
             r.overround_final, ";".join(map(repr, r.r_start)),
             ";".join(map(repr, r.r_end)))
 

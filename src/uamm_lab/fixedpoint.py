@@ -37,6 +37,10 @@ The converters:
 * :func:`amount` is the same rounding as a 6-place Decimal,
   ``PRECISION * to_micro(value)`` taken exactly; a value that rounds to zero
   gives :data:`ZERO`, never ``-0.000000``.
+* :func:`exact_micro` is the exact micro-unit count of a collateral amount,
+  with no rounding: an int on the grid, an exact Fraction off it (a pool
+  handed off-grid collateral keeps such a count); :func:`from_micro` reads
+  a count back as collateral, an exact 6-place Decimal for an int.
 * :func:`to_wad` floors any share amount (int, float, Decimal, Fraction) to
   int wads, exactly; :func:`from_wad` reads ``n`` wads as an 18-place
   Decimal.
@@ -70,10 +74,18 @@ path.  An ``int`` below 1e22 is ``value * UNIT`` exactly.  A positive
 most ``y * 2**-52`` (two roundings), so the gap it must clear is doubled to
 ``y * 2**-51``.  Values on the grid, the common case (wagers and balances
 on their way into the ledger), sit a whole half-unit from any tie.
+
+The float fast path's two bounds are public, :data:`FAST_LIMIT` (``2**50``)
+and :data:`PRODUCT_ERROR` (``2**-52``), because each engine's buy leg loop
+(``_legs`` in :mod:`uamm_lab.uamm` and :mod:`uamm_lab.baseline`) writes the
+float branch of :func:`to_micro` inline, with these bounds, so that a leg
+pays no call, and falls back to :func:`to_micro` itself where the test
+fails.
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
 from decimal import Context, Decimal, InvalidOperation
+from fractions import Fraction
 
 PRECISION = Decimal("0.000001")
 ZERO = Decimal("0.000000")
@@ -98,9 +110,9 @@ scaleb_exact = _EXACT.scaleb
 _ROUNDING = Context(prec=28, rounding=ROUND_HALF_EVEN)
 
 #: Micro-unit products at or above this take the Decimal path.
-_FAST_LIMIT = 2.0 ** 50
+FAST_LIMIT = 2.0 ** 50
 #: Twice the largest relative error of one correctly rounded float product.
-_PRODUCT_ERROR = 2.0 ** -52
+PRODUCT_ERROR = 2.0 ** -52
 #: The same bound for a Decimal, rounded once to a float and once more by
 #: the product, with a factor of two to spare.
 _DECIMAL_ERROR = 2.0 ** -51
@@ -115,14 +127,14 @@ def to_micro(value) -> int:
     """
     if type(value) is float:
         y = value * 1e6
-        if 0.0 < y < _FAST_LIMIT:
+        if 0.0 < y < FAST_LIMIT:
             n = round(y)
-            if 0.5 - abs(y - n) > y * _PRODUCT_ERROR:
+            if 0.5 - abs(y - n) > y * PRODUCT_ERROR:
                 return n
         d = Decimal(value)
     elif isinstance(value, Decimal):
         y = float(value) * 1e6
-        if 0.0 < y < _FAST_LIMIT:
+        if 0.0 < y < FAST_LIMIT:
             n = round(y)
             if 0.5 - abs(y - n) > y * _DECIMAL_ERROR:
                 return n
@@ -150,6 +162,24 @@ def amount(value) -> Decimal:
     Raises ``ValueError`` for NaN, infinities and magnitudes of 1e22 or more.
     """
     return mul_exact(PRECISION, to_micro(value))
+
+
+def exact_micro(value):
+    """The exact micro-unit count of a collateral amount (an int, float,
+    Decimal or Fraction): an int on the 6-decimal grid, an exact Fraction
+    off it."""
+    if type(value) is int:
+        return value * UNIT
+    num, den = value.as_integer_ratio()  # in lowest terms
+    if UNIT % den:
+        return Fraction(num * UNIT, den)
+    return num * (UNIT // den)
+
+
+def from_micro(n):
+    """``n`` micro-units as collateral: an exact 6-place Decimal for an int
+    count, an exact Fraction for an off-grid one."""
+    return mul_exact(PRECISION, n) if type(n) is int else n / UNIT
 
 
 def to_wad(value) -> int:

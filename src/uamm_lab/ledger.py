@@ -24,11 +24,13 @@ from .fixedpoint import PRECISION, ZERO, format_micro, micro_at, mul_exact, to_m
 
 #: Token id of the base (collateral) currency.  Outcome tokens use 1..K.
 COLLATERAL = 0
+#: The account that may resolve a market.
+ORACLE = "oracle"
 
 
 def _non_negative_micro(d, what: str) -> int:
     """``to_micro(d)``, raising ``ValueError`` for a negative ``d``, even one
-    that rounds to zero micro-units, as :meth:`uamm_lab.uamm.Market.buy`
+    that rounds to zero micro-units, as :meth:`uamm_lab.market.Market.buy`
     does for a wager."""
     n = to_micro(d)
     if n <= 0 and (n or float(d) < 0):
@@ -69,7 +71,6 @@ class MarketSpec:
     market_id: str
     k: int
     fee_rate: Decimal = Decimal("0.025")
-    oracle_id: str = "oracle"
 
     def __post_init__(self):
         if self.k < 2:
@@ -79,7 +80,8 @@ class MarketSpec:
             # a float reads as its shortest repr, 0.025 as Decimal("0.025")
             fee = Decimal(str(fee))
             object.__setattr__(self, "fee_rate", fee)
-        if not (fee.is_finite() and 0 <= fee < 1):
+        # -0.0 is rejected too: its fees would read as negative zeros
+        if not (fee.is_finite() and 0 <= fee < 1) or fee.is_signed():
             raise ValueError("fee_rate must be in [0, 1)")
 
     @property
@@ -181,7 +183,7 @@ class ConditionalLedger:
         self.phase = Phase.CLOSED
 
     def resolve(self, caller: str, winner: int) -> None:
-        if caller != self.spec.oracle_id:
+        if caller != ORACLE:
             raise OracleError(f"{caller!r} is not the market oracle")
         if self.phase is Phase.RESOLVED:
             raise PhaseError("market already resolved")

@@ -97,10 +97,13 @@ class MetricsReport:
         self.epp_plus_fee = self.epp_mean + float(self.fee_revenue)
 
     def csv_row(self) -> dict:
-        """The ``summary.csv`` columns: floats as their ``repr``, Decimals as
-        their ``str``, the engine and the counts as they are."""
+        """The ``summary.csv`` columns: floats as their ``repr``, Decimals in
+        fixed-point notation (``format(v, "f")``, which reads as ``str`` for
+        every non-zero total, and a zero total at a fee rate of ``0.0`` as
+        ``0.0000000``, not ``0E-7``), the engine and the counts as they
+        are."""
         return {f.name: repr(v) if isinstance(v, float) else
-                str(v) if isinstance(v, Decimal) else v
+                format(v, "f") if isinstance(v, Decimal) else v
                 for f in fields(self) for v in [getattr(self, f.name)]}
 
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fixedpoint import amount
-from .uamm import FairPriceVector, PoolState, swap_out
+from .market import FairPriceVector
+from .uamm import PoolState, swap_out
 
 
 def _rel_err(a, b) -> float:

@@ -31,13 +31,13 @@ import numpy as np
 
 from .baseline import CpmmMarket
 from .fixedpoint import PRECISION, UNIT, amount, micro_at, mul_exact, to_micro
-from .ledger import MarketSpec
+from .ledger import ORACLE, MarketSpec
+from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
-from .uamm import FairPriceVector, UammMarket, UnfillableQuote
+from .uamm import UammMarket
 
 LP = "lp"
 BETTOR = "bettor"
-ORACLE = "oracle"
 
 #: Bet counts sampled from a log-normal are clamped to this range.
 BET_COUNT_CLAMP = (1, 40)
@@ -117,7 +117,8 @@ class SimConfig:
                                   f"mu and a finite sigma >= 0, got {n!r}")
         elif isinstance(n, int) and n < 0:
             raise ConfigError("n_bets must be >= 0")
-        if not 0 <= self.fee_rate < 1:
+        # -0.0 is rejected too: its fees would read as negative zeros
+        if not 0 <= self.fee_rate < 1 or math.copysign(1.0, self.fee_rate) < 0:
             raise ConfigError("fee_rate must be in [0, 1)")
         probs = self.probs
         if isinstance(probs, tuple) and probs and probs[0] == "uniform":
@@ -309,7 +310,7 @@ class MarketResult:
 
 
 def build_market(engine: str, market_id: str, k: int, probs, funding, fee_rate):
-    spec = MarketSpec(market_id=market_id, k=k, fee_rate=fee_rate, oracle_id=ORACLE)
+    spec = MarketSpec(market_id=market_id, k=k, fee_rate=fee_rate)
     cls = UammMarket if engine == "uamm" else CpmmMarket
     # a FairPriceVector passes through as is: normalizing it again can move a
     # probability by one ulp away from the vector the bettors were drawn from
@@ -343,8 +344,8 @@ def run_market(
     A wager crosses into micro-units once, when its bet executes: it is
     quoted as given, and an accepted bet is one public
     ``market.buy(BETTOR, side, wager, fund=True)``, which rounds the wager
-    half-even to the grid, as :meth:`~uamm_lab.uamm.Market.quote` and
-    :meth:`~uamm_lab.uamm.Market.buy` treat any caller, computes its fee
+    half-even to the grid, as :meth:`~uamm_lab.market.Market.quote` and
+    :meth:`~uamm_lab.market.Market.buy` treat any caller, computes its fee
     once and funds the bettor with exactly that cost before it executes.  A
     bet that proves unfillable at the buy leaves the bettor holding the
     deposit.  :func:`_draw_streams` draws only wagers on the grid, so a
@@ -570,6 +571,6 @@ def run_rejection_sweep(cfg: SimConfig) -> list[dict]:
             "acceptance_rate": 1.0 - report.rejection_rate,
             "eip_mean": report.eip_mean,
             "epp_mean": report.epp_mean,
-            "volume": str(report.volume),
+            "volume": format(report.volume, "f"),
         })
     return rows

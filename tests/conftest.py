@@ -6,8 +6,9 @@ from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
 from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, add_exact, mul_exact, to_micro
 from uamm_lab.ledger import COLLATERAL, InsufficientBalance, Phase, PhaseError
+from uamm_lab.market import BetRecord
 from uamm_lab.metrics import summarize
-from uamm_lab.uamm import BetRecord, PoolState, Quote, UnfillableQuote, swap_out
+from uamm_lab.uamm import PoolState, Quote, UnfillableQuote, swap_out
 
 _config = None
 

@@ -1,6 +1,6 @@
 """Each engine's buy equals the leg-by-leg reference pipeline.
 
-:meth:`uamm_lab.uamm.Market.buy` runs its engine's leg loop (``_legs``),
+:meth:`uamm_lab.market.Market.buy` runs its engine's leg loop (``_legs``),
 which writes the swap rule inline and rounds each leg with ``to_micro``'s
 float fast path inline, and merges in int algebra without a scratch pool.
 :func:`conftest.reference_buy` runs the pipeline it replaced: a scratch copy
@@ -39,7 +39,7 @@ def build(engine, weights, funding, balance, moves):
     move the market refuses is skipped."""
     total = sum(weights)
     k = len(weights)
-    market = ENGINES[engine](MarketSpec("kb", k, Decimal("0.025"), "oracle"),
+    market = ENGINES[engine](MarketSpec("kb", k, Decimal("0.025")),
                              [w / total for w in weights])
     market.deposit("lp", 10**10)
     market.deposit("bettor", balance)

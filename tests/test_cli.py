@@ -142,6 +142,37 @@ def test_simulate_multi_outputs(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("engine", sim.ENGINES)
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_zero_fee_totals_read_in_fixed_point(tmp_path, capsys, engine, mode):
+    # a 0.0 fee rate makes every exact fee 0 at exponent -7, which str
+    # writes as 0E-7
+    cfg = write_cfg(tmp_path, SMALL_CFG + "fee_rate = 0.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--mode", mode, "--engine", engine,
+                     "--out", str(out)]) == 0
+    assert "fee_revenue=0.0000000," in capsys.readouterr().out
+    summary = read_rows(out / "summary.csv")[0]
+    assert summary["fee_revenue"] == "0.0000000"
+    assert float(summary["volume"]) > 0
+    fees = {row["fee"] for row in read_rows(out / "markets.csv")}
+    assert fees == {"0.0000000"}
+    assert {row["fee"] for row in read_rows(out / "bets.csv")} <= {"0.0", ""}
+
+
+def test_a_negative_zero_fee_rate_exits_one(tmp_path, capsys):
+    assert cli.main(QUOTE_ARGS + ["--fee-rate", "-0.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fee_rate must be in [0, 1)\n"
+    cfg = write_cfg(tmp_path, SMALL_CFG + "fee_rate = -0.0\n")
+    out = tmp_path / "o"
+    for mode in ("single", "multi", "full", "sweep"):
+        assert cli.main(["simulate", "--mode", mode, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: fee_rate must be in [0, 1)\n"
+    assert not out.exists()
+
+
 def test_simulate_full_mode_defaults(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--mode", "full", "--seed", "2",

@@ -23,9 +23,10 @@ from hypothesis.stateful import (
 )
 
 from uamm_lab import sim
-from uamm_lab.baseline import CpmmPool, cpmm_odds
+from uamm_lab.baseline import cpmm_odds
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.ledger import InsufficientBalance, Phase
+from uamm_lab.market import Reserves
 from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
 
 ENGINES = ("uamm", "cpmm")
@@ -36,7 +37,7 @@ WAGERS = (amount(12.34), amount(750), 1e-4, Decimal("0.000001"), 0.0)
 def fresh_pool(pool):
     if isinstance(pool, PoolState):
         return PoolState(r=list(pool.r), ts=pool.ts, tb=pool.tb)
-    return CpmmPool(r=list(pool.r))
+    return Reserves(r=list(pool.r))
 
 
 def outcome_of(fn, *args):
@@ -183,7 +184,7 @@ def test_float_view_contents():
                      tb=Decimal("3.125"))
     assert float_view(pool) == (3.125, (0.0, 3.75, 5.5))
     assert pool.tb_float == 3.125
-    cpmm = CpmmPool(r=[ZERO, Decimal("2"), Decimal("3")])
+    cpmm = Reserves(r=[ZERO, Decimal("2"), Decimal("3")])
     assert float_view(cpmm) == (0.0, (0.0, 2.0, 3.0))
     assert cpmm.tb_float == 0.0
     # a quote after each mutation equals a fresh pool's

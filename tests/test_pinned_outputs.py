@@ -241,7 +241,7 @@ def test_lifecycle_snapshot_is_pinned(engine):
     """deposit -> add -> three buys -> close -> resolve -> redeem ->
     redeem_pool on each engine leaves exactly the recorded state."""
     cls = UammMarket if engine == "uamm" else CpmmMarket
-    market = cls(MarketSpec("pin", 3, Decimal("0.025"), "oracle"), (0.2, 0.3, 0.5))
+    market = cls(MarketSpec("pin", 3, Decimal("0.025")), (0.2, 0.3, 0.5))
     market.deposit("lp", 1000)
     market.add_liquidity("lp", 1000)
     market.deposit("bettor", 500)
@@ -268,7 +268,7 @@ GRID_MOVES = ((1, "300"), (2, "120"), (1, "45"))
 
 def _grid_market(engine, k):
     cls = UammMarket if engine == "uamm" else CpmmMarket
-    market = cls(MarketSpec("grid", k, Decimal("0.025"), "oracle"), GRID_PROBS[k])
+    market = cls(MarketSpec("grid", k, Decimal("0.025")), GRID_PROBS[k])
     market.deposit("lp", 1000)
     market.add_liquidity("lp", 1000)
     market.deposit("bettor", 1000)

@@ -16,8 +16,9 @@ from conftest import reference_quote
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.baseline import CpmmMarket, CpmmPool, cpmm_odds
+from uamm_lab.baseline import CpmmMarket, cpmm_odds
 from uamm_lab.ledger import MarketSpec
+from uamm_lab.market import Reserves
 from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
 
 ENGINES = {"uamm": UammMarket, "cpmm": CpmmMarket}
@@ -34,7 +35,7 @@ def build(engine, weights, funding, moves):
     unfillable buy, a removal of nothing) is skipped."""
     total = sum(weights)
     k = len(weights)
-    market = ENGINES[engine](MarketSpec("kq", k, Decimal("0.025"), "oracle"),
+    market = ENGINES[engine](MarketSpec("kq", k, Decimal("0.025")),
                              [w / total for w in weights])
     market.deposit("lp", 10**9)
     market.deposit("bettor", 10**9)
@@ -159,7 +160,7 @@ def test_kernel_equals_reference_on_bare_pools(pool, wager):
     fair = FairPriceVector((0.2, 0.3, 0.5))
     for i in (1, 2, 3):
         for kernel, engine in ((calc_odds, "uamm"), (cpmm_odds, "cpmm")):
-            view = pool if engine == "uamm" else CpmmPool(r=pool.r)
+            view = pool if engine == "uamm" else Reserves(r=pool.r)
             assert outcome_of(kernel, view, fair, i, wager, 0.025) == \
                 outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from conftest import run_seeded_markets
 
 from uamm_lab import metrics, sim
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
+from uamm_lab.ledger import MarketSpec
 from uamm_lab.sim import (
     ConfigError,
     SimConfig,
@@ -218,6 +220,16 @@ def test_invalid_values_rejected():
             SimConfig(funding=funding)
     with pytest.raises(ConfigError, match="funding must be positive"):
         SimConfig(funding=1e-9)
+
+
+def test_a_negative_zero_fee_rate_is_rejected():
+    # its fees and fee totals would read as negative zeros
+    with pytest.raises(ConfigError, match=re.escape("fee_rate must be in [0, 1)")):
+        SimConfig(fee_rate=-0.0)
+    for fee_rate in (-0.0, Decimal("-0"), Decimal("-0.000")):
+        with pytest.raises(ValueError, match=re.escape("fee_rate must be in [0, 1)")):
+            MarketSpec("m", 2, fee_rate)
+    assert MarketSpec("m", 2, 0.0).fee_rate == 0
 
 
 @pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"])

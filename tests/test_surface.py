@@ -1,10 +1,14 @@
-"""The package namespace is exactly what its users import from it.
+"""The package namespace is exactly what its users import from it, and its
+modules import only each other's public names.
 
 The README, the demos and the benchmark import some names from
 ``uamm_lab`` itself; every other name is imported from its module.  These
 tests collect those imports, check that each resolves and that
 ``uamm_lab.__all__`` lists exactly the ones that are not submodules, and run
-the README's Quick start.
+the README's Quick start.  The structure tests read the package's own
+imports from its source: no module takes an underscore name from another,
+and each engine module (``uamm``, ``baseline``) holds only its rule, on the
+shared ``market`` module, which imports neither engine.
 """
 
 import ast
@@ -18,6 +22,8 @@ import uamm_lab
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "uamm_lab"
+ENGINES = {"uamm", "baseline"}
 
 
 def _python_blocks(text: str) -> list[str]:
@@ -74,3 +80,43 @@ def test_readme_quick_start_runs():
     lines = out.getvalue().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("19.99000999")  # the figure the README shows
+
+
+def _package_imports() -> dict[str, list[tuple[str, str]]]:
+    """Each module of the package, with the ``(module, name)`` pairs it
+    imports from the package's other modules (``name`` is empty for a
+    module imported whole)."""
+    imports = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = imports[path.stem] = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if not node.level:
+                    if module != "uamm_lab" and not module.startswith("uamm_lab."):
+                        continue
+                    module = module.removeprefix("uamm_lab").lstrip(".")
+                if module:
+                    found += [(module, alias.name) for alias in node.names]
+                else:  # ``from . import sim``: whole modules
+                    found += [(alias.name, "") for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(alias.name.removeprefix("uamm_lab."), "")
+                          for alias in node.names if alias.name.startswith("uamm_lab.")]
+    return imports
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [f"{module} imports {name} from {source}"
+               for module, found in _package_imports().items()
+               for source, name in found if name.startswith("_")]
+    assert private == []
+
+
+def test_each_engine_module_imports_only_the_shared_market():
+    imports = _package_imports()
+    assert ENGINES | {"market"} <= set(imports)
+    for engine in ENGINES:
+        assert "market" in {source for source, _ in imports[engine]}, engine
+        assert not ENGINES & {source for source, _ in imports[engine]}, engine
+    assert not ENGINES & {source for source, _ in imports["market"]}

@@ -680,7 +680,7 @@ def test_snapshot_is_sorted_and_replayable():
 
 def _records():
     """One Quote and one BetRecord, with their field names and values."""
-    from uamm_lab.uamm import BetRecord, Quote
+    from uamm_lab.market import BetRecord, Quote
 
     return [
         pytest.param(
@@ -721,8 +721,8 @@ def test_records_are_immutable_named_tuples(cls, names, values):
 
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_pipeline_records_are_the_record_types(engine):
+    from uamm_lab.market import BetRecord, Quote
     from uamm_lab.sim import build_market
-    from uamm_lab.uamm import BetRecord, Quote
 
     market = build_market(engine, "m", 3, (0.2, 0.3, 0.5), 1_000.0, 0.025)
     market.deposit("bettor", amount(100))
