@@ -20,10 +20,9 @@ is on its own.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from math import inf
 
-from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, to_micro, to_wad
+from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, to_micro
 from .market import Market, Quote, Reserves, UnfillableQuote, new_record, quote_edge
 
 
@@ -32,12 +31,16 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
 
     The reference kernel of the rule: :func:`cpmm_odds` and
     :meth:`CpmmMarket._legs` run it inline, and the tests hold them to it bit
-    for bit."""
+    for bit.  An input below the rounding of ``r_in`` leaves ``r_in + d_in
+    == r_in``, and the formula then gives ``r_out`` less its own rounding,
+    which can be a negative ulp; the output is held at 0.0 there, as the
+    exact rule's output is never negative."""
     if d_in < 0:
         raise ValueError("swap input must be non-negative")
     if d_in == 0.0 or r_out <= 0.0:
         return 0.0
-    return r_out - (r_in * r_out) / (r_in + d_in)
+    out = r_out - (r_in * r_out) / (r_in + d_in)
+    return out if out > 0.0 else 0.0
 
 
 def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
@@ -53,6 +56,10 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
     The rule's zero branch needs no test here: every reserve is ``>= 0``, and
     the formula gives 0.0 for an empty output pool, as the branch does.  Nor
     can a leg drain its pool: it pays ``r_out`` less a non-negative amount.
+    A leg whose formula rounds to zero or below (a wager below the rounding
+    of the pools) pays nothing, as :func:`cpmm_swap` holds it at 0.0, so the
+    odd is never less than ``d`` and the implied price never divides by
+    zero.
     """
     r = pool.r_micro
     d = float(wager)
@@ -64,8 +71,9 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
     for j in fair.others[i]:
         rj = r[j] / UNIT + c
         s = ri - rj * ri / (rj + d)
-        ri -= s
-        odd += s
+        if s > 0.0:
+            ri -= s
+            odd += s
     implied = d / odd
     return new_record(Quote, (
         i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
@@ -115,21 +123,24 @@ class CpmmMarket(Market):
             odd += m
         return odd
 
-    def _fund(self, account: str, funding: Decimal) -> int:
-        """Seed reserves from ``funding`` collateral at true-probability
-        prices, and return the LP shares, one per unit of funding, in wads.
+    def _fund(self, account: str, n: int) -> int:
+        """Seed reserves from ``n`` micro-units of collateral at
+        true-probability prices, and return the LP shares, one per unit of
+        funding, in wads.
 
         The LP mints a full set and hands the pool ``funding * f_min / f_k``
         of each token; the excess tokens of likelier outcomes stay with the
-        LP (they cannot be merged without the scarcer legs).
+        LP (they cannot be merged without the scarcer legs).  ``funding`` is
+        the float ``n / UNIT``, correctly rounded, as the float of the
+        funding's 6-place Decimal is.
         """
         f = self.fair.probs
         fmin = min(f)
         ledger, r = self.ledger, self.pool.r_micro
-        ledger.mint(account, funding)
-        x = float(funding)
+        ledger.mint_micro(account, n)
+        x = n / UNIT
         for k in self.spec.outcomes:
             reserve = to_micro(x * fmin / f[k - 1])
             ledger.debit_micro(account, k, reserve)
             r[k] += reserve
-        return to_wad(funding)
+        return n * (WAD // UNIT)

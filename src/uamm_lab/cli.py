@@ -29,6 +29,14 @@ replaces the file only when the run succeeds; an error exit removes it,
 leaving no partial file (an earlier run's files in the same directory stay
 as they were).
 
+Those three per-market files are written as text, one write per file per
+market, from ``%`` templates (:data:`BETS_ROW`, :data:`MARKETS_ROW`,
+:data:`PLOT_MARKETS_ROW`) that give exactly what ``csv.writer`` writes for
+the same row in its default dialect.  They need no quoting: no field of
+theirs can hold a comma, a quote or a line break (the comment beside the
+templates says why).  Headers, ``summary.csv``, the sweep files and
+``plot_single_market.csv`` go through ``csv.writer``.
+
 The ``UAMM_LAB_SEED`` environment variable overrides the configured seed.
 Exit codes: 0 success, 1 usage/config error, 2 invariant violation (a
 failed property probe), 3 unfillable quote (the ``quote`` wager would drain
@@ -98,19 +106,25 @@ def build_parser() -> _Parser:
 
 @contextmanager
 def _csv_file(path: Path, header):
-    """Stream a CSV: yields a ``csv.writer`` that has written ``header``.
+    """Stream a CSV: yields the open text file, once ``csv.writer`` has
+    written ``header`` to it.
+
+    The caller writes its rows either through a ``csv.writer`` of the file
+    (:func:`_write_csv`) or as text made by a row template (the per-market
+    files, see :data:`BETS_ROW`), whose fields never hold a comma, a quote
+    or a line break and so need no quoting; like ``csv``'s default dialect
+    it ends each row with ``\r\n``, and writes a float as its ``repr``,
+    ``None`` as an empty cell and anything else as its ``str``.
 
     The rows go to the sibling file ``<name>.tmp``, which replaces ``path``
     only when the block exits normally.  When it raises, the temporary file
     is removed, so a run that fails part-way leaves no partial file (one
-    from an earlier run stays as it was).  ``csv`` writes a float as its
-    ``repr``, ``None`` as an empty cell and anything else as its ``str``."""
+    from an earlier run stays as it was)."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            yield writer
+            csv.writer(fh).writerow(header)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -118,8 +132,8 @@ def _csv_file(path: Path, header):
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with _csv_file(path, header) as writer:
-        writer.writerows(rows)
+    with _csv_file(path, header) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _write_dicts(path: Path, rows: list[dict]) -> None:
@@ -159,16 +173,41 @@ MARKETS_FIELDS = ("engine", "market_id", "k", "probs", "winner", "n_attempts",
                   "r_start", "r_end")
 PLOT_MARKETS_FIELDS = ("market_index", "eip", "epp", "ev_final")
 
+# The row templates of the per-market files: csv's default dialect (a ","
+# between fields, "\r\n" at the end) with a float as its repr (%r), None
+# as an empty cell and anything else as its str (%s).  No field can need
+# quoting (a ",", a '"' or a line break): the engine is one of sim.ENGINES,
+# market ids are m%05d, reasons are "", "threshold" or "unfillable",
+# Decimal totals are in fixed point, vectors are ";"-joined float reprs and
+# every other field is an int or a float.
+#: A ``bets.csv`` row, a ``MarketResult.bet_log`` tuple.
+BETS_ROW = "%s,%s,%s,%s,%r,%r,%r,%r,%r,%s,%s\r\n"
+#: A ``bets.csv`` row of a bet unfillable at its quote, whose four quote
+#: cells (``None``) are empty: the log tuple without them.
+BETS_ROW_UNQUOTED = "%s,%s,%s,%s,%r,,,,,%s,%s\r\n"
+#: A ``markets.csv`` row, in :data:`MARKETS_FIELDS` order; the four PnL
+#: figures come as their reprs (see :func:`_market_text`).
+MARKETS_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%r,%s,%s\r\n"
+#: A ``plot_markets.csv`` row: the market's index and the reprs of its
+#: ``eip``, ``epp`` and ``ev_final``.
+PLOT_MARKETS_ROW = "%s,%s,%s,%s\r\n"
 
-def _market_row(r, pnl) -> tuple:
-    """One ``markets.csv`` row, in :data:`MARKETS_FIELDS` order; ``pnl`` is
-    the market's :func:`metrics.market_pnl` tuple.  The volume and fee are
+
+def _bets_text(log) -> str:
+    """One market's ``bets.csv`` rows, as text."""
+    return "".join([BETS_ROW % row if row[5] is not None else
+                    BETS_ROW_UNQUOTED % (*row[:5], *row[9:]) for row in log])
+
+
+def _market_text(r, pnl) -> str:
+    """One ``markets.csv`` row, as text; ``pnl`` is the reprs of the
+    market's :func:`metrics.market_pnl` tuple.  The volume and fee are
     written in fixed-point notation, as ``summary.csv``'s totals are."""
-    return (r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
-            r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
-            format(r.volume, "f"), format(r.fee, "f"), *pnl,
-            r.overround_final, ";".join(map(repr, r.r_start)),
-            ";".join(map(repr, r.r_end)))
+    return MARKETS_ROW % (
+        r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
+        r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
+        format(r.volume, "f"), format(r.fee, "f"), *pnl, r.overround_final,
+        ";".join(map(repr, r.r_start)), ";".join(map(repr, r.r_end)))
 
 
 def cmd_simulate(args) -> int:
@@ -210,12 +249,12 @@ def cmd_simulate(args) -> int:
           _csv_file(out / "markets.csv", MARKETS_FIELDS) as markets,
           plot_file as plot):
         for i, result in enumerate(results):
-            bets.writerows(result.bet_log)
+            bets.write(_bets_text(result.bet_log))
             result.bet_log.clear()  # result stays bound while the next market runs
-            eip, epp, _, ev_final = pnl = fold.add(result)
-            markets.writerow(_market_row(result, pnl))
+            eip, epp, _, ev_final = pnl = tuple(map(repr, fold.add(result)))
+            markets.write(_market_text(result, pnl))
             if plot:
-                plot.writerow((i, eip, epp, ev_final))
+                plot.write(PLOT_MARKETS_ROW % (i, eip, epp, ev_final))
         summary = {"mode": args.mode, "seed": cfg.seed, **fold.report().csv_row()}
         _write_dicts(out / "summary.csv", [summary])
     if single:

@@ -77,9 +77,10 @@ on their way into the ledger), sit a whole half-unit from any tie.
 
 The float fast path's two bounds are public, :data:`FAST_LIMIT` (``2**50``)
 and :data:`PRODUCT_ERROR` (``2**-52``), because each engine's buy leg loop
-(``_legs`` in :mod:`uamm_lab.uamm` and :mod:`uamm_lab.baseline`) writes the
-float branch of :func:`to_micro` inline, with these bounds, so that a leg
-pays no call, and falls back to :func:`to_micro` itself where the test
+(``_legs`` in :mod:`uamm_lab.uamm` and :mod:`uamm_lab.baseline`) and the
+wager rounding of :meth:`uamm_lab.market.Market.buy` write the float branch
+of :func:`to_micro` inline, with these bounds, so that a leg or a float
+wager pays no call, and fall back to :func:`to_micro` itself where the test
 fails.
 """
 

@@ -198,8 +198,11 @@ class ConditionalLedger:
 
     def mint(self, account: str, d) -> None:
         """Lock ``d`` collateral, credit ``d`` of every outcome token."""
+        self.mint_micro(account, _non_negative_micro(d, "mint amount"))
+
+    def mint_micro(self, account: str, n: int) -> None:
+        """:meth:`mint` of ``n`` micro-units, an int >= 0."""
         self._require_open()
-        n = _non_negative_micro(d, "mint amount")
         if n == 0:
             return
         self.debit_micro(account, COLLATERAL, n)

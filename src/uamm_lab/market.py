@@ -53,8 +53,8 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import NamedTuple
 
-from .fixedpoint import (PRECISION, UNIT, ZERO, amount, exact_micro, format_micro, from_micro,
-                         from_wad, micro_at, mul_exact, to_micro)
+from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, PRECISION, UNIT, ZERO, exact_micro,
+                         format_micro, from_micro, from_wad, micro_at, mul_exact, to_micro)
 from .ledger import (COLLATERAL, ConditionalLedger, InsufficientBalance, MarketSpec, Phase,
                      PhaseError)
 
@@ -271,8 +271,9 @@ class Market:
     :func:`uamm_lab.uamm.calc_odds`), ``_legs`` (the leg loop :meth:`buy`
     runs: ``(pool, fair, i, n)`` to the odd in micro-units, see
     :meth:`uamm_lab.uamm.UammMarket._legs`) and ``_fund`` (its genesis:
-    what adding liquidity puts into the pool; it returns the LP shares
-    minted, in int wads); everything else is shared.
+    what adding ``n`` micro-units of liquidity, an int, puts into the pool;
+    it returns the LP shares minted, in int wads); everything else is
+    shared.
     """
 
     spec: MarketSpec
@@ -310,16 +311,21 @@ class Market:
     # -- liquidity provision --------------------------------------------------
 
     def add_liquidity(self, account: str, d) -> Decimal:
-        """Fund the pool with ``d`` of ``account``'s collateral; returns the
-        LP shares credited to ``account``."""
+        """Fund the pool with ``d`` of ``account``'s collateral, rounded
+        half-even to the grid; returns the LP shares credited to
+        ``account``."""
+        return from_wad(self.add_liquidity_micro(account, to_micro(d)))
+
+    def add_liquidity_micro(self, account: str, n: int) -> int:
+        """:meth:`add_liquidity` of ``n`` micro-units, an int; returns the
+        shares in int wads."""
         if self.ledger.phase is not Phase.OPEN:
             raise PhaseError("liquidity can only be added while betting is open")
-        d = amount(d)
-        if d <= 0:
+        if n <= 0:
             raise ValueError("liquidity deposit must be positive")
-        s = self._fund(account, d)
+        s = self._fund(account, n)
         self.lp_wad[account] = self.lp_wad.get(account, 0) + s
-        return from_wad(s)
+        return s
 
     def _mint_treasury(self, n: int) -> int | None:
         """LP shares minted to the treasury by a committed bet of ``n``
@@ -357,12 +363,18 @@ class Market:
         other record.
 
         With ``fund=True`` the account is first credited, from outside the
-        market (:meth:`~uamm_lab.ledger.ConditionalLedger.deposit_micro`),
-        with exactly what the bet costs, the rounded wager plus its fee, so
-        the balance check cannot fail; a bet that then proves unfillable
-        leaves the account holding that deposit.  The returned
-        :class:`BetRecord` holds int amounts (its ``wager_micro`` is the
-        rounded wager) and reads them as Decimals through its properties.
+        market, with exactly what the bet costs, the rounded wager plus its
+        fee, so there is no balance to check; a bet that then proves
+        unfillable leaves the account holding that deposit.  The credit is
+        :meth:`~uamm_lab.ledger.ConditionalLedger.deposit_micro` written
+        inline: it opens the account if need be and moves its collateral
+        and the ledger's ``deposited_micro`` by the cost, as that method
+        does.  A float wager is rounded by :func:`~uamm_lab.fixedpoint.to_micro`'s
+        float fast path, inline, as the ``_legs`` loops round each leg, and
+        by ``to_micro`` itself near a tie, outside the fast path's range and
+        for any other type.  The returned :class:`BetRecord` holds int
+        amounts (its ``wager_micro`` is the rounded wager) and reads them as
+        Decimals through its properties.
         """
         ledger, pool = self.ledger, self.pool
         if ledger.phase is not _OPEN:
@@ -370,7 +382,10 @@ class Market:
         K = self.spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
-        n = to_micro(wager)
+        # to_micro(wager), its float fast path inline
+        y = wager * 1e6 if type(wager) is float else 0.0
+        if not (0.0 < y < FAST_LIMIT and 0.5 - abs(y - (n := round(y))) > y * PRODUCT_ERROR):
+            n = to_micro(wager)
         if n <= 0:
             # the sign of a wager that rounds to zero, checked as quote does
             if n or float(wager) < 0:
@@ -394,10 +409,14 @@ class Market:
         else:
             fee_exp = self._fee_exp
         cost = n + fee_n
-        if fund:
-            ledger.deposit_micro(account, cost)
         acct = ledger.bal_micro.get(account)
-        if acct is None or acct[COLLATERAL] < cost:
+        if fund:
+            # ledger.deposit_micro(account, cost), inline
+            if acct is None:
+                acct = ledger.bal_micro[account] = [0] * (K + 1)
+            acct[COLLATERAL] += cost
+            ledger.deposited_micro += cost
+        elif acct is None or acct[COLLATERAL] < cost:
             raise InsufficientBalance(f"{account} cannot cover wager "
                                       f"{mul_exact(PRECISION, n)} plus fee {micro_at(fee_n, fee_exp)}")
         fair = self.fair

@@ -17,7 +17,8 @@ its bet executes (see :func:`run_market`).
 
 With ``keep_log=True`` a market keeps its bet log: one ``bets.csv`` row per
 bet, a tuple in :data:`BETS_FIELDS` order (engine and market id included,
-floats raw) that ``csv.writer`` writes as it is.
+floats raw) that ``csv.writer`` writes as it is, and the CLI writes as the
+same text from a row template (:data:`uamm_lab.cli.BETS_ROW`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from decimal import Decimal
 import numpy as np
 
 from .baseline import CpmmMarket
-from .fixedpoint import PRECISION, UNIT, amount, micro_at, mul_exact, to_micro
+# build_market rounds its funding as ``amount`` does, without calling it; the
+# name stays here, where perfbench's tracer tests find it
+from .fixedpoint import PRECISION, UNIT, amount, micro_at, mul_exact, to_micro  # noqa: F401
 from .ledger import ORACLE, MarketSpec
 from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
@@ -310,14 +313,19 @@ class MarketResult:
 
 
 def build_market(engine: str, market_id: str, k: int, probs, funding, fee_rate):
+    """A market of ``engine`` whose LP deposits ``funding`` collateral,
+    rounded half-even to the grid, and adds it all as liquidity: the books
+    of ``market.deposit(LP, amount(funding))`` then
+    ``market.add_liquidity(LP, amount(funding))``, with the funding turned
+    into micro-units once."""
     spec = MarketSpec(market_id=market_id, k=k, fee_rate=fee_rate)
     cls = UammMarket if engine == "uamm" else CpmmMarket
     # a FairPriceVector passes through as is: normalizing it again can move a
     # probability by one ulp away from the vector the bettors were drawn from
     market = cls(spec, probs)
-    funding = amount(funding)
-    market.deposit(LP, funding)
-    market.add_liquidity(LP, funding)
+    n = to_micro(funding)
+    market.ledger.deposit_micro(LP, n)
+    market.add_liquidity_micro(LP, n)
     return market
 
 

@@ -123,6 +123,14 @@ class PoolState(Reserves):
         off-grid collateral)."""
         return sum(map(mul, fair.weights, self.r_micro))
 
+    def shares_for(self, n, fair: FairPriceVector) -> int:
+        """The LP shares ``n`` micro-units of collateral are worth at the
+        pool's share price, floored to the wad: ``n * ts / value``, exact in
+        ints, with the value's power-of-two scale (see :meth:`value`)
+        multiplied back in.  The one share rule of a deposit (:meth:`add`)
+        and of a bet's treasury mint (:meth:`UammMarket._mint_treasury`)."""
+        return n * self.ts_wad * fair.weights[0] // self.value(fair)
+
     def add(self, d, fair: FairPriceVector) -> Decimal:
         """Deposit ``d`` collateral; mint shares at the pre-add share price,
         floored to the wad, and return them.
@@ -133,13 +141,18 @@ class PoolState(Reserves):
             raise ValueError("liquidity deposit must be positive")
         n = exact_micro(d)
         # the deposit in wads: exact on the grid, floored off it
-        w = n * _WADS_PER_MICRO if type(n) is int else to_wad(d)
+        return from_wad(self.add_micro(n, n * _WADS_PER_MICRO if type(n) is int else to_wad(d),
+                                       fair))
+
+    def add_micro(self, n, w: int, fair: FairPriceVector) -> int:
+        """:meth:`add` of ``n`` micro-units, ``w`` wads, returning the shares
+        minted in int wads."""
         ts = self.ts_wad
-        s = w if ts == 0 else n * ts * fair.weights[0] // self.value(fair)
+        s = w if ts == 0 else self.shares_for(n, fair)
         self.r_micro[0] += n
         self._set_tb(self.tb_wad + w)
         self.ts_wad = ts + s
-        return from_wad(s)
+        return s
 
     def remove(self, s_lp, quantize=False):
         """Burn ``s_lp`` shares (floored to the wad) for a pro-rata slice of
@@ -305,21 +318,17 @@ class UammMarket(Market):
             odd += m
         return odd
 
-    def _fund(self, account: str, d: Decimal) -> int:
-        self.ledger.debit(account, COLLATERAL, d)
-        # the shares add mints, read back as the int wads they were minted in
-        return to_wad(self.pool.add(d, self.fair))
+    def _fund(self, account: str, n: int) -> int:
+        self.ledger.debit_micro(account, COLLATERAL, n)
+        return self.pool.add_micro(n, n * _WADS_PER_MICRO, self.fair)
 
     def _mint_treasury(self, n: int) -> int:
         """A bet mints LP shares worth its ``n`` micro-units at the
-        post-trade share price, floored to the wad, and returns them in
-        wads; they accrue to the pool's treasury tally, not to the bettor.
-        The value and the share count are exact ints: ``n * ts / value``
-        with the value's power-of-two scale (see :meth:`PoolState.value`)
-        multiplied back in."""
-        pool, fair = self.pool, self.fair
-        tv = pool.value(fair)
-        s = n * pool.ts_wad * fair.weights[0] // tv if pool.ts_wad > 0 and tv > 0 else 0
+        post-trade share price (:meth:`PoolState.shares_for`), and returns
+        them in wads; they accrue to the pool's treasury tally, not to the
+        bettor.  A pool with no shares mints none."""
+        pool = self.pool
+        s = pool.shares_for(n, self.fair) if pool.ts_wad > 0 else 0
         pool.ts_wad += s
         pool.treasury_wad += s
         return s

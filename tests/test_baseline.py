@@ -54,6 +54,18 @@ def test_product_invariant_preserved():
         assert abs(after - before) / before < 1e-9
 
 
+def test_output_never_negative_below_the_pools_rounding():
+    # x + d == x in float, and y - x * y / x can round a negative ulp
+    x, y = 34686.28429453937, 62673.772106709686
+    assert y - x * y / (x + 1e-300) < 0.0
+    assert cpmm_swap(1e-300, x, y) == 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        x = float(rng.uniform(1.0, 1e5))
+        y = float(rng.uniform(1.0, 1e5))
+        assert cpmm_swap(1e-300, x, y) >= 0.0
+
+
 def test_negative_input_rejected():
     with pytest.raises(ValueError):
         cpmm_swap(-1.0, 10.0, 10.0)
@@ -68,13 +80,14 @@ def test_initial_reserves_price_at_true_probabilities():
 
 @pytest.mark.parametrize("k,probs", [(2, (0.75, 0.25)), (3, (0.2, 0.3, 0.5))])
 def test_genesis_debits_the_reserves_as_int_micro_units(monkeypatch, k, probs):
-    """The ledger rounds only the LP's deposit and the mint of its full set;
-    each reserve leaves the LP's account as the int the pool receives."""
+    """The ledger rounds only the two deposits: the LP's full set is minted
+    from the int funding the market rounded once, and each reserve leaves
+    the LP's account as the int the pool receives."""
     calls = []
     to_micro = ledger.to_micro
     monkeypatch.setattr(ledger, "to_micro", lambda d: calls.append(d) or to_micro(d))
     market = make_market(k=k, probs=probs)
-    assert len(calls) == 3  # the LP's and the bettor's deposits, the mint
+    assert len(calls) == 2  # the LP's and the bettor's deposits
     lp = market.ledger.bal_micro["lp"]
     funding = 10_000 * UNIT
     for j, f in enumerate(probs, 1):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from uamm_lab import sim
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
 diff_outputs = importlib.util.module_from_spec(_SPEC)
@@ -34,3 +36,18 @@ def test_the_command_list_covers_every_mode_and_engine():
     assert simulated == {(mode, engine) for mode in ("single", "multi", "full", "sweep")
                          for engine in ("uamm", "cpmm")}
     assert {c[0] for c in diff_outputs.COMMANDS} == {"simulate", "quote", "probe"}
+
+
+def test_a_config_writes_bet_rows_with_empty_quote_cells(tmp_path):
+    """Some config in the list writes ``bets.csv`` rows whose four quote
+    cells are empty (bets unfillable at their quote), so that the CLI's
+    empty-cell row is compared byte for byte too."""
+    empty = 0
+    for name, text in diff_outputs.CONFIGS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        cfg = sim.load_config(path)
+        for engine in sim.ENGINES:
+            for result in sim.iter_markets(sim.replace(cfg, engine=engine), keep_log=True):
+                empty += sum(row[5:9] == (None,) * 4 for row in result.bet_log)
+    assert empty > 0

@@ -115,6 +115,10 @@ def replay(market, draws, fee_rate):
                 (10_000.0, 1, 1.0), (500.0, 2, -1.0), (10.0, 2, 1.0)], 1, {3}))
 @example(case=("cpmm", [1, 2, 3, 4, 5, 6], 50.0, 0.025,
                [(199.99, 6, 1.0), (0.01, 1, 0.0), (2.5e-6, 3, 1.0)], 6, {0}))
+# a wager far below the pools' rounding, whose product-rule legs round to a
+# negative ulp and back, once summing to an odd of zero
+@example(case=("cpmm", [3, 3, 5, 3, 5], 50.0, 0.0,
+               [(0.01, 1, 1.0), (4.9788671278191235e-161, 2, 0.0)], 1, set()))
 def test_run_market_against_a_public_replay(case):
     engine, weights, funding, fee_rate, draws, winner, fail = case
     market = build(engine, weights, funding, fee_rate, fail)

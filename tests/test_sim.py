@@ -337,6 +337,47 @@ def test_build_market_keeps_a_fair_price_vector(engine):
     assert market.fair is fair
 
 
+GENESIS_PROBS = {2: (0.75, 0.25), 3: (0.2, 0.3, 0.5), 4: (0.1, 0.2, 0.3, 0.4)}
+
+
+@pytest.mark.parametrize("engine", sim.ENGINES)
+@pytest.mark.parametrize("k", sorted(GENESIS_PROBS))
+@pytest.mark.parametrize("funding", [
+    10_000.0, 0.000001,
+    # just below a tie as a float, so it rounds down; as a Decimal an exact
+    # tie, which rounds half-even, to the even 1234.567890
+    1234.5678905, Decimal("1234.5678905"), Decimal("1234.5678915"),
+    2_500,
+])
+def test_micro_unit_genesis_equals_the_public_path(engine, k, funding):
+    """``build_market`` turns its funding into micro-units once and funds in
+    ints; its books equal those of a market funded through the public
+    ``deposit`` and ``add_liquidity`` of ``amount(funding)``."""
+    built = sim.build_market(engine, "m", k, GENESIS_PROBS[k], funding, 0.025)
+    twin = type(built)(MarketSpec("m", k), GENESIS_PROBS[k])
+    twin.deposit(sim.LP, amount(funding))
+    twin.add_liquidity(sim.LP, amount(funding))
+    assert built.snapshot() == twin.snapshot()
+    n = to_micro(funding)
+    assert built.ledger.deposited_micro == twin.ledger.deposited_micro == n
+    # one LP share per unit of funding; the CPMM seeds its reserves from the
+    # float of the funding's 6-place Decimal, which n / UNIT equals
+    assert built.lp_wad == {sim.LP: n * 10 ** 12}
+    probs, x = GENESIS_PROBS[k], float(amount(funding))
+    if engine == "cpmm":
+        assert built.pool.r_micro[1:] == [to_micro(x * min(probs) / f) for f in probs]
+    else:
+        assert built.pool.r_micro == [n] + [0] * k and built.pool.tb_wad == n * 10 ** 12
+    built.check_invariants()
+
+
+@pytest.mark.parametrize("engine", sim.ENGINES)
+@pytest.mark.parametrize("funding", [0.0000004, Decimal("0.0000005"), 0])
+def test_a_funding_that_rounds_to_zero_is_refused(engine, funding):
+    with pytest.raises(ValueError, match="^liquidity deposit must be positive$"):
+        sim.build_market(engine, "m", 2, (0.5, 0.5), funding, 0.025)
+
+
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 @pytest.mark.parametrize("wager,fee", [(0.000003, "0.000002"), (0.000001, "0")])
 def test_run_market_funds_exactly_what_buy_charges(engine, wager, fee):

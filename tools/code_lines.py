@@ -2,7 +2,9 @@
 
 A code line holds at least one token that is not a comment, and is not
 part of a docstring (the string that opens a module, class or function
-body).  Blank lines, comment lines and docstring lines do not count.
+body).  Blank lines, comment lines and docstring lines do not count, and an
+import statement counts as one line however it is wrapped, so that the
+figure tracks code rather than how an import list is laid out.
 
 Usage::
 
@@ -37,13 +39,20 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def _import_continuations(tree: ast.AST) -> set[int]:
+    """Every line of an import statement after its first."""
+    return {n for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for n in range(node.lineno + 1, node.end_lineno + 1)}
+
+
 def code_lines(source: str) -> int:
     """The number of code lines in ``source``."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NON_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    tree = ast.parse(source)
+    return len(lines - _docstring_lines(tree) - _import_continuations(tree))
 
 
 def main(argv=None) -> int:

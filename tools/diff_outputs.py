@@ -17,9 +17,10 @@ It prints one line per difference, naming the command, the output and its
 first differing line, then a count, and exits 1 when there is a difference
 and 0 when there is none (2 when ``REF`` cannot be extracted).  The command
 list holds only outputs that a change which declares none must leave as
-they are: every ``simulate`` mode on both engines, ``quote`` as text, as
-CSV and for a wager that drains the pool (exit 3), and all three ``probe``
-forms.
+they are: every ``simulate`` mode on both engines (one config among them
+drains its pools, so ``bets.csv`` holds empty quote cells), ``quote`` as
+text, as CSV and for a wager that drains the pool (exit 3), and all three
+``probe`` forms.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ CONFIGS = {
     "defaults.cfg": _SMALL,
     "k3.cfg": "k = 3\nprobs = 0.2,0.3,0.5\nfee_rate = 0.0305\n" + _SMALL,
     "fee50.cfg": "fee_rate = 0.5\n" + _SMALL,
+    # wagers of about 1.9e21 on pools of 1,000: every UAMM bet is unfillable
+    # at its quote, so bets.csv holds rows whose four quote cells are empty
+    "drained.cfg": ("funding = 1000.0\nwager_mu = 49\nwager_sigma = 0.0\n"
+                    "rej_mean = 2.0\nrej_std = 0.0\nn_bets = 5\nn_markets = 2\nseed = 3\n"),
 }
 _QUOTE = ["quote", "--k", "3", "--probs", "0.2,0.3,0.5", "--funding", "10000",
           "--outcome", "2", "--wager", "125.5"]
