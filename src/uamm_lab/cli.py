@@ -221,7 +221,10 @@ def cmd_simulate(args) -> int:
         overrides["seed"] = args.seed
     env_seed = os.environ.get("UAMM_LAB_SEED")
     if env_seed is not None:
-        overrides["seed"] = int(env_seed)
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"UAMM_LAB_SEED must be an integer, got {env_seed!r}") from None
     if overrides:
         cfg = sim.replace(cfg, **overrides)
     out = Path(args.out)

@@ -16,6 +16,11 @@ with floor division (see :class:`uamm_lab.uamm.PoolState`) and read as
 A bet record and the pool's fee book are ints too: the record keeps its
 wager, fee and odd in micro-units and its treasury shares in wads, and the
 book its fees in micro-units, each read as a Decimal only when a caller asks.
+A fee is ``wager * fee_rate`` rounded half-even to the grid, so it, and the
+book, read to 6 places like every other amount.  Only a run's fee total
+(:func:`uamm_lab.sim.run_market`) reads otherwise: when it equals
+``fee_rate * volume`` exactly, it reads as that product (``0.308500000`` at
+a 0.025 rate), as Decimal arithmetic on exact fees would leave it.
 
 Balances, ``locked``, reserves, snapshot lines, share reads, the fee book and
 a bet record's wager, fee and odd are read exactly, whatever the caller's
@@ -23,10 +28,7 @@ Decimal context: each is the product of an int and a power of ten, taken in
 a context that never rounds (:func:`mul_exact`, :func:`scaleb_exact`).  A
 Decimal operator would round it to the caller's precision instead (a balance
 of ``1234567.891234`` reads ``1234567.89123`` under
-``localcontext(prec=12)``).  A fee of exactly ``wager * fee_rate`` reads at
-the exponent that product has, the fee rate's less 6 (``0.308500000`` at a
-0.025 rate), and so does every figure summed from such fees:
-:func:`micro_at` reads ``n`` micro-units at a given exponent.
+``localcontext(prec=12)``).
 
 The converters:
 
@@ -195,12 +197,6 @@ def to_wad(value) -> int:
 def from_wad(n: int) -> Decimal:
     """``n`` wads as an exact 18-place Decimal."""
     return mul_exact(WAD_PRECISION, n)
-
-
-def micro_at(n: int, exp: int) -> Decimal:
-    """``n`` micro-units as an exact Decimal of exponent ``exp``: ``exp`` at
-    most -6, or any exponent for zero."""
-    return scaleb_exact(n * 10 ** (-6 - exp) if n else 0, exp)
 
 
 def format_micro(n: int) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .fixedpoint import PRECISION, ZERO, format_micro, micro_at, mul_exact, to_micro
+from .fixedpoint import PRECISION, ZERO, format_micro, mul_exact, to_micro
 
 #: Token id of the base (collateral) currency.  Outcome tokens use 1..K.
 COLLATERAL = 0
@@ -95,10 +95,8 @@ class ConditionalLedger:
 
     ``bal_micro[account][token]``, ``locked_micro`` and ``deposited_micro``
     (collateral credited from outside by :meth:`deposit`) are int
-    micro-units; :meth:`balance` and :attr:`locked` read them as Decimals.
-    An account in ``fee_payers`` paid a fee of exactly ``wager * fee_rate``,
-    so its collateral reads at that fee's exponent, as Decimal arithmetic on
-    the fee would leave it (``531.638835000`` at a 0.025 rate).
+    micro-units; :meth:`balance` and :attr:`locked` read them as exact
+    6-place Decimals, a fee payer's collateral included.
     """
 
     spec: MarketSpec
@@ -107,7 +105,6 @@ class ConditionalLedger:
     locked_micro: int = field(default=0, init=False)
     deposited_micro: int = field(default=0, init=False)
     bal_micro: dict[str, list[int]] = field(default_factory=dict, init=False)
-    fee_payers: set[str] = field(default_factory=set, init=False)
 
     # -- balance plumbing ---------------------------------------------------
 
@@ -118,11 +115,9 @@ class ConditionalLedger:
         return acct
 
     def _read(self, account: str, token: int) -> Decimal:
-        """The balance as an exact Decimal, whatever the caller's context."""
-        n = self.bal_micro[account][token]
-        if token == COLLATERAL and account in self.fee_payers:
-            return micro_at(n, self.spec.fee_rate.as_tuple().exponent - 6)
-        return mul_exact(PRECISION, n)
+        """The balance as an exact 6-place Decimal, whatever the caller's
+        context."""
+        return mul_exact(PRECISION, self.bal_micro[account][token])
 
     def balance(self, account: str, token: int = COLLATERAL) -> Decimal:
         if account not in self.bal_micro or not 0 <= token <= self.spec.k:
@@ -296,7 +291,7 @@ class ConditionalLedger:
             ("locked", format_micro(self.locked_micro)),
         ]
         for account, acct in self.bal_micro.items():
-            for token in range(len(acct)):
+            for token, n in enumerate(acct):
                 name = "collateral" if token == COLLATERAL else f"outcome{token}"
-                items.append((f"balance/{account}/{name}", str(self._read(account, token))))
+                items.append((f"balance/{account}/{name}", format_micro(n)))
         return items

@@ -54,7 +54,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, PRECISION, UNIT, ZERO, exact_micro,
-                         format_micro, from_micro, from_wad, micro_at, mul_exact, to_micro)
+                         format_micro, from_micro, from_wad, mul_exact, to_micro)
 from .ledger import (COLLATERAL, ConditionalLedger, InsufficientBalance, MarketSpec, Phase,
                      PhaseError)
 
@@ -153,8 +153,7 @@ class Reserves:
     the float of the target balance: 0.0 for a pool without one.
 
     The fee book is an int too: ``fee_micro``, the fees :meth:`Market.buy`
-    has charged, in micro-units, and ``fee_exp``, the exponent
-    :attr:`fee_accrued` reads them at.
+    has charged, in micro-units, read by :attr:`fee_accrued`.
     """
 
     tb_float = 0.0
@@ -164,15 +163,11 @@ class Reserves:
     def __init__(self, r):
         self.r = r
         self.fee_micro = 0
-        self.fee_exp = -6
 
     @property
     def fee_accrued(self) -> Decimal:
-        """The fees charged, as an exact Decimal: 6 places until a fee of
-        exactly ``wager * fee_rate`` has been charged, then that fee's
-        exponent (the fee rate's less 6), as the exact sum of the bet
-        records' fees reads."""
-        return micro_at(self.fee_micro, self.fee_exp)
+        """The fees charged, as an exact 6-place Decimal."""
+        return mul_exact(PRECISION, self.fee_micro)
 
     @classmethod
     def empty(cls, k: int):
@@ -228,9 +223,7 @@ class BetRecord(NamedTuple):
     on, as for a :class:`Quote`, is not a field).  A named tuple, like
     :class:`Quote`, whose amounts are ints named for their unit:
 
-    * ``wager_micro``, ``fee_micro`` and ``odd_micro`` in micro-units, and
-      ``fee_exp``, the exponent the fee reads at: the fee rate's less 6 when
-      the fee is exactly ``wager * fee_rate``, else -6;
+    * ``wager_micro``, ``fee_micro`` and ``odd_micro`` in micro-units;
     * ``s_lp_wad``, the treasury LP shares the bet minted, in wads, or
       ``None`` for an engine that mints none (and for a zero bet);
     * ``post_micro``, every reserve after the bet (collateral first), in
@@ -239,14 +232,13 @@ class BetRecord(NamedTuple):
     and the implied price and slippage as floats.  The properties
     :attr:`wager`, :attr:`fee`, :attr:`odd`, :attr:`s_lp` and :attr:`post_r`
     read them as exact Decimals, whatever the caller's context (the shares
-    18 places, or ``0.000000`` when none were minted; the fee at
-    ``fee_exp``; the rest 6 places), and the reserves as floats."""
+    18 places, or ``0.000000`` when none were minted; the rest 6 places),
+    and the reserves as floats."""
 
     index: int
     outcome: int
     wager_micro: int
     fee_micro: int
-    fee_exp: int
     odd_micro: int
     s_lp_wad: int | None
     implied_price: float
@@ -254,7 +246,7 @@ class BetRecord(NamedTuple):
     post_micro: tuple[int, ...]
 
     wager = property(lambda self: mul_exact(PRECISION, self.wager_micro))
-    fee = property(lambda self: micro_at(self.fee_micro, self.fee_exp))
+    fee = property(lambda self: mul_exact(PRECISION, self.fee_micro))
     odd = property(lambda self: mul_exact(PRECISION, self.odd_micro))
     s_lp = property(lambda self: ZERO if self.s_lp_wad is None else from_wad(self.s_lp_wad))
     post_r = property(lambda self: tuple([x / UNIT for x in self.post_micro]))
@@ -286,8 +278,6 @@ class Market:
             raise ValueError("fair-price vector length must equal K")
         self._fee_float = float(self.spec.fee_rate)
         self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
-        #: The exponent of an exact fee, ``wager * fee_rate``.
-        self._fee_exp = self.spec.fee_rate.as_tuple().exponent - 6
         self.ledger = ConditionalLedger(self.spec)
         self.pool = self.pool_type.empty(self.spec.k)
         #: Each LP's shares, in int wads.
@@ -352,9 +342,9 @@ class Market:
         The fee is ``wager * fee_rate`` exactly when that lies on the grid
         (any whole-cent wager at a 0.025 rate), and is otherwise rounded
         half-even to the grid, so that the ledger can hold what the bettor is
-        charged.  It goes to the pool's int fee book, ``pool.fee_micro``;
-        an exact fee lowers the book's exponent, ``pool.fee_exp``, to its
-        own (see :attr:`Reserves.fee_accrued`).
+        charged.  It goes to the pool's int fee book, ``pool.fee_micro``,
+        and like every amount it reads to 6 places (see
+        :attr:`Reserves.fee_accrued`).
 
         The wager is rounded half-even to micro-units first, once.  A
         negative wager raises ``ValueError``, as a quote does, even when it
@@ -393,21 +383,16 @@ class Market:
             if fund:
                 ledger.deposit_micro(account, 0)  # opens the account
             record = new_record(BetRecord, (
-                len(self.bets), i, 0, 0, -6, 0, None,
+                len(self.bets), i, 0, 0, 0, None,
                 self.fair.probs[i - 1], 0.0, tuple(pool.r_micro),
             ))
             self.bets.append(record)
             return record
-        # the fee, n * fee_rate: exact at the fee rate's exponent less 6 when
-        # it lies on the grid, else rounded half-even to the grid
+        # the fee, n * fee_rate, rounded half-even to the grid
         num, den = self._fee_ratio
         fee_n, rest = divmod(n * num, den)
-        if rest:
-            fee_exp = -6
-            if 2 * rest > den or (2 * rest == den and fee_n & 1):
-                fee_n += 1
-        else:
-            fee_exp = self._fee_exp
+        if 2 * rest > den or (2 * rest == den and fee_n & 1):
+            fee_n += 1
         cost = n + fee_n
         acct = ledger.bal_micro.get(account)
         if fund:
@@ -418,7 +403,7 @@ class Market:
             ledger.deposited_micro += cost
         elif acct is None or acct[COLLATERAL] < cost:
             raise InsufficientBalance(f"{account} cannot cover wager "
-                                      f"{mul_exact(PRECISION, n)} plus fee {micro_at(fee_n, fee_exp)}")
+                                      f"{mul_exact(PRECISION, n)} plus fee {mul_exact(PRECISION, fee_n)}")
         fair = self.fair
         try:
             odd = self._legs(pool, fair, i, n)
@@ -440,16 +425,12 @@ class Market:
         # commit
         acct[COLLATERAL] -= cost
         acct[i] += odd
-        if not rest:
-            ledger.fee_payers.add(account)
-            if fee_exp < pool.fee_exp:
-                pool.fee_exp = fee_exp
         ledger.locked_micro -= u
         pool.r_micro = rw
         pool.fee_micro += fee_n
         implied = n / UNIT / (odd / UNIT)
         record = new_record(BetRecord, (
-            len(self.bets), i, n, fee_n, fee_exp, odd, self._mint_treasury(n),
+            len(self.bets), i, n, fee_n, odd, self._mint_treasury(n),
             implied, implied - fair.probs[i - 1], tuple(rw),
         ))
         self.bets.append(record)

@@ -33,7 +33,7 @@ import numpy as np
 from .baseline import CpmmMarket
 # build_market rounds its funding as ``amount`` does, without calling it; the
 # name stays here, where perfbench's tracer tests find it
-from .fixedpoint import PRECISION, UNIT, amount, micro_at, mul_exact, to_micro  # noqa: F401
+from .fixedpoint import PRECISION, UNIT, amount, mul_exact, to_micro  # noqa: F401
 from .ledger import ORACLE, MarketSpec
 from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
@@ -365,12 +365,12 @@ def run_market(
     (:func:`run_single_market` rebuilds the trajectory from them).
 
     The result's ``fee`` is what the pool's int fee book
-    (``pool.fee_micro``) gained over the run, read at the book's exponent
-    (``pool.fee_exp``, see ``pool.fee_accrued``).  For a market that starts
-    with an empty book, as every seeded market does, it is the exact sum of
-    the run's record fees, value and text alike; for one that traded
-    before, the value is that sum, and its text follows the book's
-    exponent.
+    (``pool.fee_micro``) gained over the run, the exact sum of the run's
+    record fees.  This is the one place that decides its text: when the sum
+    equals ``fee_rate * volume`` exactly, as it does whenever every fee was
+    exact (any whole-cent wager at a 0.025 rate), it reads as that product,
+    at the fee rate's exponent less 6 (``7.711000000``); otherwise, and for
+    a run with no volume, it reads to 6 places.
     """
     pool = market.pool
     r_start = tuple([x / UNIT for x in pool.r_micro])
@@ -411,6 +411,10 @@ def run_market(
 
     overround = _overround(market)
     r_end = tuple([x / UNIT for x in pool.r_micro])
+    volume = mul_exact(PRECISION, volume)
+    fee = mul_exact(PRECISION, pool.fee_micro - fee_start)
+    if volume and fee == (exact := mul_exact(market.spec.fee_rate, volume)):
+        fee = exact
     market.close_betting()
     market.resolve(ORACLE, winner)
     return MarketResult(
@@ -425,8 +429,8 @@ def run_market(
         n_accepted=accepted,
         n_rejected=rejected,
         n_unfillable=unfillable,
-        volume=mul_exact(PRECISION, volume),
-        fee=micro_at(pool.fee_micro - fee_start, pool.fee_exp),
+        volume=volume,
+        fee=fee,
         overround_final=overround,
         bet_log=log,
     )

@@ -1,10 +1,11 @@
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
-from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, add_exact, mul_exact, to_micro
+from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, add_exact, format_micro, mul_exact, to_micro
 from uamm_lab.ledger import COLLATERAL, InsufficientBalance, Phase, PhaseError
 from uamm_lab.market import BetRecord
 from uamm_lab.metrics import summarize
@@ -114,6 +115,14 @@ def float_view(pool):
     return tb, (0.0, *[x + rf[0] for x in rf[1:]])
 
 
+def six_places(text):
+    """A pinned amount's text, recorded at the fee rate's exponent when fees
+    read there, written to 6 places; checked to keep its value."""
+    six = f"{Decimal(text):.6f}"
+    assert Decimal(six) == Decimal(text)
+    return six
+
+
 def reference_quote(pool, fair, i, wager, fee_rate=0, engine="uamm", branches=None):
     """A quote computed leg by leg through the public swap kernels.
 
@@ -164,9 +173,10 @@ def reference_buy(market, account, i, wager, branches=None):
     scratch copy, and the merge of the smallest conditional pool back into
     collateral.  The fee is the exact Decimal ``wager * fee_rate``, rounded
     half-even to the grid when it lies off it, and is summed into the fee
-    book as a Decimal; the int fee fields and the book's exponent are read
-    off those Decimals.  It commits to ``market`` as ``buy`` does, so the two
-    must leave equal records and snapshots and raise the same exceptions.
+    book as a Decimal; the int fee fields are read off those Decimals, and
+    the record and the book must read their values, to 6 places.  It commits
+    to ``market`` as ``buy`` does, so the two must leave equal records and
+    snapshots and raise the same exceptions.
     ``branches``, a list, collects the :func:`swap_branch` of every UAMM
     leg.
     """
@@ -179,8 +189,9 @@ def reference_buy(market, account, i, wager, branches=None):
     if n <= 0:
         if n or float(wager) < 0:
             raise ValueError("wager must be non-negative")
-        record = BetRecord(len(market.bets), i, 0, 0, ZERO.as_tuple().exponent, 0, None,
+        record = BetRecord(len(market.bets), i, 0, 0, 0, None,
                            market.fair.probs[i - 1], 0.0, tuple(pool.r_micro))
+        assert str(record.fee) == str(ZERO)
         market.bets.append(record)
         return record
     d = mul_exact(PRECISION, n)
@@ -192,7 +203,8 @@ def reference_buy(market, account, i, wager, branches=None):
     cost = n + fee_n
     acct = ledger.bal_micro.get(account)
     if acct is None or acct[COLLATERAL] < cost:
-        raise InsufficientBalance(f"{account} cannot cover wager {d} plus fee {fee}")
+        raise InsufficientBalance(f"{account} cannot cover wager {d} "
+                                  f"plus fee {format_micro(fee_n)}")
     f = market.fair.probs
     fi = f[i - 1]
     # combine: the collateral pool is minted into K uniform sets
@@ -222,18 +234,16 @@ def reference_buy(market, account, i, wager, branches=None):
     rw[0] = m
     acct[COLLATERAL] -= cost
     acct[i] += odd
-    if fee_n == exact:
-        ledger.fee_payers.add(account)
     ledger.locked_micro += n + c - m
     pool.r_micro = rw
     book = add_exact(pool.fee_accrued, fee)
     pool.fee_micro += fee_n
-    pool.fee_exp = book.as_tuple().exponent
-    assert str(pool.fee_accrued) == str(book)
+    assert pool.fee_accrued == book and str(pool.fee_accrued) == format_micro(pool.fee_micro)
     s_lp = market._mint_treasury(n)
     implied = df / (odd / UNIT)
-    record = BetRecord(len(market.bets), i, n, fee_n, fee.as_tuple().exponent, odd, s_lp,
+    record = BetRecord(len(market.bets), i, n, fee_n, odd, s_lp,
                        implied, implied - fi, tuple(rw))
-    assert repr((record.wager, record.fee, record.odd)) == repr((d, fee, mul_exact(PRECISION, odd)))
+    assert repr((record.wager, record.odd)) == repr((d, mul_exact(PRECISION, odd)))
+    assert record.fee == fee and str(record.fee) == format_micro(fee_n)
     market.bets.append(record)
     return record

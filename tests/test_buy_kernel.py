@@ -179,7 +179,7 @@ def test_examples_reach_every_branch():
     assert seen["unfillable"][0] == ["straddle"]
     assert seen["unfillable"][1][0][0] is UnfillableQuote
     assert seen["insufficient"][1][0][0] is InsufficientBalance
-    assert ("wager_micro=0, fee_micro=0, fee_exp=-6, odd_micro=0, s_lp_wad=None,"
+    assert ("wager_micro=0, fee_micro=0, odd_micro=0, s_lp_wad=None,"
             in seen["zero wager"][1][0][0])
     assert seen["negative wager"][1][0] == (ValueError, "wager must be non-negative")
 

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ def test_simulate_multi_outputs(tmp_path, capsys):
 @pytest.mark.parametrize("engine", sim.ENGINES)
 @pytest.mark.parametrize("mode", ["single", "multi"])
 def test_zero_fee_totals_read_in_fixed_point(tmp_path, capsys, engine, mode):
-    # a 0.0 fee rate makes every exact fee 0 at exponent -7, which str
-    # writes as 0E-7
+    # at a 0.0 fee rate a run's fee total equals fee_rate * volume, 0 at
+    # exponent -7, which str writes as 0E-7
     cfg = write_cfg(tmp_path, SMALL_CFG + "fee_rate = 0.0\n")
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg, "--mode", mode, "--engine", engine,
@@ -158,6 +159,27 @@ def test_zero_fee_totals_read_in_fixed_point(tmp_path, capsys, engine, mode):
     fees = {row["fee"] for row in read_rows(out / "markets.csv")}
     assert fees == {"0.0000000"}
     assert {row["fee"] for row in read_rows(out / "bets.csv")} <= {"0.0", ""}
+
+
+@pytest.mark.parametrize("engine", sim.ENGINES)
+@pytest.mark.parametrize("fee_rate", ["0.025", "0.0305"])
+def test_each_exact_market_fee_reads_as_fee_rate_times_volume(tmp_path, engine, fee_rate):
+    """Every whole-cent fee is exact at these rates, so each market's fee
+    total in markets.csv is the text of ``fee_rate * volume`` (at the fee
+    rate's exponent less 6), and ``0.000000`` for a market with no volume."""
+    cfg = write_cfg(tmp_path, "k = 2,3\nprobs = uniform:0.2,0.8\nn_bets = lognormal:2.0,1.0\n"
+                    "n_markets = 30\nseed = 2\nrej_mean = 0.0\nrej_std = 0.02\n"
+                    f"fee_rate = {fee_rate}\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--mode", "full", "--engine", engine,
+                     "--out", str(out)]) == 0
+    rows = read_rows(out / "markets.csv")
+    zero = [row["fee"] for row in rows if Decimal(row["volume"]) == 0]
+    traded = [row for row in rows if Decimal(row["volume"]) != 0]
+    assert zero and traded
+    assert set(zero) == {"0.000000"}
+    for row in traded:
+        assert row["fee"] == str(Decimal(fee_rate) * Decimal(row["volume"]))
 
 
 def test_a_negative_zero_fee_rate_exits_one(tmp_path, capsys):
@@ -421,6 +443,18 @@ def test_seed_precedence_env_over_flag_over_config(tmp_path, monkeypatch):
     out3 = tmp_path / "o3"
     cli.main(["simulate", "--config", cfg, "--seed", "8", "--out", str(out3)])
     assert summary_seed(out3) == "13"  # env beats flag
+
+
+@pytest.mark.parametrize("mode", ["single", "full"])
+def test_a_non_integer_env_seed_names_the_variable(tmp_path, capsys, monkeypatch, mode):
+    """A ``UAMM_LAB_SEED`` that is not an integer exits 1 with an error
+    naming the variable and its value, before the output directory is
+    made."""
+    monkeypatch.setenv("UAMM_LAB_SEED", "abc")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--mode", mode, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: UAMM_LAB_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
 
 
 def test_same_seed_twice_is_byte_identical(tmp_path):

@@ -51,3 +51,14 @@ def test_a_config_writes_bet_rows_with_empty_quote_cells(tmp_path):
             for result in sim.iter_markets(sim.replace(cfg, engine=engine), keep_log=True):
                 empty += sum(row[5:9] == (None,) * 4 for row in result.bet_log)
     assert empty > 0
+
+
+def test_the_fee_config_reads_fee_totals_both_ways(tmp_path):
+    """The five-decimal fee config's run holds markets whose fee total reads
+    to 6 places and some that read it as ``fee_rate * volume``, at 11, so
+    both texts of ``markets.csv``'s fee column are compared byte for byte."""
+    name, text = diff_outputs.FEE_CONFIG
+    path = tmp_path / name
+    path.write_text(text)
+    places = {-r.fee.as_tuple().exponent for r in sim.iter_markets(sim.load_config(path))}
+    assert places == {6, 11}

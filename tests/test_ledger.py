@@ -37,7 +37,9 @@ def test_ledger_takes_only_its_spec(name, value):
         ConditionalLedger(MarketSpec(market_id="m", k=2), **{name: value})
     ledger = ConditionalLedger(MarketSpec(market_id="m", k=2))
     assert (ledger.phase, ledger.winner, ledger.locked_micro, ledger.deposited_micro,
-            ledger.bal_micro, ledger.fee_payers) == (Phase.OPEN, None, 0, 0, {}, set())
+            ledger.bal_micro) == (Phase.OPEN, None, 0, 0, {})
+    # the ledger keeps no fee-payer book: every balance reads to 6 places
+    assert not hasattr(ledger, "fee_payers")
 
 
 def test_mint_credits_every_outcome():

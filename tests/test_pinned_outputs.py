@@ -12,7 +12,7 @@ import json
 from decimal import Decimal
 
 import pytest
-from conftest import reference_quote, run_seeded_markets
+from conftest import reference_quote, run_seeded_markets, six_places
 
 from uamm_lab.baseline import CpmmMarket
 from uamm_lab.ledger import MarketSpec
@@ -56,10 +56,15 @@ K3_SUMMARY = {
 #: and every executed bet (odd, fee, s_lp, post_r) of the k=3 runs above.
 #: The UAMM's was re-derived when shares became ints of 10**-18 units, from
 #: the earlier records with each ``s_lp`` replayed in Fraction arithmetic
-#: (``floor(wager * ts / (r0 + sum f_k * r_k))`` to 18 places).
+#: (``floor(wager * ts / (r0 + sum f_k * r_k))`` to 18 places).  Both were
+#: re-derived when a record's fee came to read to 6 places, from the same
+#: records with each fee's text, ``0.308500000`` say, written as the same
+#: value to 6 places (``0.308500``); they were
+#: ``b54551d99803e852ba8760c1860d862d95591d6ecaecadd3550a3c9d86dbc7a7`` and
+#: ``07c90fef157c57c4bf1834194b8c45e96c0911d732c8abee2f1cbd1c441bb0b9``.
 K3_DIGEST = {
-    "uamm": "b54551d99803e852ba8760c1860d862d95591d6ecaecadd3550a3c9d86dbc7a7",
-    "cpmm": "07c90fef157c57c4bf1834194b8c45e96c0911d732c8abee2f1cbd1c441bb0b9",
+    "uamm": "95dc6469f2667053d91250240f20720a665ffd700fd1173925057a24d3acfafe",
+    "cpmm": "1ac8b32bb61dcf7ad12800c02dfcccf48ee18d1acd1fa631f9f373e50343c829",
 }
 
 THIN_SUMMARY = {
@@ -74,6 +79,8 @@ THIN_SUMMARY = {
 
 #: (odd, fee, s_lp, post_r) of every executed bet of market 0 at seed 3; the
 #: UAMM's ``s_lp`` re-derived in Fraction arithmetic, as for ``K3_DIGEST``.
+#: Each fee was recorded at the fee rate's exponent less 6; a record now
+#: reads it to 6 places (:func:`six_places`).
 RECORDS = {
     "uamm": [
         ("905.605148", "7.101000000", "283.689403710005941344", "(9378.434852, 905.605148, 0.0, 905.605148)"),
@@ -176,7 +183,8 @@ def test_per_bet_outputs_are_pinned(engine):
     result = run_market(market, draws, winner, keep_log=True)
     records = [(str(r.odd), str(r.fee), str(r.s_lp), repr(r.post_r))
                for r in market.bets]
-    assert records == RECORDS[engine]
+    assert records == [(odd, six_places(fee), s_lp, post)
+                       for odd, fee, s_lp, post in RECORDS[engine]]
     quotes = [tuple(_log_cells(row, "odd", "slippage", "reject_reason"))
               for row in result.bet_log]
     assert quotes == QUOTES[engine]
@@ -186,7 +194,9 @@ def test_per_bet_outputs_are_pinned(engine):
 #: :func:`test_lifecycle_snapshot_is_pinned`, recorded before the engines were
 #: folded into one market class; the share and target-balance lines
 #: (``lp/*``, ``pool/tb``, ``pool/ts``, ``pool/treasury_shares``) re-derived
-#: in Fraction arithmetic when they became 18-place reads of int wads.
+#: in Fraction arithmetic when they became 18-place reads of int wads.  The
+#: fee book and the fee payer's collateral were recorded at the fee rate's
+#: exponent less 6, and now read to 6 places (:data:`SIX_PLACE_LINES`).
 SNAPSHOTS = {
     "uamm": (
         "balance/bettor/collateral=531.638835000\n"
@@ -236,6 +246,10 @@ SNAPSHOTS = {
 }
 
 
+#: The snapshot lines whose pinned text reads to 6 places now.
+SIX_PLACE_LINES = ("balance/bettor/collateral", "pool/fee_accrued")
+
+
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_lifecycle_snapshot_is_pinned(engine):
     """deposit -> add -> three buys -> close -> resolve -> redeem ->
@@ -252,7 +266,10 @@ def test_lifecycle_snapshot_is_pinned(engine):
     market.redeem("bettor")
     market.redeem("lp")
     market.redeem_pool()
-    assert market.snapshot() == SNAPSHOTS[engine]
+    pinned = dict(line.split("=") for line in SNAPSHOTS[engine].splitlines())
+    for key in SIX_PLACE_LINES:
+        pinned[key] = six_places(pinned[key])
+    assert market.snapshot() == "".join(f"{k}={v}\n" for k, v in pinned.items())
 
 
 # -- the quote grid ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import run_seeded_markets
 
 from uamm_lab import metrics, sim
-from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
+from uamm_lab.fixedpoint import UNIT, ZERO, amount, mul_exact, to_micro
 from uamm_lab.ledger import MarketSpec
 from uamm_lab.sim import (
     ConfigError,
@@ -593,15 +593,18 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
             == [(str(r.volume), str(r.fee)) for r in results])
     # a market's fee is what the pool's fee book gained over the run: on a
     # seeded market, whose book starts empty, the exact sum of the run's
-    # record fees, text included; on a market that traded before the run,
-    # the value of that sum
+    # record fees, which reads as fee_rate * volume when it equals that
+    # product (every whole-cent fee at a 0.0125 rate is exact); on a market
+    # that traded before the run, the value of that sum
     for engine in sim.ENGINES:
         cfg = SimConfig(n_markets=6, n_bets=60, fee_rate=0.0125, seed=3, engine=engine)
         results, _, bets = run_seeded_markets(cfg)
         assert any(bets)
         with localcontext(prec=80):
             sums = [sum((b.fee for b in records), ZERO) for records in bets]
-        assert [str(r.fee) for r in results] == [str(s) for s in sums]
+        assert [r.fee for r in results] == sums
+        assert ([str(r.fee) for r in results]
+                == [str(mul_exact(Decimal("0.0125"), r.volume)) for r in results])
         market, draws, winner = sim.seeded_market(cfg, 0)
         market.deposit("early", 1_000)
         market.buy("early", 1, "12.34")
@@ -610,3 +613,26 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
         assert len(market.bets) > first
         with localcontext(prec=80):
             assert result.fee == sum((b.fee for b in market.bets[first:]), ZERO)
+
+
+def test_a_market_with_rounded_fees_reads_its_fee_to_six_places():
+    """At a 0.02501 rate a whole-cent fee is exact only for a wager in whole
+    dimes, so a seeded market mixes exact and rounded fees.  Its fee total
+    is the exact sum of its records' fees; unless that sum equals
+    ``fee_rate * volume`` it reads to 6 places, and a narrow caller's
+    context changes no text."""
+    rate = Decimal("0.02501")
+    cfg = SimConfig(n_markets=4, n_bets=60, fee_rate=0.02501, seed=3)
+    fees = []
+    for m in range(cfg.n_markets):
+        market, draws, winner = sim.seeded_market(cfg, m)
+        result = sim.run_market(market, draws, winner)
+        exact = [b.fee == mul_exact(rate, b.wager) for b in market.bets]
+        assert any(exact) and not all(exact)
+        assert result.fee == sum((b.fee for b in market.bets), ZERO)
+        assert result.fee != mul_exact(rate, result.volume)
+        assert str(result.fee) == f"{result.fee:.6f}"
+        fees.append(str(result.fee))
+    with localcontext(prec=12):
+        narrow, _ = run_multi_market(cfg)
+    assert [str(r.fee) for r in narrow] == fees

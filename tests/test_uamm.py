@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_conserved
+from conftest import assert_conserved, six_places
 from uamm_lab.fixedpoint import UNIT, ZERO, amount
 from uamm_lab.ledger import InsufficientBalance, MarketSpec, PhaseError
 from uamm_lab.uamm import (
@@ -282,9 +282,10 @@ def test_fee_payer_balance_reads_exactly_under_a_narrow_context():
     market.deposit("bettor", Decimal("88568.175"))
     market.buy("bettor", 1, 10)  # costs 10 plus an exact fee of 0.250
     snapshot = market.snapshot()
-    assert "balance/bettor/collateral=88557.925000000\n" in snapshot
+    balance = six_places("88557.925000000")
+    assert f"balance/bettor/collateral={balance}\n" in snapshot
     with localcontext(prec=12):
-        assert str(market.ledger.balance("bettor")) == "88557.925000000"
+        assert str(market.ledger.balance("bettor")) == balance
         assert market.snapshot() == snapshot
 
 
@@ -301,7 +302,7 @@ def test_bet_records_are_exact_under_any_context(prec):
 
     record = bet()
     assert (str(record.wager), str(record.fee), str(record.odd)) == (
-        "1234567.890000", "30864.197250000", "2224666.892675")
+        "1234567.890000", six_places("30864.197250000"), "2224666.892675")
     with localcontext(prec=prec):
         assert repr(bet()) == repr(record)
 
@@ -309,7 +310,7 @@ def test_bet_records_are_exact_under_any_context(prec):
 #: ``(odd, s_lp, post_r)`` of a 1,234,567.89 bet on outcome 1 of a K=3
 #: market funded with 5,000,000, pinned as they read when records held
 #: Decimals; the bet's wager and fee read ``1234567.890000`` and
-#: ``30864.197250000`` on both engines.
+#: ``30864.197250`` on both engines (the fee read ``30864.197250000`` then).
 RECORD_READS = {
     "uamm": ("Decimal('3719039.928315'), Decimal('1124223.159917126261860073')",
              "(2515527.961685, 0.0, 3719039.928315, 3719039.928315)"),
@@ -323,8 +324,9 @@ RECORD_READS = {
 @pytest.mark.parametrize("engine", ["uamm", "cpmm"])
 def test_bet_record_reads_are_exact_under_any_context(engine, context):
     """A record holds ints; its Decimal reads equal, in value and text, what
-    the record held when it stored Decimals, whatever the caller's context:
-    the fee at the fee rate's exponent, the CPMM's shares (and a zero bet's)
+    the record held when it stored Decimals, whatever the caller's context
+    (the fee, which was read at the fee rate's exponent, in value and to 6
+    places), the CPMM's shares (and a zero bet's)
     as 0.000000, an unfunded UAMM pool's as 0E-18."""
     from uamm_lab.sim import build_market
 
@@ -338,14 +340,15 @@ def test_bet_record_reads_are_exact_under_any_context(engine, context):
     unfunded = UammMarket(MarketSpec("m", 2, Decimal("0.025")), (0.5, 0.5))
     unfunded.deposit("bettor", 100)
     odd_s_lp, post_r = RECORD_READS[engine]
+    fee, small_fee = six_places("30864.197250000"), six_places("0.250000000")
     with localcontext(**context):
-        assert reads(record) == ("(Decimal('1234567.890000'), Decimal('30864.197250000'), "
+        assert reads(record) == (f"(Decimal('1234567.890000'), Decimal('{fee}'), "
                                  f"{odd_s_lp}, {post_r})")
         assert reads(zero) == f"({', '.join([repr(ZERO)] * 4)}, {post_r})"
         assert reads(unfunded.buy("bettor", 1, 10)) == (
-            "(Decimal('10.000000'), Decimal('0.250000000'), Decimal('10.000000'), "
+            f"(Decimal('10.000000'), Decimal('{small_fee}'), Decimal('10.000000'), "
             "Decimal('0E-18'), (0.0, 0.0, 10.0))")
-        assert str(market.pool.fee_accrued) == "30864.197250000"
+        assert str(market.pool.fee_accrued) == fee
 
 
 # -- the funded buy -------------------------------------------------------------------
@@ -358,7 +361,8 @@ def test_bet_record_reads_are_exact_under_any_context(engine, context):
     (0.5, 0.000001, 1, "0.000000"),
     # an off-grid wager rounds half-even to 12.345679, its fee to 0.308642
     (0.025, 12.3456789, 12_654_321, "0.308642"),
-    # an exact fee reads at the fee rate's exponent less 6
+    # an exact fee, pinned as it read at the fee rate's exponent less 6,
+    # reads to 6 places
     (0.025, 12.34, 12_648_500, "0.308500000"),
 ])
 def test_funded_buy_deposits_exactly_its_cost(engine, fee_rate, wager, cost, fee_text):
@@ -373,7 +377,7 @@ def test_funded_buy_deposits_exactly_its_cost(engine, fee_rate, wager, cost, fee
     record = market.buy("bettor", 1, wager, fund=True)
     assert market.ledger.deposited_micro - deposited == cost
     assert record.wager_micro + record.fee_micro == cost
-    assert str(record.fee) == fee_text == str(market.pool.fee_accrued)
+    assert str(record.fee) == six_places(fee_text) == str(market.pool.fee_accrued)
     assert market.ledger.balance("bettor") == 0
     market.check_invariants()
     twin.ledger.deposit_micro("bettor", cost)
@@ -687,10 +691,9 @@ def _records():
             Quote, ("outcome", "wager", "odd", "implied_price", "slippage", "fee"),
             (1, 10.0, 19.99, 0.5, 0.0, 0.25), id="Quote"),
         pytest.param(
-            BetRecord, ("index", "outcome", "wager_micro", "fee_micro", "fee_exp",
-                        "odd_micro", "s_lp_wad", "implied_price", "slippage",
-                        "post_micro"),
-            (0, 2, 10_000_000, 250_000, -9, 19_990_010, 1_500_000_000_000_000_000,
+            BetRecord, ("index", "outcome", "wager_micro", "fee_micro", "odd_micro",
+                        "s_lp_wad", "implied_price", "slippage", "post_micro"),
+            (0, 2, 10_000_000, 250_000, 19_990_010, 1_500_000_000_000_000_000,
              0.5, 0.0, (0, 1_000_000, 2_000_000)),
             id="BetRecord"),
     ]

@@ -18,9 +18,10 @@ first differing line, then a count, and exits 1 when there is a difference
 and 0 when there is none (2 when ``REF`` cannot be extracted).  The command
 list holds only outputs that a change which declares none must leave as
 they are: every ``simulate`` mode on both engines (one config among them
-drains its pools, so ``bets.csv`` holds empty quote cells), ``quote`` as
-text, as CSV and for a wager that drains the pool (exit 3), and all three
-``probe`` forms.
+drains its pools, so ``bets.csv`` holds empty quote cells), a ``full`` run
+at a five-decimal fee rate (:data:`FEE_CONFIG`), ``quote`` as text, as CSV
+and for a wager that drains the pool (exit 3), and all three ``probe``
+forms.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ CONFIGS = {
     "drained.cfg": ("funding = 1000.0\nwager_mu = 49\nwager_sigma = 0.0\n"
                     "rej_mean = 2.0\nrej_std = 0.0\nn_bets = 5\nn_markets = 2\nseed = 3\n"),
 }
+#: A sampled config at a five-decimal fee rate, written beside
+#: :data:`CONFIGS` and run in ``full`` mode: a 0.02501 fee is exact only for
+#: a wager in whole dimes, so most markets mix exact and rounded fees and
+#: read their fee total to 6 places, while one whose fees sum to exactly
+#: ``fee_rate * volume`` reads it as that product; ``markets.csv``'s fee
+#: column shows both texts (see ``uamm_lab.sim.run_market``).
+FEE_CONFIG = ("fee02501.cfg", "k = 2,3\nprobs = uniform:0.2,0.8\nn_bets = lognormal:2.0,1.0\n"
+              "n_markets = 40\nfee_rate = 0.02501\nseed = 3\n")
 _QUOTE = ["quote", "--k", "3", "--probs", "0.2,0.3,0.5", "--funding", "10000",
           "--outcome", "2", "--wager", "125.5"]
 #: The ``uamm-lab`` argument lists, each run from both trees.
@@ -55,6 +64,8 @@ COMMANDS = [
       for engine in ("uamm", "cpmm")],
     *[["simulate", "--mode", "full", "--seed", "9", "--engine", engine, "--out", "out"]
       for engine in ("uamm", "cpmm")],
+    ["simulate", "--config", FEE_CONFIG[0], "--mode", "full", "--engine", "uamm",
+     "--out", "out"],
     _QUOTE,
     _QUOTE + ["--format", "csv"],
     ["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "1000",
@@ -79,7 +90,7 @@ def run(src: Path, work: Path, args: list[str]) -> dict[str, bytes]:
     ``work`` afterwards, by name."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
-    for name, text in CONFIGS.items():
+    for name, text in (*CONFIGS.items(), FEE_CONFIG):
         (work / name).write_text(text)
     env = {k: v for k, v in os.environ.items() if k != "UAMM_LAB_SEED"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
