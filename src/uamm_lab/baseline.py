@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, to_micro
+from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, WADS_PER_MICRO, to_micro
 from .market import Market, Quote, Reserves, UnfillableQuote, new_record, quote_edge
 
 
@@ -76,7 +76,7 @@ def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
             odd += s
     implied = d / odd
     return new_record(Quote, (
-        i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
+        i, d, odd, implied, implied - fair.probs[i - 1], fee_rate * d,
     ))
 
 
@@ -143,4 +143,4 @@ class CpmmMarket(Market):
             reserve = to_micro(x * fmin / f[k - 1])
             ledger.debit_micro(account, k, reserve)
             r[k] += reserve
-        return n * (WAD // UNIT)
+        return n * WADS_PER_MICRO

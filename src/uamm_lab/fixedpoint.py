@@ -13,6 +13,11 @@ LP shares and the target balance are ints too, of 10**-18 units: "wads", the
 with floor division (see :class:`uamm_lab.uamm.PoolState`) and read as
 18-place Decimals.
 
+The units, as int constants: :data:`UNIT` micro-units per unit of
+collateral, :data:`WAD` wads per share (and per unit of target balance),
+and :data:`WADS_PER_MICRO` wads per micro-unit, the factor a genesis
+deposit of ``n`` micro-units mints its shares by.
+
 A bet record and the pool's fee book are ints too: the record keeps its
 wager, fee and odd in micro-units and its treasury shares in wads, and the
 book its fees in micro-units, each read as a Decimal only when a caller asks.
@@ -96,6 +101,9 @@ ZERO = Decimal("0.000000")
 UNIT = 1_000_000
 #: Wads (10**-18 units) per share, and per unit of target balance.
 WAD = 10 ** 18
+#: Wads per micro-unit: the shares, in wads, that a deposit of ``n``
+#: micro-units mints 1:1 at genesis.
+WADS_PER_MICRO = 10 ** 12
 #: One wad, the exponent of every share read.
 WAD_PRECISION = Decimal("1E-18")
 

@@ -8,7 +8,9 @@ minted and merged uniformly, the ledger maintains, for every outcome ``k``::
     sum of all holdings of token k  ==  locked collateral L
 
 at every step.  After the oracle resolves the market, winning tokens redeem
-1:1 for collateral and losing tokens are burned.
+1:1 for collateral and losing tokens are burned: :meth:`ConditionalLedger.settle`
+is that rule, for an account's balances and for a pool's reserves alike.
+A market's fee rate is checked in one place too, :func:`fee_rate_decimal`.
 
 Balances and ``locked`` are stored as int micro-units (see
 :mod:`uamm_lab.fixedpoint`) and read back as 6-place Decimals.
@@ -64,6 +66,20 @@ class Phase(Enum):
     RESOLVED = "resolved"
 
 
+def fee_rate_decimal(fee) -> Decimal:
+    """``fee`` as a market's Decimal fee rate: a Decimal as it is, anything
+    else through its ``str``, so a float reads as its shortest repr (0.025
+    as ``Decimal("0.025")``).  Raises ``ValueError`` unless the rate is in
+    [0, 1); -0.0 is refused too, since its fees would read as negative
+    zeros.  :class:`MarketSpec` and :class:`uamm_lab.sim.SimConfig` both
+    check a rate here."""
+    if type(fee) is not Decimal:
+        fee = Decimal(str(fee))
+    if not (fee.is_finite() and 0 <= fee < 1) or fee.is_signed():
+        raise ValueError("fee_rate must be in [0, 1)")
+    return fee
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Static description of a betting market."""
@@ -75,14 +91,7 @@ class MarketSpec:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("a market needs at least two outcomes")
-        fee = self.fee_rate
-        if type(fee) is not Decimal:
-            # a float reads as its shortest repr, 0.025 as Decimal("0.025")
-            fee = Decimal(str(fee))
-            object.__setattr__(self, "fee_rate", fee)
-        # -0.0 is rejected too: its fees would read as negative zeros
-        if not (fee.is_finite() and 0 <= fee < 1) or fee.is_signed():
-            raise ValueError("fee_rate must be in [0, 1)")
+        object.__setattr__(self, "fee_rate", fee_rate_decimal(self.fee_rate))
 
     @property
     def outcomes(self) -> range:
@@ -173,6 +182,10 @@ class ConditionalLedger:
         if self.phase is not Phase.OPEN:
             raise PhaseError(f"market is {self.phase.value}, not open")
 
+    def _require_resolved(self):
+        if self.phase is not Phase.RESOLVED:
+            raise PhaseError("market is not resolved")
+
     def close_betting(self) -> None:
         self._require_open()
         self.phase = Phase.CLOSED
@@ -224,14 +237,24 @@ class ConditionalLedger:
         self.locked_micro -= n
 
     def redeem(self, account: str) -> Decimal:
-        """Convert winning tokens 1:1 to collateral; burn losing tokens."""
-        if self.phase is not Phase.RESOLVED:
-            raise PhaseError("market is not resolved")
-        acct = self._account(account)
-        w = acct[self.winner]
+        """Convert ``account``'s winning tokens 1:1 to collateral and burn its
+        losing tokens (:meth:`settle`).  It checks the phase before it opens an
+        account, so a refused redeem opens none."""
+        self._require_resolved()
+        return self.settle(self._account(account))
+
+    def settle(self, holdings: list[int]) -> Decimal:
+        """Settle a holdings list (int micro-units, collateral first) in
+        place after resolution: its winning tokens become collateral, its
+        losing tokens are zeroed, and the winning tokens' collateral leaves
+        ``locked``.  Returns the collateral paid out.  An account's balances
+        (:meth:`redeem`) and a pool's reserves
+        (:meth:`uamm_lab.market.Market.redeem_pool`) settle here."""
+        self._require_resolved()
+        w = holdings[self.winner]
         for k in self.spec.outcomes:
-            acct[k] = 0
-        acct[COLLATERAL] += w
+            holdings[k] = 0
+        holdings[COLLATERAL] += w
         self.locked_micro -= w
         return mul_exact(PRECISION, w)
 

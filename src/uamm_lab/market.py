@@ -448,16 +448,10 @@ class Market:
         return self.ledger.redeem(account)
 
     def redeem_pool(self) -> Decimal:
-        """Settle the pool's own conditional holdings after resolution."""
-        if self.ledger.phase is not Phase.RESOLVED:
-            raise PhaseError("market is not resolved")
-        r = self.pool.r_micro
-        w = r[self.ledger.winner]
-        for k in self.spec.outcomes:
-            r[k] = 0
-        r[0] += w
-        self.ledger.locked_micro -= w
-        return mul_exact(PRECISION, w)
+        """Settle the pool's own conditional holdings after resolution: its
+        reserves settle in place by the ledger's one rule
+        (:meth:`ConditionalLedger.settle`), as an account's balances do."""
+        return self.ledger.settle(self.pool.r_micro)
 
     def check_invariants(self) -> None:
         """Raise :class:`~uamm_lab.ledger.InvariantViolation` unless the

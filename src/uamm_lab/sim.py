@@ -34,7 +34,7 @@ from .baseline import CpmmMarket
 # build_market rounds its funding as ``amount`` does, without calling it; the
 # name stays here, where perfbench's tracer tests find it
 from .fixedpoint import PRECISION, UNIT, amount, mul_exact, to_micro  # noqa: F401
-from .ledger import ORACLE, MarketSpec
+from .ledger import ORACLE, MarketSpec, fee_rate_decimal
 from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
 from .uamm import UammMarket
@@ -53,7 +53,9 @@ BETS_FIELDS = ("engine", "market_id", "bet_index", "outcome", "wager", "odd",
                "implied_price", "slippage", "fee", "accepted", "reject_reason")
 
 SIDE_MODES = ("true-prob", "uniform")
-ENGINES = ("uamm", "cpmm")
+#: Each engine's market class, by the class's ``engine`` name.
+ENGINE_CLASSES = {cls.engine: cls for cls in (UammMarket, CpmmMarket)}
+ENGINES = tuple(ENGINE_CLASSES)
 
 
 class ConfigError(ValueError):
@@ -67,7 +69,11 @@ class SimConfig:
     ``k``, ``probs`` and ``n_bets`` accept either a fixed value or a
     per-market sampling rule: ``k`` a tuple of choices, ``probs`` the tuple
     ``("uniform", lo, hi)``, ``n_bets`` the tuple ``("lognormal", mu, sigma)``
-    (log-space parameters, clamped to 1..40 bets).
+    (log-space parameters, clamped to 1..40 bets).  ``n_markets``, ``seed``
+    and a fixed ``n_bets`` are integers (numpy ints too, a bool not), and
+    ``fee_rate`` is checked by :func:`uamm_lab.ledger.fee_rate_decimal`,
+    the rule every market's spec applies.  Each refused value raises
+    :class:`ConfigError`.
     """
 
     k: int | tuple = 2
@@ -89,6 +95,12 @@ class SimConfig:
             raise ConfigError(f"side_mode must be one of {SIDE_MODES}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}")
+        n = self.n_bets
+        lognormal = isinstance(n, tuple) and n[:1] == ("lognormal",)
+        for key in ("n_markets", "seed") + (() if lognormal else ("n_bets",)):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_markets < 1:
             raise ConfigError("n_markets must be >= 1")
         for key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"):
@@ -112,17 +124,18 @@ class SimConfig:
         if not choices or not all(isinstance(k, int) and k >= 2 for k in choices):
             raise ConfigError(f"k must be an outcome count >= 2, or a tuple of "
                               f"them, got {self.k!r}")
-        n = self.n_bets
-        if isinstance(n, tuple) and n and n[0] == "lognormal":
+        if lognormal:
             if not (len(n) == 3 and math.isfinite(n[1]) and math.isfinite(n[2])
                     and n[2] >= 0):
                 raise ConfigError("n_bets ('lognormal', mu, sigma) needs a finite "
                                   f"mu and a finite sigma >= 0, got {n!r}")
-        elif isinstance(n, int) and n < 0:
+        elif n < 0:
             raise ConfigError("n_bets must be >= 0")
-        # -0.0 is rejected too: its fees would read as negative zeros
-        if not 0 <= self.fee_rate < 1 or math.copysign(1.0, self.fee_rate) < 0:
-            raise ConfigError("fee_rate must be in [0, 1)")
+        try:
+            # read as the float it is typed as (a bool reads as 1.0, refused)
+            fee_rate_decimal(float(self.fee_rate))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         probs = self.probs
         if isinstance(probs, tuple) and probs and probs[0] == "uniform":
             if not (len(probs) == 3 and 0 < probs[1] <= probs[2] < 1):
@@ -138,7 +151,6 @@ class SimConfig:
 #: The config keys, in :class:`SimConfig` field order, each with the type of
 #: its default: the type a config file's scalar value is read as.
 _KEY_TYPES = {f.name: type(f.default) for f in fields(SimConfig)}
-CONFIG_KEYS = tuple(_KEY_TYPES)
 
 
 #: Uncontrolled full-market experiment defaults: outcome count, probabilities
@@ -168,16 +180,11 @@ def _parse_value(key: str, raw: str):
     return _KEY_TYPES[key](raw)
 
 
-def config_from_dict(d: dict) -> SimConfig:
-    unknown = sorted(set(d) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return SimConfig(**d)
-
-
 def load_config(path) -> SimConfig:
-    """Read a flat ``key=value`` config file ('#' starts a comment); a key
-    given twice raises :class:`ConfigError` naming its second line."""
+    """Read a flat ``key=value`` config file ('#' starts a comment).  An
+    unknown key, a bad value and a key given twice each raise
+    :class:`ConfigError` naming the file and the line; this is the one place
+    config keys are checked."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -187,7 +194,7 @@ def load_config(path) -> SimConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 value = _parse_value(key, raw)
@@ -196,7 +203,7 @@ def load_config(path) -> SimConfig:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value
-    return config_from_dict(values)
+    return SimConfig(**values)
 
 
 # -- bettor behaviour ---------------------------------------------------------
@@ -313,16 +320,18 @@ class MarketResult:
 
 
 def build_market(engine: str, market_id: str, k: int, probs, funding, fee_rate):
-    """A market of ``engine`` whose LP deposits ``funding`` collateral,
+    """A market of ``engine`` (a key of :data:`ENGINE_CLASSES`; any other
+    name raises ``ValueError``) whose LP deposits ``funding`` collateral,
     rounded half-even to the grid, and adds it all as liquidity: the books
     of ``market.deposit(LP, amount(funding))`` then
     ``market.add_liquidity(LP, amount(funding))``, with the funding turned
     into micro-units once."""
+    if engine not in ENGINE_CLASSES:
+        raise ValueError(f"engine must be one of {ENGINES}")
     spec = MarketSpec(market_id=market_id, k=k, fee_rate=fee_rate)
-    cls = UammMarket if engine == "uamm" else CpmmMarket
     # a FairPriceVector passes through as is: normalizing it again can move a
     # probability by one ulp away from the vector the bettors were drawn from
-    market = cls(spec, probs)
+    market = ENGINE_CLASSES[engine](spec, probs)
     n = to_micro(funding)
     market.ledger.deposit_micro(LP, n)
     market.add_liquidity_micro(LP, n)
@@ -507,10 +516,10 @@ def run_multi_market(cfg: SimConfig) -> tuple[list[MarketResult], MetricsReport]
 
 def full_config(**overrides) -> SimConfig:
     """Config for the uncontrolled experiment: outcome count, probabilities
-    and bet count sampled per market unless explicitly overridden."""
-    values = dict(FULL_DEFAULTS)
-    values.update(overrides)
-    return config_from_dict(values)
+    and bet count sampled per market unless explicitly overridden.  The
+    overrides are :class:`SimConfig` fields; any other keyword raises the
+    dataclass's ``TypeError``."""
+    return SimConfig(**{**FULL_DEFAULTS, **overrides})
 
 
 # -- sweep experiments ----------------------------------------------------------

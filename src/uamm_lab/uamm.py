@@ -30,14 +30,11 @@ from fractions import Fraction
 from math import inf
 from operator import mul
 
-from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, exact_micro, from_micro,
-                         from_wad, to_micro, to_wad)
+from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, WADS_PER_MICRO, exact_micro,
+                         from_micro, from_wad, to_micro, to_wad)
 from .ledger import COLLATERAL, InsufficientBalance
 from .market import (FairPriceVector, Market, Quote, Reserves, UnfillableQuote, new_record,
                      quote_edge)
-
-#: Wads per micro-unit of collateral.
-_WADS_PER_MICRO = WAD // UNIT
 
 
 def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) -> float:
@@ -141,7 +138,7 @@ class PoolState(Reserves):
             raise ValueError("liquidity deposit must be positive")
         n = exact_micro(d)
         # the deposit in wads: exact on the grid, floored off it
-        return from_wad(self.add_micro(n, n * _WADS_PER_MICRO if type(n) is int else to_wad(d),
+        return from_wad(self.add_micro(n, n * WADS_PER_MICRO if type(n) is int else to_wad(d),
                                        fair))
 
     def add_micro(self, n, w: int, fair: FairPriceVector) -> int:
@@ -196,7 +193,9 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     only the output pool ``ri`` is read, as ``r[i] / UNIT + r[0] / UNIT``
     from the int reserves (the float of each, correctly rounded, then their
     sum), and only it moves.  An unknown outcome or a negative, infinite or
-    NaN wager raises ``ValueError``; a zero wager quotes zero.
+    NaN wager raises ``ValueError``; a zero wager quotes zero.  The fee is
+    ``fee_rate * d``: ``fee_rate`` is the market's float rate, as
+    :meth:`~uamm_lab.market.Market.quote` passes it, or the default 0.
 
     Each leg is :func:`swap_out`'s piecewise rule written inline, with the
     same float operations in the same order, so a quote equals the one that
@@ -253,7 +252,7 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
         odd += s
     implied = d / odd
     return new_record(Quote, (
-        i, d, odd, implied, implied - fair.probs[i - 1], float(fee_rate) * d,
+        i, d, odd, implied, implied - fair.probs[i - 1], fee_rate * d,
     ))
 
 
@@ -320,7 +319,7 @@ class UammMarket(Market):
 
     def _fund(self, account: str, n: int) -> int:
         self.ledger.debit_micro(account, COLLATERAL, n)
-        return self.pool.add_micro(n, n * _WADS_PER_MICRO, self.fair)
+        return self.pool.add_micro(n, n * WADS_PER_MICRO, self.fair)
 
     def _mint_treasury(self, n: int) -> int:
         """A bet mints LP shares worth its ``n`` micro-units at the

@@ -20,11 +20,9 @@ from conftest import reference_buy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.baseline import CpmmMarket
 from uamm_lab.ledger import InsufficientBalance, MarketSpec, PhaseError
-from uamm_lab.uamm import UammMarket, UnfillableQuote
-
-ENGINES = {"uamm": UammMarket, "cpmm": CpmmMarket}
+from uamm_lab.sim import ENGINE_CLASSES
+from uamm_lab.uamm import UnfillableQuote
 
 #: Zero and ``-0.0``, negatives (one that rounds to zero), a wager that
 #: rounds to zero, a micro-unit, and wagers beyond most pools and balances.
@@ -39,8 +37,8 @@ def build(engine, weights, funding, balance, moves):
     move the market refuses is skipped."""
     total = sum(weights)
     k = len(weights)
-    market = ENGINES[engine](MarketSpec("kb", k, Decimal("0.025")),
-                             [w / total for w in weights])
+    market = ENGINE_CLASSES[engine](MarketSpec("kb", k, Decimal("0.025")),
+                                    [w / total for w in weights])
     market.deposit("lp", 10**10)
     market.deposit("bettor", balance)
     if funding:
@@ -106,7 +104,7 @@ def cases_for(weights, fundings=(0, 50, 1_000, 100_000), balances=(10**11, 1_000
     ``fundings``, a bettor holding one of ``balances``, the moves before, and
     the buys to compare, each on an outcome of the market."""
     return st.tuples(
-        st.sampled_from(sorted(ENGINES)),
+        st.sampled_from(sorted(ENGINE_CLASSES)),
         st.just(weights),
         st.sampled_from(fundings),
         st.sampled_from(balances),
@@ -184,7 +182,7 @@ def test_examples_reach_every_branch():
     assert seen["negative wager"][1][0] == (ValueError, "wager must be non-negative")
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
 @pytest.mark.parametrize("i,wager", [(0, 1.0), (5, 1.0), (1, -1e-300), (1, math.inf),
                                      (1, math.nan), (1, -0.0), (1, "12.5"),
                                      (1, Decimal("0.0000004")), (2, 7)])
@@ -192,7 +190,7 @@ def test_buy_edges_equal_reference(engine, i, wager):
     run_both((engine, [1, 2, 3, 4], 1_000, 10**11, [], [(i, wager)]))
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
 def test_closed_market_raises_as_reference(engine):
     market = build(engine, [1, 1], 1_000, 10**11, [])
     twin = build(engine, [1, 1], 1_000, 10**11, [])

@@ -29,7 +29,6 @@ from uamm_lab.ledger import InsufficientBalance, Phase
 from uamm_lab.market import Reserves
 from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
 
-ENGINES = ("uamm", "cpmm")
 #: Bet-sized, probe-sized (the overround probe's 1e-4) and zero wagers.
 WAGERS = (amount(12.34), amount(750), 1e-4, Decimal("0.000001"), 0.0)
 
@@ -84,7 +83,7 @@ def funded(engine, k=3, funding=2_000.0):
 # -- one mutation at a time --------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_quote_after_buy(engine):
     market = funded(engine)
     for i, w in ((1, 40), (3, 250), (2, 5), (1, 900)):
@@ -92,7 +91,7 @@ def test_quote_after_buy(engine):
         assert_quotes_fresh(market)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_quote_after_add_liquidity(engine):
     market = funded(engine)
     market.buy("bettor", 2, amount(300))
@@ -128,7 +127,7 @@ def test_calc_odds_after_in_place_pool_add_and_remove():
     check()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_view_after_redeem_pool(engine):
     market = funded(engine)
     market.buy("bettor", 1, amount(500))
@@ -142,7 +141,7 @@ def test_view_after_redeem_pool(engine):
     assert float_view(market.pool)[1] == (0.0,) + (r0,) * market.spec.k
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_quote_after_in_place_reserve_edit(engine):
     market = funded(engine)
     market.pool.r_micro[2] += 333_000_001
@@ -151,7 +150,7 @@ def test_quote_after_in_place_reserve_edit(engine):
     assert_quotes_fresh(market)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_quote_after_rebinding_reserves(engine):
     market = funded(engine)
     market.pool.r = [Decimal("10")] + [x * 2 for x in market.pool.r[1:]]
@@ -169,7 +168,7 @@ def test_quote_after_rebinding_target_balance():
     assert_quotes_fresh(market)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sim.ENGINES)
 def test_buy_leaves_the_reserves_its_record_reports(engine):
     market = funded(engine)
     record = market.buy("bettor", 1, amount(60))

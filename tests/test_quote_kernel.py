@@ -16,12 +16,11 @@ from conftest import reference_quote
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.baseline import CpmmMarket, cpmm_odds
+from uamm_lab.baseline import cpmm_odds
 from uamm_lab.ledger import MarketSpec
 from uamm_lab.market import Reserves
-from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
-
-ENGINES = {"uamm": UammMarket, "cpmm": CpmmMarket}
+from uamm_lab.sim import ENGINE_CLASSES
+from uamm_lab.uamm import FairPriceVector, PoolState, UnfillableQuote, calc_odds
 
 #: Zero, a micro-unit, the overround probe's 1e-4 and a wager beyond any pool.
 SPECIAL_WAGERS = (0.0, 1e-6, 1e-4, 1e20)
@@ -35,8 +34,8 @@ def build(engine, weights, funding, moves):
     unfillable buy, a removal of nothing) is skipped."""
     total = sum(weights)
     k = len(weights)
-    market = ENGINES[engine](MarketSpec("kq", k, Decimal("0.025")),
-                             [w / total for w in weights])
+    market = ENGINE_CLASSES[engine](MarketSpec("kq", k, Decimal("0.025")),
+                                    [w / total for w in weights])
     market.deposit("lp", 10**9)
     market.deposit("bettor", 10**9)
     if funding:
@@ -79,7 +78,7 @@ wagers = st.one_of(
     st.floats(1e-9, 1e7, allow_nan=False, allow_infinity=False),
 )
 cases = st.tuples(
-    st.sampled_from(sorted(ENGINES)),
+    st.sampled_from(sorted(ENGINE_CLASSES)),
     st.lists(st.integers(1, 20), min_size=2, max_size=5),
     st.sampled_from((0, 50, 1_000, 100_000)),
     st.lists(st.tuples(st.sampled_from(("buy", "add", "remove")), st.integers(1, 5),
@@ -165,7 +164,7 @@ def test_kernel_equals_reference_on_bare_pools(pool, wager):
                 outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
 @pytest.mark.parametrize("i,wager", [(0, 1.0), (4, 1.0), (1, -1e-300), (1, float("inf")),
                                      (1, float("nan")), (1, -0.0)])
 def test_kernel_edges_equal_reference(engine, i, wager):

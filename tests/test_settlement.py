@@ -9,6 +9,7 @@ books with ``Market.check_invariants``.
 
 from decimal import Decimal
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -20,7 +21,7 @@ from hypothesis.stateful import (
 
 from uamm_lab import sim
 from uamm_lab.fixedpoint import ZERO
-from uamm_lab.ledger import InsufficientBalance, Phase
+from uamm_lab.ledger import InsufficientBalance, Phase, PhaseError
 from uamm_lab.uamm import UammMarket, UnfillableQuote
 
 ACCOUNTS = ("lp", "bettor", "lp2")
@@ -130,3 +131,26 @@ TestUammSettlement = SettlementMachine.TestCase
 TestUammSettlement.settings = MACHINE_SETTINGS
 TestCpmmSettlement = CpmmSettlementMachine.TestCase
 TestCpmmSettlement.settings = MACHINE_SETTINGS
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("engine", sim.ENGINES)
+def test_a_refused_settlement_moves_nothing(engine, closed):
+    """Before resolution ``redeem`` and ``redeem_pool`` raise, leave the
+    snapshot as it was and open no account (both settle through the
+    ledger's one rule, which checks the phase before it touches a book)."""
+    market = sim.build_market(engine, "s", 3, PROBS[3], 2_000.0, 0.025)
+    market.deposit("bettor", 1_000)
+    market.buy("bettor", 2, 150.0)
+    if closed:
+        market.close_betting()
+    before = market.snapshot()
+    with pytest.raises(PhaseError, match="market is not resolved"):
+        market.redeem("stranger")
+    with pytest.raises(PhaseError, match="market is not resolved"):
+        market.redeem("bettor")
+    with pytest.raises(PhaseError, match="market is not resolved"):
+        market.redeem_pool()
+    assert market.snapshot() == before
+    assert "stranger" not in market.ledger.accounts()
+    market.check_invariants()

@@ -232,6 +232,29 @@ def test_a_negative_zero_fee_rate_is_rejected():
     assert MarketSpec("m", 2, 0.0).fee_rate == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats())
+@example(-0.0)
+@example(0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1.0)
+@example(math.nextafter(1.0, 0.0))
+@example(5e-324)
+def test_a_config_and_a_market_spec_refuse_the_same_fee_rates(x):
+    # one rule (ledger.fee_rate_decimal) decides both, with the same text
+    try:
+        spec = MarketSpec("m", 2, x)
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as refused:
+            SimConfig(fee_rate=x)
+        assert str(refused.value) == str(exc) == "fee_rate must be in [0, 1)"
+    else:
+        assert SimConfig(fee_rate=x).fee_rate is x
+        assert spec.fee_rate == Decimal(str(x)) and 0 <= spec.fee_rate < 1
+
+
 @pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_values_rejected(key, value):
@@ -255,10 +278,24 @@ def test_non_finite_values_rejected(key, value):
     ("n_bets", ("lognormal", 2.0)),
     ("wager_sigma", -1.0),
     ("rej_std", -0.1),
+    # each of these was accepted, then failed or miscounted in the first market
+    ("n_markets", 2.5),
+    ("n_markets", True),
+    ("seed", 1.5),
+    ("n_bets", 2.5),
+    ("n_bets", True),
+    ("n_bets", (5,)),
 ])
 def test_bad_sampling_rules_are_rejected_when_the_config_is_built(key, value):
     with pytest.raises(ConfigError, match=key):
         SimConfig(**{key: value})
+
+
+def test_counts_must_be_integers_and_numpy_ints_are_integers():
+    with pytest.raises(ConfigError, match=re.escape("n_bets must be an integer, got (5,)")):
+        SimConfig(n_bets=(5,))
+    cfg = SimConfig(n_markets=np.int64(2), seed=np.int64(3), n_bets=np.int64(5))
+    assert [r.n_attempts for r in sim.iter_markets(cfg)] == [5, 5]
 
 
 @pytest.mark.parametrize("k", [3, (2, 3), (3, 3)])
@@ -335,6 +372,20 @@ def test_build_market_keeps_a_fair_price_vector(engine):
     assert FairPriceVector(fair).probs != fair.probs
     market = sim.build_market(engine, "m", 3, fair, 1_000.0, 0.025)
     assert market.fair is fair
+
+
+def test_build_market_refuses_an_unknown_engine():
+    # "uamm2" once built a constant-product market
+    for engine in ("uamm2", "CPMM", "", "lmsr"):
+        with pytest.raises(ValueError, match=re.escape("engine must be one of ('uamm', 'cpmm')")):
+            sim.build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+
+
+def test_build_market_builds_each_engine_class_by_its_name():
+    assert sim.ENGINES == tuple(sim.ENGINE_CLASSES) == ("uamm", "cpmm")
+    for engine, cls in sim.ENGINE_CLASSES.items():
+        market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+        assert type(market) is cls and market.engine == engine
 
 
 GENESIS_PROBS = {2: (0.75, 0.25), 3: (0.2, 0.3, 0.5), 4: (0.1, 0.2, 0.3, 0.4)}
