@@ -38,9 +38,9 @@ templates says why).  Headers, ``summary.csv``, the sweep files and
 ``plot_single_market.csv`` go through ``csv.writer``.
 
 The ``UAMM_LAB_SEED`` environment variable overrides the configured seed.
-Exit codes: 0 success, 1 usage/config error, 2 invariant violation (a
+Exit codes: 0 success, 1 usage or config error, 2 invariant violation (a
 failed property probe), 3 unfillable quote (the ``quote`` wager would drain
-the pool; an ``error:`` line says so).
+the pool); every non-zero exit writes an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from pathlib import Path
 
 from . import metrics, sim
 from .fixedpoint import amount
+from .ledger import InvariantViolation
 from .market import UnfillableQuote
 from .probes import continuity_report, property_report
 from .sim import ConfigError, SimConfig
@@ -63,6 +64,15 @@ PROPERTY_TOLERANCE = 1e-9
 
 class UsageError(Exception):
     pass
+
+
+#: The exit code of each error a command raises, the one exit policy:
+#: :func:`main` writes an ``error:`` line for a raised error of one of these
+#: classes (a subclass included, such as :class:`~uamm_lab.sim.ConfigError`,
+#: a ``ValueError``) and returns the code of the first class that matches.
+#: A command that returns exits 0.
+EXIT_CODES = {UsageError: 1, ValueError: 1, OSError: 1, InvariantViolation: 2,
+              UnfillableQuote: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +151,7 @@ def _write_dicts(path: Path, rows: list[dict]) -> None:
     _write_csv(path, rows[0].keys(), [r.values() for r in rows])
 
 
-def cmd_quote(args) -> int:
+def cmd_quote(args) -> None:
     probs = tuple(float(x) for x in args.probs.split(","))
     if len(probs) != args.k:
         raise UsageError(f"--probs lists {len(probs)} values for --k {args.k}")
@@ -164,7 +174,6 @@ def cmd_quote(args) -> int:
         print(f"implied price  {quote.implied_price:.6f}")
         print(f"slippage       {quote.slippage:.6f}")
         print(f"fee            {quote.fee:.6f}")
-    return 0
 
 
 MARKETS_FIELDS = ("engine", "market_id", "k", "probs", "winner", "n_attempts",
@@ -210,7 +219,7 @@ def _market_text(r, pnl) -> str:
         ";".join(map(repr, r.r_start)), ";".join(map(repr, r.r_end)))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = sim.load_config(args.config) if args.config else SimConfig()
     if args.mode == "full" and not args.config:
         cfg = sim.full_config()
@@ -239,7 +248,7 @@ def cmd_simulate(args) -> int:
         for m, b in sweep.bands.items():
             print(f"sweep[{m}]: epp spread {b['epp_spread_observed']:.6g} "
                   f"(declared band {b['epp_spread_band']:.6g})")
-        return 0
+        return
 
     single = args.mode == "single"
     results = [sim.run_single_market(cfg)] if single else sim.iter_markets(cfg, keep_log=True)
@@ -270,12 +279,14 @@ def cmd_simulate(args) -> int:
                     ("engine", "n_markets", "total_bets", "volume",
                      "fee_revenue", "eip_mean", "epp_mean", "epp_plus_fee",
                      "rejection_rate")))
-    return 0
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> None:
+    """Print the requested reports; a property report above
+    :data:`PROPERTY_TOLERANCE` raises :class:`InvariantViolation` once both
+    reports are printed."""
     run_all = not (args.continuity or args.properties)
-    status = 0
+    failure = None
     if args.properties or run_all:
         rep = property_report()
         print(f"liquidity properties over {rep.n_states} random states "
@@ -286,7 +297,8 @@ def cmd_probe(args) -> int:
         print(f"  remove reversibility max rel err {rep.max_remove_reversibility:.3e}")
         if rep.max_error > PROPERTY_TOLERANCE:
             print("  FAIL: tolerance exceeded")
-            status = 2
+            failure = (f"liquidity properties: max rel err {rep.max_error:.3e} "
+                       f"exceeds the tolerance {PROPERTY_TOLERANCE:g}")
     if args.continuity or run_all:
         rep = continuity_report()
         print("swap branch-boundary continuity grid (report only):")
@@ -294,24 +306,23 @@ def cmd_probe(args) -> int:
             print(f"  rho={rho:<5g} d_in={d_in:<6g} boundary gap {gap:.6e}")
         print(f"  max gap {rep.max_gap:.6e} "
               "(nonzero for rho != 1 by construction of the printed formula)")
-    return status
+    if failure:
+        raise InvariantViolation(failure)
+
+
+COMMANDS = {"quote": cmd_quote, "simulate": cmd_simulate, "probe": cmd_probe}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command: 0 when it returns, else the :data:`EXIT_CODES` code
+    of the error it raised, with an ``error:`` line on stderr."""
     try:
-        args = parser.parse_args(argv)
-        if args.command == "quote":
-            return cmd_quote(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_probe(args)
-    except (UsageError, ConfigError, ValueError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        COMMANDS[args.command](args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnfillableQuote as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,7 +83,11 @@ class FairPriceVector:
     """Outcome probabilities used as the engine's pricing reference.
 
     Probabilities must each lie in (0, 1) and sum to 1 within 1e-9; the
-    vector is renormalized so the stored floats sum to exactly 1.0.
+    vector is renormalized so the stored floats sum to exactly 1.0.  A
+    vector whose stored floats are not all in (0, 1) (``(1 - 2**-53,
+    5e-324)`` stores 0.0), or whose largest over smallest overflows to inf,
+    so that a fair rate would (``(1e-310, 0.5, 0.5)``), raises
+    ``ValueError``.
 
     The vector also holds each outcome's leg plan, a market constant: the
     legs a bet swaps (:attr:`others`) and the fair rate of each
@@ -101,6 +105,8 @@ class FairPriceVector:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
         p = [x / s for x in p]
         p[-1] = 1.0 - math.fsum(p[:-1])
+        if any(not (0.0 < x < 1.0) for x in p) or math.isinf(max(p) / min(p)):
+            raise ValueError(f"renormalized probabilities {p} need (0, 1) and a finite max/min")
         #: The probabilities, a tuple of floats.
         self.probs = tuple(p)
         ratios = [x.as_integer_ratio() for x in p]

@@ -69,11 +69,11 @@ class SimConfig:
     ``k``, ``probs`` and ``n_bets`` accept either a fixed value or a
     per-market sampling rule: ``k`` a tuple of choices, ``probs`` the tuple
     ``("uniform", lo, hi)``, ``n_bets`` the tuple ``("lognormal", mu, sigma)``
-    (log-space parameters, clamped to 1..40 bets).  ``n_markets``, ``seed``
-    and a fixed ``n_bets`` are integers (numpy ints too, a bool not), and
-    ``fee_rate`` is checked by :func:`uamm_lab.ledger.fee_rate_decimal`,
-    the rule every market's spec applies.  Each refused value raises
-    :class:`ConfigError`.
+    (log-space parameters, clamped to 1..40 bets).  ``n_markets``, ``seed``,
+    a fixed ``n_bets`` and each ``k`` choice are integers (numpy ints too, a
+    bool not), and ``fee_rate`` is checked by
+    :func:`uamm_lab.ledger.fee_rate_decimal`, the rule every market's spec
+    applies.  Each refused value raises :class:`ConfigError`.
     """
 
     k: int | tuple = 2
@@ -97,8 +97,9 @@ class SimConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         n = self.n_bets
         lognormal = isinstance(n, tuple) and n[:1] == ("lognormal",)
-        for key in ("n_markets", "seed") + (() if lognormal else ("n_bets",)):
-            v = getattr(self, key)
+        choices = self.k if isinstance(self.k, tuple) else (self.k,)
+        counts = ["n_markets", "seed"] + ([] if lognormal else ["n_bets"])
+        for key, v in [(key, getattr(self, key)) for key in counts] + [("k", k) for k in choices]:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_markets < 1:
@@ -120,8 +121,7 @@ class SimConfig:
         for key in ("wager_sigma", "rej_std"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        choices = self.k if isinstance(self.k, tuple) else (self.k,)
-        if not choices or not all(isinstance(k, int) and k >= 2 for k in choices):
+        if not choices or not all(k >= 2 for k in choices):
             raise ConfigError(f"k must be an outcome count >= 2, or a tuple of "
                               f"them, got {self.k!r}")
         if lognormal:

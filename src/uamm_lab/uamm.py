@@ -215,7 +215,9 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     above the pool, although the exact leg leaves ``tb**2 / (tb + delta)``
     behind.  A wager of 1e20 on a fresh pool of 1,000 is such a case
     (``uamm-lab quote`` exits 3 for it); wagers up to 1e7 on fresh pools of
-    that size never raise.  It is the float quote's behaviour, kept as the
+    that size never raise.  A leg whose amount ``rho * d`` overflows to inf
+    (a wager of 1e21 at a fair rate of 5e299) raises it too: its straddle
+    output is NaN.  It is the float quote's behaviour, kept as the
     quote's contract until the quote becomes the int execution plan.
     """
     r = pool.r_micro
@@ -238,7 +240,8 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
                 # with no target pays 0.0 here, as swap_out's zero branch)
                 alpha = ri / ((0.0 if tb <= 0.0 else tt / ri) + delta)
                 s = alpha * delta + (rho - alpha) * (ri - tb)
-                if s > ri:
+                # NaN too: a leg amount rho * d that overflows to inf
+                if not s <= ri:
                     raise UnfillableQuote(
                         f"wager {d} on outcome {i} would drain the pool"
                     )

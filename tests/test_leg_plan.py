@@ -47,6 +47,16 @@ def test_leg_plan_matches_the_probabilities(probs):
     assert_plan(FairPriceVector(probs))
 
 
+@pytest.mark.parametrize("probs", [
+    (0.9999999999999999, 5e-324),  # stores 0.0 for outcome 2
+    (5e-324, 0.9999999999999999),  # stores 1.0 for outcome 2
+    (1e-310, 0.5, 0.5),  # outcome 1's fair rates overflow to inf
+])
+def test_a_vector_that_renormalizing_breaks_is_refused(probs):
+    with pytest.raises(ValueError, match="renormalized probabilities"):
+        FairPriceVector(probs)
+
+
 def test_renormalized_inputs_get_the_plan_of_the_stored_probabilities():
     # the constructor refits the last probability to 1 - fsum(the others),
     # which moves it by an ulp here, and with it outcome 3's rates

@@ -294,8 +294,14 @@ def test_bad_sampling_rules_are_rejected_when_the_config_is_built(key, value):
 def test_counts_must_be_integers_and_numpy_ints_are_integers():
     with pytest.raises(ConfigError, match=re.escape("n_bets must be an integer, got (5,)")):
         SimConfig(n_bets=(5,))
+    with pytest.raises(ConfigError, match="k must be an integer, got True"):
+        SimConfig(k=(True, 3), probs=("uniform", 0.2, 0.8))
     cfg = SimConfig(n_markets=np.int64(2), seed=np.int64(3), n_bets=np.int64(5))
     assert [r.n_attempts for r in sim.iter_markets(cfg)] == [5, 5]
+    # a numpy outcome count runs the markets an int one does
+    numpy_k = SimConfig(k=np.int64(3), probs=(0.2, 0.3, 0.5), n_markets=3, n_bets=20)
+    int_k = replace(numpy_k, k=3)
+    assert run_multi_market(numpy_k)[1].csv_row() == run_multi_market(int_k)[1].csv_row()
 
 
 @pytest.mark.parametrize("k", [3, (2, 3), (3, 3)])
