@@ -16,7 +16,9 @@ def main():
     print("(100 markets x 100 bets per point, $10,000 funding):\n")
     sweep = run_prob_sweep(cfg)
     print(f"  {'p(1)':>5}  {'EPP true-prob':>14}  {'EPP uniform':>12}")
-    for tp_row, un_row in zip(sweep.rows_for("true-prob"), sweep.rows_for("uniform")):
+    tp_rows, un_rows = ([r for r in sweep.rows if r["side_mode"] == mode]
+                        for mode in ("true-prob", "uniform"))
+    for tp_row, un_row in zip(tp_rows, un_rows):
         print(f"  {tp_row['prob']:>5}  {tp_row['epp_mean']:>13.1f}$"
               f"  {un_row['epp_mean']:>11.1f}$")
     band = sweep.bands["true-prob"]

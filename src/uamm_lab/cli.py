@@ -153,8 +153,6 @@ def _write_dicts(path: Path, rows: list[dict]) -> None:
 
 def cmd_quote(args) -> None:
     probs = tuple(float(x) for x in args.probs.split(","))
-    if len(probs) != args.k:
-        raise UsageError(f"--probs lists {len(probs)} values for --k {args.k}")
     market = sim.build_market(
         "uamm", "quote", args.k, probs, args.funding, args.fee_rate,
     )

@@ -30,10 +30,11 @@ COLLATERAL = 0
 ORACLE = "oracle"
 
 
-def _non_negative_micro(d, what: str) -> int:
+def non_negative_micro(d, what: str) -> int:
     """``to_micro(d)``, raising ``ValueError`` for a negative ``d``, even one
-    that rounds to zero micro-units, as :meth:`uamm_lab.market.Market.buy`
-    does for a wager."""
+    that rounds to zero micro-units: the one sign rule, which the ledger's
+    amounts and a :meth:`uamm_lab.market.Market.buy` wager that rounds to
+    zero both follow."""
     n = to_micro(d)
     if n <= 0 and (n or float(d) < 0):
         raise ValueError(f"{what} must be non-negative")
@@ -146,11 +147,11 @@ class ConditionalLedger:
         self.locked_micro = to_micro(value)
 
     def credit(self, account: str, token: int, d) -> None:
-        n = _non_negative_micro(d, "credit")
+        n = non_negative_micro(d, "credit")
         self._account(account)[token] += n
 
     def debit(self, account: str, token: int, d) -> None:
-        self.debit_micro(account, token, _non_negative_micro(d, "debit"))
+        self.debit_micro(account, token, non_negative_micro(d, "debit"))
 
     def debit_micro(self, account: str, token: int, n: int) -> None:
         """:meth:`debit` of ``n`` micro-units, an int."""
@@ -167,7 +168,7 @@ class ConditionalLedger:
     def deposit(self, account: str, d) -> None:
         """Credit external collateral to an account (off-market funding),
         rounded half-even to the grid."""
-        self.deposit_micro(account, _non_negative_micro(d, "deposit"))
+        self.deposit_micro(account, non_negative_micro(d, "deposit"))
 
     def deposit_micro(self, account: str, n: int) -> None:
         """:meth:`deposit` of ``n`` micro-units, an int."""
@@ -178,7 +179,10 @@ class ConditionalLedger:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _require_open(self):
+    def require_open(self):
+        """Raise :class:`PhaseError` unless betting is open: the one
+        open-phase rule, which the market's quotes, buys and liquidity
+        follow too."""
         if self.phase is not Phase.OPEN:
             raise PhaseError(f"market is {self.phase.value}, not open")
 
@@ -187,7 +191,7 @@ class ConditionalLedger:
             raise PhaseError("market is not resolved")
 
     def close_betting(self) -> None:
-        self._require_open()
+        self.require_open()
         self.phase = Phase.CLOSED
 
     def resolve(self, caller: str, winner: int) -> None:
@@ -206,11 +210,11 @@ class ConditionalLedger:
 
     def mint(self, account: str, d) -> None:
         """Lock ``d`` collateral, credit ``d`` of every outcome token."""
-        self.mint_micro(account, _non_negative_micro(d, "mint amount"))
+        self.mint_micro(account, non_negative_micro(d, "mint amount"))
 
     def mint_micro(self, account: str, n: int) -> None:
         """:meth:`mint` of ``n`` micro-units, an int >= 0."""
-        self._require_open()
+        self.require_open()
         if n == 0:
             return
         self.debit_micro(account, COLLATERAL, n)
@@ -221,7 +225,7 @@ class ConditionalLedger:
 
     def merge(self, account: str, d) -> None:
         """Burn a uniform set of ``d`` of each outcome token for collateral."""
-        n = _non_negative_micro(d, "merge amount")
+        n = non_negative_micro(d, "merge amount")
         if n == 0:
             return
         acct = self._account(account)

@@ -56,7 +56,7 @@ from typing import NamedTuple
 from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, PRECISION, UNIT, ZERO, exact_micro,
                          format_micro, from_micro, from_wad, mul_exact, to_micro)
 from .ledger import (COLLATERAL, ConditionalLedger, InsufficientBalance, MarketSpec, Phase,
-                     PhaseError)
+                     non_negative_micro)
 
 
 class UnfillableQuote(Exception):
@@ -83,7 +83,9 @@ class FairPriceVector:
     """Outcome probabilities used as the engine's pricing reference.
 
     Probabilities must each lie in (0, 1) and sum to 1 within 1e-9; the
-    vector is renormalized so the stored floats sum to exactly 1.0.  A
+    vector is renormalized so the stored floats sum to exactly 1.0.  These
+    checks refuse a vector of fewer than two probabilities too: ``()`` sums
+    to 0, and a single probability is not in (0, 1) or renormalizes to 1.0.  A
     vector whose stored floats are not all in (0, 1) (``(1 - 2**-53,
     5e-324)`` stores 0.0), or whose largest over smallest overflows to inf,
     so that a fair rate would (``(1e-310, 0.5, 0.5)``), raises
@@ -96,8 +98,6 @@ class FairPriceVector:
 
     def __init__(self, probs):
         p = [float(x) for x in probs]
-        if len(p) < 2:
-            raise ValueError("need at least two outcome probabilities")
         if any(not (0.0 < x < 1.0) for x in p):
             raise ValueError(f"probabilities must lie in (0, 1): {p}")
         s = math.fsum(p)
@@ -281,7 +281,7 @@ class Market:
         if not isinstance(self.fair, FairPriceVector):
             self.fair = FairPriceVector(self.fair)
         if len(self.fair) != self.spec.k:
-            raise ValueError("fair-price vector length must equal K")
+            raise ValueError(f"{len(self.fair)} fair prices for a {self.spec.k}-outcome market")
         self._fee_float = float(self.spec.fee_rate)
         self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
         self.ledger = ConditionalLedger(self.spec)
@@ -315,8 +315,7 @@ class Market:
     def add_liquidity_micro(self, account: str, n: int) -> int:
         """:meth:`add_liquidity` of ``n`` micro-units, an int; returns the
         shares in int wads."""
-        if self.ledger.phase is not Phase.OPEN:
-            raise PhaseError("liquidity can only be added while betting is open")
+        self.ledger.require_open()
         if n <= 0:
             raise ValueError("liquidity deposit must be positive")
         s = self._fund(account, n)
@@ -332,7 +331,7 @@ class Market:
 
     def quote(self, i: int, wager) -> Quote:
         if self.ledger.phase is not _OPEN:
-            raise PhaseError("market is not open for betting")
+            self.ledger.require_open()
         return self._odds(self.pool, self.fair, i, wager, self._fee_float)
 
     def buy(self, account: str, i: int, wager, *, fund: bool = False) -> BetRecord:
@@ -374,7 +373,7 @@ class Market:
         """
         ledger, pool = self.ledger, self.pool
         if ledger.phase is not _OPEN:
-            raise PhaseError("market is not open for betting")
+            ledger.require_open()
         K = self.spec.k
         if not 1 <= i <= K:
             raise ValueError(f"unknown outcome {i} for a {K}-outcome market")
@@ -383,9 +382,7 @@ class Market:
         if not (0.0 < y < FAST_LIMIT and 0.5 - abs(y - (n := round(y))) > y * PRODUCT_ERROR):
             n = to_micro(wager)
         if n <= 0:
-            # the sign of a wager that rounds to zero, checked as quote does
-            if n or float(wager) < 0:
-                raise ValueError("wager must be non-negative")
+            non_negative_micro(wager, "wager")  # a negative wager raises
             if fund:
                 ledger.deposit_micro(account, 0)  # opens the account
             record = new_record(BetRecord, (

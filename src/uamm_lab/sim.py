@@ -44,6 +44,9 @@ BETTOR = "bettor"
 
 #: Bet counts sampled from a log-normal are clamped to this range.
 BET_COUNT_CLAMP = (1, 40)
+#: The largest outcome count a config may choose: a market's leg plan holds
+#: K * (K - 1) entries, so its set-up grows as K squared.
+MAX_OUTCOMES = 256
 #: A log-space bet count above this rounds above the clamp's upper end.
 _LOG_COUNT_CAP = math.log(BET_COUNT_CLAMP[1] + 1)
 
@@ -71,7 +74,8 @@ class SimConfig:
     ``("uniform", lo, hi)``, ``n_bets`` the tuple ``("lognormal", mu, sigma)``
     (log-space parameters, clamped to 1..40 bets).  ``n_markets``, ``seed``,
     a fixed ``n_bets`` and each ``k`` choice are integers (numpy ints too, a
-    bool not), and ``fee_rate`` is checked by
+    bool not), each ``k`` choice lies in [2, :data:`MAX_OUTCOMES`], a fixed
+    ``probs`` has one probability per outcome, and ``fee_rate`` is checked by
     :func:`uamm_lab.ledger.fee_rate_decimal`, the rule every market's spec
     applies.  Each refused value raises :class:`ConfigError`.
     """
@@ -121,9 +125,9 @@ class SimConfig:
         for key in ("wager_sigma", "rej_std"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        if not choices or not all(k >= 2 for k in choices):
-            raise ConfigError(f"k must be an outcome count >= 2, or a tuple of "
-                              f"them, got {self.k!r}")
+        if not choices or not all(2 <= k <= MAX_OUTCOMES for k in choices):
+            raise ConfigError(f"k must be an outcome count in [2, {MAX_OUTCOMES}], or a "
+                              f"tuple of them, got {self.k!r}")
         if lognormal:
             if not (len(n) == 3 and math.isfinite(n[1]) and math.isfinite(n[2])
                     and n[2] >= 0):
@@ -142,10 +146,12 @@ class SimConfig:
                 raise ConfigError("probs ('uniform', lo, hi) needs 0 < lo <= hi < 1, "
                                   f"got {probs!r}")
         elif isinstance(probs, tuple) and probs:
-            FairPriceVector(probs)  # validates
+            # the count first: a long probs line is refused before its
+            # quadratic leg plan is built
             if any(k != len(probs) for k in choices):
                 raise ConfigError(f"k must equal the number of fixed probs "
                                   f"({len(probs)}), got {self.k!r}")
+            FairPriceVector(probs)  # validates
 
 
 #: The config keys, in :class:`SimConfig` field order, each with the type of
@@ -390,27 +396,21 @@ def run_market(
     engine, market_id = market.engine, market.spec.market_id
     quote_bet, buy = market.quote, market.buy
     for idx, (w, side, threshold) in enumerate(draws):
+        quote = None
         try:
             quote = quote_bet(side, w)
-        except UnfillableQuote:
-            unfillable += 1
-            quote, reason = None, "unfillable"
-        else:
             if quote.slippage > threshold:
                 rejected += 1
                 reason = "threshold"
             else:
-                try:
-                    record = buy(BETTOR, side, w, fund=True)
-                except UnfillableQuote:
-                    # fixed-point execution can hit the pool edge the float
-                    # quote just cleared
-                    unfillable += 1
-                    reason = "unfillable"
-                else:
-                    accepted += 1
-                    volume += record.wager_micro
-                    reason = ""
+                volume += buy(BETTOR, side, w, fund=True).wager_micro
+                accepted += 1
+                reason = ""
+        except UnfillableQuote:
+            # at the quote (``quote`` is still None), or at the buy: fixed-point
+            # execution can hit the pool edge the float quote just cleared
+            unfillable += 1
+            reason = "unfillable"
         if keep_log:
             # the quote's odd, implied price, slippage and fee: empty cells
             # for a bet unfillable at its quote
@@ -543,9 +543,6 @@ class SweepReport:
 
     rows: list[dict]
     bands: dict[str, dict]
-
-    def rows_for(self, side_mode: str) -> list[dict]:
-        return [r for r in self.rows if r["side_mode"] == side_mode]
 
 
 def run_prob_sweep(cfg: SimConfig) -> SweepReport:

@@ -182,7 +182,7 @@ def reference_buy(market, account, i, wager, branches=None):
     """
     ledger, pool, spec = market.ledger, market.pool, market.spec
     if ledger.phase is not Phase.OPEN:
-        raise PhaseError("market is not open for betting")
+        raise PhaseError(f"market is {ledger.phase.value}, not open")
     if not 1 <= i <= spec.k:
         raise ValueError(f"unknown outcome {i} for a {spec.k}-outcome market")
     n = to_micro(wager)

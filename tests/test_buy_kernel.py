@@ -190,6 +190,30 @@ def test_buy_edges_equal_reference(engine, i, wager):
     run_both((engine, [1, 2, 3, 4], 1_000, 10**11, [], [(i, wager)]))
 
 
+def test_an_empty_output_pool_below_its_target_pays_nothing_as_reference():
+    """A leg whose output pool is empty while the target balance is positive
+    takes the UAMM leg loop's last branch, which pays 0.0 (an unfunded pool
+    has no target and takes the straddle branch instead).  A buy of 10 on
+    outcome 1 with ``r = [0, 0, 300, 90]`` and ``tb = 50`` then pays only
+    its own 10, and adds it to the other two pools."""
+    def moved():
+        market = ENGINE_CLASSES["uamm"](MarketSpec("kb", 3, Decimal("0.025")), (0.2, 0.3, 0.5))
+        market.pool.r = [0, 0, 300, 90]
+        market.pool.tb = 50
+        market.deposit("bettor", 100)
+        return market
+
+    market, twin = moved(), moved()
+    branches = []
+    got = outcome_of(market.buy, "bettor", 1, 10.0)
+    assert got == outcome_of(reference_buy, twin, "bettor", 1, 10.0, branches)
+    assert branches == ["zero", "zero"]
+    assert market.snapshot() == twin.snapshot()
+    (record,) = market.bets
+    assert (record.odd_micro, record.implied_price, record.post_micro) == (
+        10_000_000, 1.0, (0, 0, 310_000_000, 100_000_000))
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
 def test_closed_market_raises_as_reference(engine):
     market = build(engine, [1, 1], 1_000, 10**11, [])

@@ -85,6 +85,24 @@ def test_a_degenerate_vector_exits_one(tmp_path, capsys, probs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["k = 257", "k = 3,257",
+                                  f"probs = {','.join([repr(1 / 300)] * 300)}"],
+                         ids=["k-257", "k-3-257", "probs-300"])
+def test_an_outcome_count_the_config_refuses_makes_no_output_directory(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\nn_markets = 1\nn_bets = 3\n")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: k must ")
+    assert not out.exists()
+
+
+def test_a_quote_with_too_few_probabilities_names_both_counts(capsys):
+    assert cli.main(["quote", "--k", "3", "--probs", "0.5,0.5", "--funding", "1000",
+                     "--outcome", "1", "--wager", "1"]) == 1
+    assert capsys.readouterr().err == "error: 2 fair prices for a 3-outcome market\n"
+
+
 # -- the property ---------------------------------------------------------------
 
 _EDGE_FLOATS = [0.0, -0.0, 1e-9, 1e-6, 1e20, 1e21, 1e22, -1.0, math.nan, math.inf,

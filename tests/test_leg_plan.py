@@ -57,6 +57,16 @@ def test_a_vector_that_renormalizing_breaks_is_refused(probs):
         FairPriceVector(probs)
 
 
+@pytest.mark.parametrize("probs,message", [
+    ((), "probabilities sum to 0.0, not 1"),
+    ((1.0,), r"probabilities must lie in \(0, 1\)"),
+    ((0.9999999995,), "renormalized probabilities"),  # stores 1.0
+])
+def test_a_vector_of_fewer_than_two_probabilities_is_refused(probs, message):
+    with pytest.raises(ValueError, match=message):
+        FairPriceVector(probs)
+
+
 def test_renormalized_inputs_get_the_plan_of_the_stored_probabilities():
     # the constructor refits the last probability to 1 - fsum(the others),
     # which moves it by an ulp here, and with it outcome 3's rates

@@ -154,3 +154,31 @@ def test_a_refused_settlement_moves_nothing(engine, closed):
     assert market.snapshot() == before
     assert "stranger" not in market.ledger.accounts()
     market.check_invariants()
+
+
+@pytest.mark.parametrize("phase", ["closed", "resolved"])
+@pytest.mark.parametrize("engine", sim.ENGINES)
+def test_once_betting_closes_every_open_phase_operation_gives_the_ledgers_message(engine, phase):
+    """A quote, a buy, a liquidity deposit, a mint and a second close all
+    raise the ledger's one open-phase message
+    (:meth:`ConditionalLedger.require_open`) and move nothing."""
+    market = sim.build_market(engine, "s", 3, PROBS[3], 2_000.0, 0.025)
+    market.deposit("bettor", 1_000)
+    market.buy("bettor", 2, 150.0)
+    market.close_betting()
+    if phase == "resolved":
+        market.resolve("oracle", 2)
+    before = market.snapshot()
+    message = f"^market is {phase}, not open$"
+    with pytest.raises(PhaseError, match=message):
+        market.quote(1, 10.0)
+    with pytest.raises(PhaseError, match=message):
+        market.buy("bettor", 1, 10.0)
+    with pytest.raises(PhaseError, match=message):
+        market.add_liquidity("bettor", 10.0)
+    with pytest.raises(PhaseError, match=message):
+        market.ledger.mint("bettor", 10.0)
+    with pytest.raises(PhaseError, match=message):
+        market.close_betting()
+    assert market.snapshot() == before
+    market.check_invariants()

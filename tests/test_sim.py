@@ -315,6 +315,24 @@ def test_k_choices_must_equal_the_length_of_fixed_probs(k):
     assert SimConfig(k=k, probs=("uniform", 0.2, 0.8)).k == k
 
 
+@pytest.mark.parametrize("k", [sim.MAX_OUTCOMES + 1, (3, sim.MAX_OUTCOMES + 1)])
+def test_an_outcome_count_above_the_bound_is_refused(k):
+    # checked on the config alone: no market of that size is built
+    message = re.escape(f"k must be an outcome count in [2, 256], or a tuple of them, got {k!r}")
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(k=k, probs=("uniform", 0.2, 0.8))
+    assert sim.MAX_OUTCOMES == 256
+    assert SimConfig(k=(2, sim.MAX_OUTCOMES), probs=("uniform", 0.2, 0.8)).k == (2, 256)
+
+
+def test_a_long_fixed_probs_line_is_refused_before_its_vector_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(sim, "FairPriceVector", built.append)
+    with pytest.raises(ConfigError, match=r"k must equal the number of fixed probs \(300\)"):
+        SimConfig(k=2, probs=(1 / 300,) * 300)
+    assert built == []
+
+
 def test_edge_sampling_rules_are_accepted():
     cfg = SimConfig(k=(2, 3), probs=("uniform", 0.4, 0.4), n_bets=("lognormal", 2.0, 0.0),
                     wager_sigma=0.0, rej_std=0.0, n_markets=3)
@@ -494,6 +512,18 @@ def test_seeded_markets_fund_each_bet_in_micro_units(engine):
             to_micro(r.wager + r.fee) for r in bets)
         assert res.volume == sum(r.wager for r in bets)
         assert str(res.volume) == str(sum((r.wager for r in bets), ZERO))
+
+
+def test_a_drained_leg_prices_at_the_cap_in_the_final_overround():
+    # outcome 1's pool holds one micro-unit and no target: a 1e-4 quote on it
+    # is unfillable and counts 1.0, and outcome 2's fair quote 0.5
+    market = sim.build_market("uamm", "m", 2, (0.5, 0.5), 1000.0, 0.025)
+    market.pool.r = [0, Decimal("0.000001"), 1000]
+    market.pool.tb = 0
+    with pytest.raises(UnfillableQuote):
+        market.quote(1, 1e-4)
+    assert market.quote(2, 1e-4).implied_price == 0.5
+    assert sim.run_market(market, [], 1).overround_final == 0.5
 
 
 def test_zero_bet_run_leaves_pool_at_initial_state():

@@ -16,7 +16,10 @@ import contextlib
 import importlib.util
 import io
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import uamm_lab
 
@@ -111,6 +114,30 @@ def test_no_module_imports_another_modules_private_names():
                for module, found in _package_imports().items()
                for source, name in found if name.startswith("_")]
     assert private == []
+
+
+def _requirement_names(requirements) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+
+def test_runtime_dependencies_are_exactly_the_third_party_modules_the_package_imports():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"uamm_lab"}
+    assert third_party == {"numpy"}
+    assert _requirement_names(project["dependencies"]) == third_party
+    # the acceptance tests' rank correlation is the one use of scipy
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
 
 
 def test_each_engine_module_imports_only_the_shared_market():
