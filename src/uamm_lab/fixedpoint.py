@@ -38,9 +38,11 @@ of ``1234567.891234`` reads ``1234567.89123`` under
 The converters:
 
 * :func:`to_micro` rounds any collateral amount (float, Decimal, int, str)
-  half-even to int micro-units, and rejects NaN, infinities and magnitudes of
-  1e22 or more, which cannot carry six decimals in the 28-digit Decimal
-  context.
+  half-even to int micro-units.  Its one error contract: a value it cannot
+  round raises ``ValueError``, whether ``Decimal`` cannot read it (a bool, a
+  non-numeric string, ``None``, a ``Fraction``) or it is NaN, an infinity or
+  of a magnitude of 1e22 or more, which cannot carry six decimals in the
+  28-digit Decimal context.
 * :func:`amount` is the same rounding as a 6-place Decimal,
   ``PRECISION * to_micro(value)`` taken exactly; a value that rounds to zero
   gives :data:`ZERO`, never ``-0.000000``.
@@ -59,8 +61,8 @@ The converters:
 
 Rounding a float is the hot case (every swap leg's output is a float), and
 expanding the whole binary float into a Decimal just to round it is slow.
-:func:`to_micro` therefore rounds a positive float ``x`` as ``round(x * 1e6)``
-when that provably gives the same result as
+:func:`to_micro` therefore has two paths.  It rounds a positive float ``x``
+as ``round(x * 1e6)`` when that provably gives the same result as
 ``Decimal(x).quantize(PRECISION, ROUND_HALF_EVEN)``:
 
 * ``1e6`` is exact in binary, so ``y = x * 1e6`` is the exact product
@@ -73,22 +75,17 @@ when that provably gives the same result as
 * For ``y < 2**50`` the subtractions above are exact or, when rounded, leave
   a gap of at least a quarter, far above ``y * 2**-52 < 0.25``.
 
-Everything else (zero and ``-0.0``, negatives, values near a tie, values of
-``2**50 / 1e6`` (about 1.1e9) and more, strings) takes the exact Decimal
-path.  An ``int`` below 1e22 is ``value * UNIT`` exactly.  A positive
-``Decimal`` takes the float fast path through
-``float(value)``, which is correctly rounded too: its product is off by at
-most ``y * 2**-52`` (two roundings), so the gap it must clear is doubled to
-``y * 2**-51``.  Values on the grid, the common case (wagers and balances
-on their way into the ledger), sit a whole half-unit from any tie.
+Everything else (zero and ``-0.0``, negatives, floats near a tie or of
+``2**50 / 1e6`` (about 1.1e9) and more, and every Decimal, int and string)
+takes the exact path, ``Decimal.quantize`` in the 28-digit context.
 
-The float fast path's two bounds are public, :data:`FAST_LIMIT` (``2**50``)
-and :data:`PRODUCT_ERROR` (``2**-52``), because each engine's buy leg loop
-(``_legs`` in :mod:`uamm_lab.uamm` and :mod:`uamm_lab.baseline`) and the
-wager rounding of :meth:`uamm_lab.market.Market.buy` write the float branch
-of :func:`to_micro` inline, with these bounds, so that a leg or a float
-wager pays no call, and fall back to :func:`to_micro` itself where the test
-fails.
+The float fast path is :func:`to_micro`'s float branch and three inline
+copies of it: the wager rounding of :meth:`uamm_lab.market.Market.buy` and
+each engine's buy leg loop (``_legs`` in :mod:`uamm_lab.uamm` and
+:mod:`uamm_lab.baseline`), so that a float wager or a leg pays no call.
+Each copy falls back to :func:`to_micro` itself where the test fails.  Its
+two bounds are public for them: :data:`FAST_LIMIT` (``2**50``) and
+:data:`PRODUCT_ERROR` (``2**-52``).
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN
@@ -124,17 +121,14 @@ _ROUNDING = Context(prec=28, rounding=ROUND_HALF_EVEN)
 FAST_LIMIT = 2.0 ** 50
 #: Twice the largest relative error of one correctly rounded float product.
 PRODUCT_ERROR = 2.0 ** -52
-#: The same bound for a Decimal, rounded once to a float and once more by
-#: the product, with a factor of two to spare.
-_DECIMAL_ERROR = 2.0 ** -51
-#: Whole amounts below this carry six decimals in the 28-digit context.
-_INT_LIMIT = 10 ** 22
 
 
 def to_micro(value) -> int:
     """Round ``value`` half-even to an int count of micro-units.
 
-    Raises ``ValueError`` for NaN, infinities and magnitudes of 1e22 or more.
+    Raises ``ValueError`` for a value ``Decimal`` cannot read (a bool, a
+    non-numeric string, a ``Fraction``), NaN, infinities and magnitudes of
+    1e22 or more.
     """
     if type(value) is float:
         y = value * 1e6
@@ -142,20 +136,10 @@ def to_micro(value) -> int:
             n = round(y)
             if 0.5 - abs(y - n) > y * PRODUCT_ERROR:
                 return n
-        d = Decimal(value)
-    elif isinstance(value, Decimal):
-        y = float(value) * 1e6
-        if 0.0 < y < FAST_LIMIT:
-            n = round(y)
-            if 0.5 - abs(y - n) > y * _DECIMAL_ERROR:
-                return n
-        d = value
-    elif type(value) is int and -_INT_LIMIT < value < _INT_LIMIT:
-        return value * UNIT
-    elif isinstance(value, float):
-        d = Decimal(value)
-    else:
-        d = Decimal(str(value))
+    try:
+        d = Decimal(value) if isinstance(value, (float, Decimal)) else Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"amount must be a number, got {value!r}") from None
     if not d.is_finite():
         raise ValueError(f"amount must be finite, got {value!r}")
     try:
@@ -170,7 +154,7 @@ def to_micro(value) -> int:
 def amount(value) -> Decimal:
     """Coerce ``value`` to a 6-decimal fixed-point Decimal (half-even).
 
-    Raises ``ValueError`` for NaN, infinities and magnitudes of 1e22 or more.
+    Raises ``ValueError`` as :func:`to_micro` does.
     """
     return mul_exact(PRECISION, to_micro(value))
 

@@ -10,7 +10,8 @@ minted and merged uniformly, the ledger maintains, for every outcome ``k``::
 at every step.  After the oracle resolves the market, winning tokens redeem
 1:1 for collateral and losing tokens are burned: :meth:`ConditionalLedger.settle`
 is that rule, for an account's balances and for a pool's reserves alike.
-A market's fee rate is checked in one place too, :func:`fee_rate_decimal`.
+A market's fee rate is checked in one place too, :func:`fee_rate_decimal`,
+and its outcome count in one, :func:`check_outcome_count`.
 
 Balances and ``locked`` are stored as int micro-units (see
 :mod:`uamm_lab.fixedpoint`) and read back as 6-place Decimals.
@@ -81,6 +82,20 @@ def fee_rate_decimal(fee) -> Decimal:
     return fee
 
 
+#: The largest outcome count a market may have: its leg plan holds
+#: K * (K - 1) entries, so its set-up grows as K squared.
+MAX_OUTCOMES = 256
+
+
+def check_outcome_count(k) -> None:
+    """Raise ``ValueError`` unless ``k`` is an outcome count in [2,
+    :data:`MAX_OUTCOMES`]: the one shape rule, which every
+    :class:`MarketSpec` and each ``k`` choice of a
+    :class:`uamm_lab.sim.SimConfig` follow."""
+    if not 2 <= k <= MAX_OUTCOMES:
+        raise ValueError(f"k must be an outcome count in [2, {MAX_OUTCOMES}], got {k!r}")
+
+
 @dataclass(frozen=True)
 class MarketSpec:
     """Static description of a betting market."""
@@ -90,8 +105,7 @@ class MarketSpec:
     fee_rate: Decimal = Decimal("0.025")
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("a market needs at least two outcomes")
+        check_outcome_count(self.k)
         object.__setattr__(self, "fee_rate", fee_rate_decimal(self.fee_rate))
 
     @property

@@ -278,10 +278,12 @@ class Market:
     fair: FairPriceVector
 
     def __post_init__(self):
-        if not isinstance(self.fair, FairPriceVector):
-            self.fair = FairPriceVector(self.fair)
+        # the count first: a long probability list is refused before its
+        # quadratic leg plan is built
         if len(self.fair) != self.spec.k:
             raise ValueError(f"{len(self.fair)} fair prices for a {self.spec.k}-outcome market")
+        if not isinstance(self.fair, FairPriceVector):
+            self.fair = FairPriceVector(self.fair)
         self._fee_float = float(self.spec.fee_rate)
         self._fee_ratio = self.spec.fee_rate.as_integer_ratio()
         self.ledger = ConditionalLedger(self.spec)
@@ -351,11 +353,16 @@ class Market:
         and like every amount it reads to 6 places (see
         :attr:`Reserves.fee_accrued`).
 
-        The wager is rounded half-even to micro-units first, once.  A
-        negative wager raises ``ValueError``, as a quote does, even when it
-        rounds to zero; a wager that rounds to zero moves nothing and is
-        recorded as a zero bet, at its own index in :attr:`bets` like every
-        other record.
+        The off-grid wager rule, stated here once: ``buy`` rounds the wager
+        half-even to micro-units first, once, and executes and records the
+        rounded wager, while :meth:`quote` prices a wager as given, unrounded.
+        So an off-grid wager is quoted as given and executed rounded, and a
+        wager on the grid is quoted at exactly what it executes.  A wager
+        :func:`~uamm_lab.fixedpoint.to_micro` cannot read raises its
+        ``ValueError``.  A negative wager raises ``ValueError``, as a quote
+        does, even when it rounds to zero; a wager that rounds to zero moves
+        nothing and is recorded as a zero bet, at its own index in
+        :attr:`bets` like every other record.
 
         With ``fund=True`` the account is first credited, from outside the
         market, with exactly what the bet costs, the rounded wager plus its

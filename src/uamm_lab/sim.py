@@ -12,8 +12,8 @@ constant-product run with the same config and seed consume identical wager /
 side / threshold streams (paired comparison).
 
 Wagers are drawn in whole cents, which lie on the ledger's micro-unit grid,
-so a wager is quoted as drawn and crosses into int micro-units once, when
-its bet executes (see :func:`run_market`).
+so by the off-grid wager rule of :meth:`uamm_lab.market.Market.buy` each bet
+is quoted at exactly what it executes.
 
 With ``keep_log=True`` a market keeps its bet log: one ``bets.csv`` row per
 bet, a tuple in :data:`BETS_FIELDS` order (engine and market id included,
@@ -34,7 +34,7 @@ from .baseline import CpmmMarket
 # build_market rounds its funding as ``amount`` does, without calling it; the
 # name stays here, where perfbench's tracer tests find it
 from .fixedpoint import PRECISION, UNIT, amount, mul_exact, to_micro  # noqa: F401
-from .ledger import ORACLE, MarketSpec, fee_rate_decimal
+from .ledger import ORACLE, MarketSpec, check_outcome_count, fee_rate_decimal
 from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
 from .uamm import UammMarket
@@ -44,9 +44,6 @@ BETTOR = "bettor"
 
 #: Bet counts sampled from a log-normal are clamped to this range.
 BET_COUNT_CLAMP = (1, 40)
-#: The largest outcome count a config may choose: a market's leg plan holds
-#: K * (K - 1) entries, so its set-up grows as K squared.
-MAX_OUTCOMES = 256
 #: A log-space bet count above this rounds above the clamp's upper end.
 _LOG_COUNT_CAP = math.log(BET_COUNT_CLAMP[1] + 1)
 
@@ -74,10 +71,13 @@ class SimConfig:
     ``("uniform", lo, hi)``, ``n_bets`` the tuple ``("lognormal", mu, sigma)``
     (log-space parameters, clamped to 1..40 bets).  ``n_markets``, ``seed``,
     a fixed ``n_bets`` and each ``k`` choice are integers (numpy ints too, a
-    bool not), each ``k`` choice lies in [2, :data:`MAX_OUTCOMES`], a fixed
-    ``probs`` has one probability per outcome, and ``fee_rate`` is checked by
-    :func:`uamm_lab.ledger.fee_rate_decimal`, the rule every market's spec
-    applies.  Each refused value raises :class:`ConfigError`.
+    bool not), and a fixed ``probs`` has one probability per outcome.
+    ``funding``, ``wager_mu``, ``wager_sigma``, ``rej_mean``, ``rej_std`` and
+    ``fee_rate`` are read as floats, as a config file reads them.  Each ``k``
+    choice is checked by :func:`uamm_lab.ledger.check_outcome_count` and
+    ``fee_rate`` by :func:`uamm_lab.ledger.fee_rate_decimal`, the rules every
+    market's spec applies.  Each refused value raises :class:`ConfigError`,
+    naming its key.
     """
 
     k: int | tuple = 2
@@ -101,16 +101,24 @@ class SimConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         n = self.n_bets
         lognormal = isinstance(n, tuple) and n[:1] == ("lognormal",)
-        choices = self.k if isinstance(self.k, tuple) else (self.k,)
+        # () is one choice, which the integer test refuses
+        choices = self.k if isinstance(self.k, tuple) and self.k else (self.k,)
         counts = ["n_markets", "seed"] + ([] if lognormal else ["n_bets"])
         for key, v in [(key, getattr(self, key)) for key in counts] + [("k", k) for k in choices]:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_markets < 1:
             raise ConfigError("n_markets must be >= 1")
-        for key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
+        # each real key read as the float a config file reads it as, and what
+        # float() refuses as NaN (a bool fee rate reads as 1.0, refused)
+        reals = {}
+        for key in ("funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std", "fee_rate"):
+            try:
+                reals[key] = float(getattr(self, key))
+            except (TypeError, ValueError, OverflowError):
+                reals[key] = math.nan
+            if key != "fee_rate" and not math.isfinite(reals[key]):
+                raise ConfigError(f"{key} must be a finite number, got {getattr(self, key)!r}")
         # the funding the LP deposits, on the ledger's grid: checked here,
         # before the CLI makes its output directory or any market is built
         try:
@@ -123,11 +131,14 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for key in ("wager_sigma", "rej_std"):
-            if getattr(self, key) < 0:
+            if reals[key] < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        if not choices or not all(2 <= k <= MAX_OUTCOMES for k in choices):
-            raise ConfigError(f"k must be an outcome count in [2, {MAX_OUTCOMES}], or a "
-                              f"tuple of them, got {self.k!r}")
+        try:
+            for k in choices:
+                check_outcome_count(k)
+            fee_rate_decimal(reals["fee_rate"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if lognormal:
             if not (len(n) == 3 and math.isfinite(n[1]) and math.isfinite(n[2])
                     and n[2] >= 0):
@@ -135,11 +146,6 @@ class SimConfig:
                                   f"mu and a finite sigma >= 0, got {n!r}")
         elif n < 0:
             raise ConfigError("n_bets must be >= 0")
-        try:
-            # read as the float it is typed as (a bool reads as 1.0, refused)
-            fee_rate_decimal(float(self.fee_rate))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         probs = self.probs
         if isinstance(probs, tuple) and probs and probs[0] == "uniform":
             if not (len(probs) == 3 and 0 < probs[1] <= probs[2] < 1):
@@ -364,20 +370,16 @@ def run_market(
     """Stream ``(wager, side, threshold)`` draws through quote -> rejection
     -> buy and settle.
 
-    A wager crosses into micro-units once, when its bet executes: it is
-    quoted as given, and an accepted bet is one public
-    ``market.buy(BETTOR, side, wager, fund=True)``, which rounds the wager
-    half-even to the grid, as :meth:`~uamm_lab.market.Market.quote` and
-    :meth:`~uamm_lab.market.Market.buy` treat any caller, computes its fee
-    once and funds the bettor with exactly that cost before it executes.  A
-    bet that proves unfillable at the buy leaves the bettor holding the
-    deposit.  :func:`_draw_streams` draws only wagers on the grid, so a
-    simulated bet is quoted at exactly what it executes; an off-grid wager
-    handed straight to this function is quoted unrounded and executed
-    rounded (its bet-log row shows it as given).  Each executed bet's
-    record stays in ``market.bets``: the volume sums its ``wager_micro``,
-    and its ``post_r`` is the pool after that draw
-    (:func:`run_single_market` rebuilds the trajectory from them).
+    A wager is quoted as given, and an accepted bet is one public
+    ``market.buy(BETTOR, side, wager, fund=True)``, which computes its fee
+    once and funds the bettor with exactly that cost before it executes, so
+    each draw follows the off-grid wager rule of
+    :meth:`~uamm_lab.market.Market.buy` (its bet-log row shows the wager as
+    given).  A bet that proves unfillable at the buy leaves the bettor
+    holding the deposit.  Each executed bet's record stays in
+    ``market.bets``: the volume sums its ``wager_micro``, and its
+    ``post_r`` is the pool after that draw (:func:`run_single_market`
+    rebuilds the trajectory from them).
 
     The result's ``fee`` is what the pool's int fee book
     (``pool.fee_micro``) gained over the run, the exact sum of the run's

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab import cli, probes, sim
+from uamm_lab import cli, market, probes, sim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CODES = {0} | set(cli.EXIT_CODES.values())
@@ -27,6 +27,17 @@ CODES = {0} | set(cli.EXIT_CODES.values())
 #: first stores 0.0 for its second outcome, the second 1.0 for its second,
 #: and the third overflows outcome 1's fair rates to inf.
 DEGENERATE = ["0.9999999999999999,5e-324", "5e-324,0.9999999999999999", "1e-310,0.5,0.5"]
+
+
+def _quote(probs, funding="1000", wager="1", k=None):
+    k = probs.count(",") + 1 if k is None else k
+    return (["quote", "--k", str(k), "--probs", probs,
+             "--funding", funding, "--outcome", "1", "--wager", wager], None)
+
+
+#: A two-outcome quote given 1,500 probabilities: refused on the count, before
+#: the vector's 2,248,500-entry leg plan is built.
+LONG_PROBS_QUOTE = _quote(",".join([repr(1 / 1500)] * 1500), k=2)
 
 
 def _readme_exit_rows() -> dict[int, str]:
@@ -101,6 +112,33 @@ def test_a_quote_with_too_few_probabilities_names_both_counts(capsys):
     assert cli.main(["quote", "--k", "3", "--probs", "0.5,0.5", "--funding", "1000",
                      "--outcome", "1", "--wager", "1"]) == 1
     assert capsys.readouterr().err == "error: 2 fair prices for a 3-outcome market\n"
+
+
+def test_a_quote_above_the_outcome_bound_exits_one(capsys):
+    argv, _ = _quote(",".join([repr(1 / 257)] * 257))
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: k must be an outcome count in [2, 256], got 257\n"
+    assert captured.out == ""
+
+
+def test_a_long_probs_list_is_refused_before_any_vector_is_built(capsys, monkeypatch):
+    built = []
+    init = market.FairPriceVector.__init__
+
+    def counting_init(self, probs):
+        built.append(len(probs))
+        init(self, probs)
+
+    monkeypatch.setattr(market.FairPriceVector, "__init__", counting_init)
+    argv, _ = LONG_PROBS_QUOTE
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: 1500 fair prices for a 2-outcome market\n"
+    assert built == []
+    # the count sees every vector a quote builds
+    argv, _ = _quote("0.5,0.5")
+    assert cli.main(argv) == 0
+    assert built == [2]
 
 
 # -- the property ---------------------------------------------------------------
@@ -229,11 +267,6 @@ def _non_finite(text: str) -> list[str]:
 _property_report = functools.cache(probes.property_report)
 
 
-def _quote(probs, funding="1000", wager="1"):
-    return (["quote", "--k", str(probs.count(",") + 1), "--probs", probs,
-             "--funding", funding, "--outcome", "1", "--wager", wager], None)
-
-
 def _simulate(probs):
     return (["simulate", "--config", "{cfg}", "--mode", "multi", "--out", "{out}"],
             f"k = {probs.count(',') + 1}\nprobs = {probs}\nn_markets = 1\nn_bets = 3\n")
@@ -252,6 +285,7 @@ def _simulate(probs):
 # a fair rate of 5e299 times a wager of 1e21 overflows to inf: the quote read
 # NaN and exited 0, and is now unfillable
 @example(case=_quote("1e-300,0.5,0.5", funding="1e-06", wager="1e+21"))
+@example(case=LONG_PROBS_QUOTE)
 def test_every_run_exits_with_a_code_of_the_table(case):
     argv, cfg_text = case
     with (tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ),

@@ -1,7 +1,9 @@
 import math
+import re
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from uamm_lab.fixedpoint import (
     to_micro,
     to_wad,
 )
+from uamm_lab.sim import ConfigError, SimConfig, build_market
 
 
 def test_precision_is_six_decimals():
@@ -61,11 +64,14 @@ def test_addition_is_exact(a, b):
 #: Where the fast path ends: larger floats have micro-unit products of at
 #: least 2**50 and take the exact Decimal path.
 FAST_EDGE = 2.0 ** 50 / 1e6
+#: The same edge as an exact Decimal, 1125899906.842624.
+FAST_EDGE_DECIMAL = Decimal(2 ** 50) / 10 ** 6
 
 
 def _assert_matches_decimal(x):
     try:
-        expected = Decimal(x).quantize(PRECISION, rounding=ROUND_HALF_EVEN)
+        exact = Decimal(int(x)) if isinstance(x, np.integer) else Decimal(x)
+        expected = exact.quantize(PRECISION, rounding=ROUND_HALF_EVEN)
     except InvalidOperation:
         # too many digits for the context: both paths refuse with a
         # ValueError that names the value
@@ -104,19 +110,46 @@ def test_amount_float_near_ties_matches_decimal_quantize(k):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.integers(min_value=0, max_value=10**15),
+@given(st.integers(min_value=0, max_value=10**15)
+       | st.integers(min_value=2**50 - 10**6, max_value=2**50 + 10**6),
        st.sampled_from(["0", "1E-20", "-1E-20", "1E-12", "-1E-12"]))
 def test_amount_decimal_near_ties_matches_decimal_quantize(k, nudge):
-    # a Decimal takes the float fast path only when it is clear of a tie
+    # on, just off and either side of a half-micro-unit tie, below and
+    # around the float fast path's edge, where a float read of the Decimal
+    # would need its own error bound
     _assert_matches_decimal(Decimal(k) / 10**6 + Decimal("0.0000005") + Decimal(nudge))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.decimals(allow_nan=False, allow_infinity=False)
        | st.decimals(allow_nan=False, allow_infinity=False, places=6)
-       | st.decimals(allow_nan=False, allow_infinity=False, places=9))
+       | st.decimals(allow_nan=False, allow_infinity=False, places=9)
+       | st.decimals(min_value=FAST_EDGE_DECIMAL - 1, max_value=FAST_EDGE_DECIMAL + 1,
+                     places=9))
 def test_amount_decimal_matches_decimal_quantize(x):
-    # a Decimal takes its own branch; on-grid values are the common case
+    # every Decimal takes the exact path; on-grid values are the common case
+    _assert_matches_decimal(x)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-(10**23), max_value=10**23)
+       | st.integers(min_value=10**22 - 10**3, max_value=10**22 + 10**3)
+       | st.integers(min_value=-(10**22) - 10**3, max_value=-(10**22) + 10**3)
+       | st.integers(min_value=_INT64.min, max_value=_INT64.max).map(np.int64))
+def test_amount_int_matches_decimal_quantize(x):
+    # a Python or numpy int takes the exact path: value * UNIT below 1e22 in
+    # magnitude, refused with "too many digits" from there on
+    _assert_matches_decimal(x)
+
+
+@pytest.mark.parametrize("x", [
+    0, 1, -1, 10**22 - 1, 10**22, -(10**22) + 1, -(10**22), 10**30,
+    np.int64(_INT64.max), np.int64(_INT64.min), np.uint64(2**64 - 1), np.int8(-5),
+])
+def test_amount_int_edge_cases(x):
     _assert_matches_decimal(x)
 
 
@@ -146,6 +179,45 @@ def test_amount_float_exact_ties_match_decimal_quantize():
 def test_amount_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         amount(bad)
+
+
+# -- one error contract -----------------------------------------------------------
+#
+# Whatever Decimal cannot read raises ValueError, never decimal's
+# InvalidOperation or a TypeError, at every public entry point that takes an
+# amount.
+
+#: Each public entry point that takes a collateral amount, applied to a
+#: freshly funded market.
+AMOUNT_ENTRY_POINTS = {
+    "to_micro": lambda market, x: to_micro(x),
+    "amount": lambda market, x: amount(x),
+    "deposit": lambda market, x: market.ledger.deposit("a", x),
+    "credit": lambda market, x: market.ledger.credit("a", 1, x),
+    "debit": lambda market, x: market.ledger.debit("lp", 0, x),
+    "mint": lambda market, x: market.ledger.mint("lp", x),
+    "merge": lambda market, x: market.ledger.merge("lp", x),
+    "add_liquidity": lambda market, x: market.add_liquidity("lp", x),
+    "buy": lambda market, x: market.buy("bettor", 1, x, fund=True),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, "abc", "", None, Fraction(1, 3)], ids=repr)
+@pytest.mark.parametrize("entry", AMOUNT_ENTRY_POINTS)
+def test_each_amount_entry_point_refuses_what_decimal_cannot_read(entry, bad):
+    market = build_market("uamm", "m", 2, (0.5, 0.5), 1_000.0, 0.025)
+    market.deposit("lp", 100)
+    market.ledger.mint("lp", 10)
+    before = market.snapshot()
+    with pytest.raises(ValueError, match=re.escape(f"amount must be a number, got {bad!r}")):
+        AMOUNT_ENTRY_POINTS[entry](market, bad)
+    assert market.snapshot() == before
+
+
+@pytest.mark.parametrize("bad", [True, "abc"], ids=repr)
+def test_a_funding_decimal_cannot_read_is_a_config_error(bad):
+    with pytest.raises(ConfigError, match="funding"):
+        SimConfig(funding=bad)
 
 
 # -- no signed zero -----------------------------------------------------------

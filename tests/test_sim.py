@@ -13,7 +13,7 @@ from conftest import run_seeded_markets
 
 from uamm_lab import metrics, sim
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, mul_exact, to_micro
-from uamm_lab.ledger import MarketSpec
+from uamm_lab.ledger import MAX_OUTCOMES, MarketSpec, check_outcome_count
 from uamm_lab.sim import (
     ConfigError,
     SimConfig,
@@ -255,10 +255,14 @@ def test_a_config_and_a_market_spec_refuse_the_same_fee_rates(x):
         assert spec.fee_rate == Decimal(str(x)) and 0 <= spec.fee_rate < 1
 
 
-@pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["funding", "wager_mu", "wager_sigma", "rej_mean", "rej_std",
+                                 "fee_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None,
+                                   pytest.param(10**400, id="10**400")])
 def test_non_finite_values_rejected(key, value):
-    with pytest.raises(ConfigError, match=key):
+    # each key is read as the float a config file reads it as; what float()
+    # cannot read ("x", None, 10**400) reads as NaN, refused naming the key
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
         SimConfig(**{key: value})
 
 
@@ -315,14 +319,26 @@ def test_k_choices_must_equal_the_length_of_fixed_probs(k):
     assert SimConfig(k=k, probs=("uniform", 0.2, 0.8)).k == k
 
 
-@pytest.mark.parametrize("k", [sim.MAX_OUTCOMES + 1, (3, sim.MAX_OUTCOMES + 1)])
+@pytest.mark.parametrize("k", [MAX_OUTCOMES + 1, (3, MAX_OUTCOMES + 1)])
 def test_an_outcome_count_above_the_bound_is_refused(k):
-    # checked on the config alone: no market of that size is built
-    message = re.escape(f"k must be an outcome count in [2, 256], or a tuple of them, got {k!r}")
+    # checked on the config alone, choice by choice, by the ledger's rule: no
+    # market of that size is built
+    message = re.escape("k must be an outcome count in [2, 256], got 257")
     with pytest.raises(ConfigError, match=message):
         SimConfig(k=k, probs=("uniform", 0.2, 0.8))
-    assert sim.MAX_OUTCOMES == 256
-    assert SimConfig(k=(2, sim.MAX_OUTCOMES), probs=("uniform", 0.2, 0.8)).k == (2, 256)
+    assert MAX_OUTCOMES == 256
+    assert SimConfig(k=(2, MAX_OUTCOMES), probs=("uniform", 0.2, 0.8)).k == (2, 256)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, MAX_OUTCOMES + 1, 1500])
+def test_every_market_spec_follows_the_one_outcome_count_rule(k):
+    message = re.escape(f"k must be an outcome count in [2, 256], got {k}")
+    for build in (lambda: check_outcome_count(k), lambda: MarketSpec("m", k),
+                  lambda: sim.build_market("uamm", "m", k, (1 / k,) * k if k > 0 else (),
+                                           1_000.0, 0.025)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert MarketSpec("m", MAX_OUTCOMES).k == 256
 
 
 def test_a_long_fixed_probs_line_is_refused_before_its_vector_is_built(monkeypatch):
