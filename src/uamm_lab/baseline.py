@@ -6,10 +6,11 @@ meant to improve on.  This module holds only that rule, on the market every
 engine shares (:mod:`uamm_lab.market`): :class:`CpmmMarket` is a
 :class:`~uamm_lab.market.Market` subclass with the shared ledger, bet
 pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, so
-the conservation invariants are identical.  It supplies only its quote
-kernel (:func:`cpmm_odds`), its buys' leg loop (:meth:`CpmmMarket._legs`),
-both with the product rule of the reference kernel :func:`cpmm_swap` written
-inline, and its genesis.  Its pool is a bare
+the conservation invariants are identical.  It supplies only its bound quote
+kernel (:func:`bind_cpmm_odds`, whose one-wager case is :func:`cpmm_odds`)
+and its buys' leg loop (:meth:`CpmmMarket._legs`), both with the product
+rule of the reference kernel :func:`cpmm_swap` written inline, and its
+genesis.  Its pool is a bare
 :class:`~uamm_lab.market.Reserves`: a product-rule pool keeps no LP share
 or target-balance books.
 
@@ -23,13 +24,13 @@ from __future__ import annotations
 from math import inf
 
 from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, WADS_PER_MICRO, to_micro
-from .market import Market, Quote, Reserves, UnfillableQuote, new_record, quote_edge
+from .market import Market, Quote, Reserves, UnfillableQuote, quote_one
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     """Output amount under the product rule: r_out - r_in*r_out/(r_in + d_in).
 
-    The reference kernel of the rule: :func:`cpmm_odds` and
+    The reference kernel of the rule: :func:`bind_cpmm_odds` and
     :meth:`CpmmMarket._legs` run it inline, and the tests hold them to it bit
     for bit.  An input below the rounding of ``r_in`` leaves ``r_in + d_in
     == r_in``, and the formula then gives ``r_out`` less its own rounding,
@@ -43,53 +44,73 @@ def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     return out if out > 0.0 else 0.0
 
 
-def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
-    """The constant-product engine's quote kernel: :func:`~uamm_lab.uamm.calc_odds`
-    with :func:`cpmm_swap`'s product rule written inline as each leg, the
-    same float operations in the same order, and the same signature and
-    record (which carries no engine name or market id).  Each pool is read
-    from the int reserves with the collateral liquidity combined into it,
-    as ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once),
-    and each input pool before the bettor's ``d`` is added to it.  The legs
-    are the vector's leg plan, ``fair.others[i]``.
+def bind_cpmm_odds(pool, fair, fee_rate=0):
+    """The constant-product engine's quote kernel, bound as
+    :func:`~uamm_lab.uamm.bind_odds` binds the fair-price one, with the same
+    ``price(i, d)`` contract: it returns the ``(odd, implied_price,
+    slippage, fee)`` floats of a quote, or ``None`` for a non-float ``d``,
+    an unknown outcome or a ``d`` not in (0, inf).  :func:`cpmm_odds` is its
+    one-wager case.
 
-    The rule's zero branch needs no test here: every reserve is ``>= 0``, and
-    the formula gives 0.0 for an empty output pool, as the branch does.  Nor
-    can a leg drain its pool: it pays ``r_out`` less a non-negative amount.
-    A leg whose formula rounds to zero or below (a wager below the rounding
-    of the pools) pays nothing, as :func:`cpmm_swap` holds it at 0.0, so the
-    odd is never less than ``d`` and the implied price never divides by
-    zero.
+    Each leg is :func:`cpmm_swap`'s product rule written inline, the same
+    float operations in the same order.  Each call reads ``pool.r_micro``
+    afresh, each pool with the collateral liquidity combined into it, as
+    ``r[j] / UNIT + r[0] / UNIT`` (the collateral's float taken once), and
+    each input pool before the bettor's ``d`` is added to it.  The legs are
+    the vector's leg plan, ``fair.others[i]``.
+
+    The rule's zero branch needs no test here: every reserve is ``>= 0``,
+    and the formula gives 0.0 for an empty output pool, as the branch does.
+    Nor can a leg drain its pool: it pays ``r_out`` less a non-negative
+    amount, so the kernel prices every float wager in (0, inf) on a known
+    outcome.  A leg whose formula rounds to zero or below (a wager below the
+    rounding of the pools) pays nothing, as :func:`cpmm_swap` holds it at
+    0.0, so the odd is never less than ``d`` and the implied price never
+    divides by zero.
     """
-    r = pool.r_micro
-    d = float(wager)
-    if not (0 < i < len(r) and 0.0 < d < inf):
-        return quote_edge(r, fair, i, d)
-    c = r[0] / UNIT
-    ri = r[i] / UNIT + c
-    odd = d
-    for j in fair.others[i]:
-        rj = r[j] / UNIT + c
-        s = ri - rj * ri / (rj + d)
-        if s > 0.0:
-            ri -= s
-            odd += s
-    implied = d / odd
-    return new_record(Quote, (
-        i, d, odd, implied, implied - fair.probs[i - 1], fee_rate * d,
-    ))
+    others, probs = fair.others, fair.probs
+    n = len(others)
+
+    def price(i, d):
+        if type(d) is not float or not (0 < i < n and 0.0 < d < inf):
+            return None
+        r = pool.r_micro
+        c = r[0] / UNIT
+        ri = r[i] / UNIT + c
+        odd = d
+        for j in others[i]:
+            rj = r[j] / UNIT + c
+            s = ri - rj * ri / (rj + d)
+            if s > 0.0:
+                ri -= s
+                odd += s
+        implied = d / odd
+        return odd, implied, implied - probs[i - 1], fee_rate * d
+
+    return price
+
+
+def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
+    """The constant-product engine's one-wager quote: the bound kernel
+    :func:`bind_cpmm_odds` called once through
+    :func:`~uamm_lab.market.quote_one`, with :func:`~uamm_lab.uamm.calc_odds`'s
+    signature, record (which carries no engine name or market id) and
+    errors.  No wager raises :class:`~uamm_lab.market.UnfillableQuote`
+    here."""
+    return quote_one(bind_cpmm_odds, pool, fair, i, wager, fee_rate)
 
 
 class CpmmMarket(Market):
     """Constant-product betting market over the conditional-token ledger:
-    the product rule as quote kernel (:func:`cpmm_odds`) and as buy leg loop
-    (:meth:`_legs`), over a bare :class:`~uamm_lab.market.Reserves`."""
+    the product rule as bound quote kernel (:func:`bind_cpmm_odds`) and as
+    buy leg loop (:meth:`_legs`), over a bare :class:`~uamm_lab.market.Reserves`."""
 
     engine = "cpmm"
     pool_type = Reserves
     # own attributes, so restoring a traced method by setattr changes nothing
     quote = Market.quote
     buy = Market.buy
+    _bind = staticmethod(bind_cpmm_odds)
     _odds = staticmethod(cpmm_odds)
 
     @staticmethod

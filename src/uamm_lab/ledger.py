@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from numbers import Integral
 
 from .fixedpoint import PRECISION, ZERO, format_micro, mul_exact, to_micro
 
@@ -88,10 +89,13 @@ MAX_OUTCOMES = 256
 
 
 def check_outcome_count(k) -> None:
-    """Raise ``ValueError`` unless ``k`` is an outcome count in [2,
-    :data:`MAX_OUTCOMES`]: the one shape rule, which every
-    :class:`MarketSpec` and each ``k`` choice of a
+    """Raise ``ValueError`` unless ``k`` is an outcome count: an integer (a
+    numpy integer too, a bool not) in [2, :data:`MAX_OUTCOMES`].  The one
+    shape rule, which every :class:`MarketSpec` and each ``k`` choice of a
     :class:`uamm_lab.sim.SimConfig` follow."""
+    # a plain int skips the abstract-base-class test, several times slower
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, Integral)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 2 <= k <= MAX_OUTCOMES:
         raise ValueError(f"k must be an outcome count in [2, {MAX_OUTCOMES}], got {k!r}")
 

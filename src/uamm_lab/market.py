@@ -9,12 +9,15 @@ module (:mod:`uamm_lab.uamm`, :mod:`uamm_lab.baseline`) holds only its rule.
 (deposit, close, resolve, redeem, settle the pool, snapshot) and the bet
 pipeline, which has two faces:
 
-* pure quoting (:meth:`Market.quote`, through the engine's quote kernel) in
-  float arithmetic, never touching live state: a quote moves only its output
-  pool, on a scalar, and returns the figures a bettor reads (no post-trade
-  pool).  Each engine has one quote kernel with its swap rule written inline
-  in the leg loop, so a quote costs its arithmetic and one call, not a call
-  per leg;
+* pure quoting in float arithmetic, never touching live state: a quote
+  moves only its output pool, on a scalar, and returns the figures a bettor
+  reads (no post-trade pool).  Each engine has one bound quote kernel, bound
+  to a pool, its :class:`FairPriceVector` and a float fee rate, with its swap
+  rule written inline in the one float leg loop, so a quote costs its
+  arithmetic and one call, not a call per leg.  :meth:`Market.bind_quote`
+  binds it for a run of quotes (the simulator binds it once per market run
+  and prices every bettor draw through it), and :meth:`Market.quote` prices
+  one wager through it (:func:`quote_one`) into a :class:`Quote`;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.  Each engine's execution leg loop
   (``_legs``) runs its swap rule inline too, with the float operations of
@@ -22,16 +25,20 @@ pipeline, which has two faces:
   int algebra on the reserves, and the bet's record and the pool's fee book
   hold ints, read as Decimals on demand.
 
-Each face returns a record, a :class:`Quote` or a :class:`BetRecord`: named
-tuples, built straight from the tuple of their field values
-(:data:`new_record`).  Neither carries the market's identity: the market
-owns it (``market.engine`` and ``market.spec.market_id``), and a caller that
-tags a row with it reads it there, as the CLI's ``quote`` command and the
-bet log do.  A quote reads the pool's int reserves (and the float of its
-target balance) directly, and its legs and their fair rates from the leg
-plan the :class:`FairPriceVector` builds once per market, so it derives no
-market constant again and keeps no cache of pool state.  A quote kernel
-hands every input outside its hot test to :func:`quote_edge`.
+Each face's public method returns a record, a :class:`Quote` or a
+:class:`BetRecord`: named tuples, built straight from the tuple of their
+field values (:data:`new_record`).  Neither carries the market's identity:
+the market owns it (``market.engine`` and ``market.spec.market_id``), and a
+caller that tags a row with it reads it there, as the CLI's ``quote``
+command and the bet log do.  The bound kernel builds no record: it returns
+a quote's last four fields, a plain tuple.  It reads the pool's int
+reserves (and the float of its target balance) afresh on every call, and
+its legs and their fair rates from the leg plan the
+:class:`FairPriceVector` builds once per market, so it derives no market
+constant again and keeps no cache of pool state.  It prices only a float
+wager in (0, inf) on a known outcome whose legs all fill, and returns
+``None`` for any other draw; :func:`quote_one` hands such an input to
+:func:`quote_edge` or raises :class:`UnfillableQuote`.
 
 The books are plain ints: the pool's reserves and fees in micro-units (see
 :class:`Reserves`) and each LP's shares in wads (10**-18 units, see
@@ -39,7 +46,8 @@ The books are plain ints: the pool's reserves and fees in micro-units (see
 caller's Decimal context.
 
 An engine is a subclass of :class:`Market` that supplies its pool type, its
-quote kernel, the leg loop its buys run, and its genesis:
+bound quote kernel and its one-wager quote, the leg loop its buys run, and
+its genesis:
 :class:`uamm_lab.uamm.UammMarket` (the fair-price engine) and
 :class:`uamm_lab.baseline.CpmmMarket` (the constant-product baseline).
 """
@@ -212,16 +220,41 @@ class Quote(NamedTuple):
 
 
 def quote_edge(r, fair: FairPriceVector, i: int, d: float) -> Quote:
-    """What a quote kernel does with an input outside its hot test (a known
-    outcome and a positive finite wager ``d``): raise ``ValueError`` for an
-    unknown outcome or a negative, infinite or NaN wager, and otherwise (a
-    zero wager, ``-0.0`` included) return the zero quote, which moves no
-    pool and charges no fee.  ``r`` is the pool's ``r_micro``."""
+    """What :func:`quote_one` does with an input outside the kernel's hot
+    test (a known outcome and a positive finite wager ``d``): raise
+    ``ValueError`` for an unknown outcome or a negative, infinite or NaN
+    wager, and otherwise (a zero wager, ``-0.0`` included) return the zero
+    quote, which moves no pool and charges no fee.  ``r`` is the pool's
+    ``r_micro``."""
     if not 0 < i < len(r):
         raise ValueError(f"unknown outcome {i} for a {len(r) - 1}-outcome market")
     if not 0.0 <= d < math.inf:
         raise ValueError(f"wager must be finite and non-negative, got {d!r}")
     return new_record(Quote, (i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
+
+
+def quote_one(bind, pool, fair: FairPriceVector, i: int, wager, fee_rate) -> Quote:
+    """The quote of one ``wager`` on outcome ``i``: the one-wager case of an
+    engine's bound quote kernel, which ``bind(pool, fair, fee_rate)``
+    returns.  Each engine's public quote (``calc_odds``, ``cpmm_odds``) is
+    this call with its own ``bind``.
+
+    The wager is priced as ``float(wager)``, unrounded (the off-grid wager
+    rule of :meth:`Market.buy`).  A bool, ``None`` or a non-numeric string
+    raises ``ValueError``, as a buy of it does.  An input outside the
+    kernel's hot test goes to :func:`quote_edge`, and a priced wager the
+    kernel declines (a leg that would drain its pool) raises
+    :class:`UnfillableQuote`."""
+    if wager is None or isinstance(wager, bool):
+        raise ValueError(f"wager must be a number, got {wager!r}")
+    d = float(wager)
+    r = pool.r_micro
+    if not (0 < i < len(r) and 0.0 < d < math.inf):
+        return quote_edge(r, fair, i, d)
+    figures = bind(pool, fair, fee_rate)(i, d)
+    if figures is None:
+        raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool")
+    return new_record(Quote, (i, d, *figures))
 
 
 class BetRecord(NamedTuple):
@@ -264,8 +297,11 @@ class Market:
 
     All mutations of a market are serialized through this object; distinct
     markets share no state and may run in parallel.  An engine subclass
-    supplies ``engine`` (its name), ``pool_type``, ``_odds`` (its quote
-    kernel, called as ``(pool, fair, i, wager, fee_rate)``, see
+    supplies ``engine`` (its name), ``pool_type``, ``_bind`` (its bound
+    quote kernel's binder, called as ``(pool, fair, fee_rate)`` and
+    returning ``price(i, d)``, see :func:`uamm_lab.uamm.bind_odds`),
+    ``_odds`` (its one-wager quote, the same kernel through
+    :func:`quote_one`, called as ``(pool, fair, i, wager, fee_rate)``, see
     :func:`uamm_lab.uamm.calc_odds`), ``_legs`` (the leg loop :meth:`buy`
     runs: ``(pool, fair, i, n)`` to the odd in micro-units, see
     :meth:`uamm_lab.uamm.UammMarket._legs`) and ``_fund`` (its genesis:
@@ -335,6 +371,23 @@ class Market:
         if self.ledger.phase is not _OPEN:
             self.ledger.require_open()
         return self._odds(self.pool, self.fair, i, wager, self._fee_float)
+
+    def bind_quote(self):
+        """The engine's quote kernel bound to this market's pool, fair
+        prices and float fee rate: ``price(i, d)``, which returns
+        :meth:`quote`'s ``odd``, ``implied_price``, ``slippage`` and ``fee``
+        for a float wager ``d`` as a plain tuple, bit for bit, or ``None``
+        for a draw it does not price (a non-float wager, an unknown outcome,
+        a wager not in (0, inf), a leg that would drain its pool), which
+        :meth:`quote` then decides.
+
+        The market must be open, and the kernel checks no phase itself: bind
+        it for one run of quotes, as :func:`uamm_lab.sim.run_market` does,
+        and keep it no longer.  It holds the pool object bound here (a pool
+        assigned to :attr:`pool` later is not seen) but reads its reserves
+        afresh on every call."""
+        self.ledger.require_open()
+        return self._bind(self.pool, self.fair, self._fee_float)
 
     def buy(self, account: str, i: int, wager, *, fund: bool = False) -> BetRecord:
         """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.

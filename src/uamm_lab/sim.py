@@ -101,10 +101,8 @@ class SimConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         n = self.n_bets
         lognormal = isinstance(n, tuple) and n[:1] == ("lognormal",)
-        # () is one choice, which the integer test refuses
-        choices = self.k if isinstance(self.k, tuple) and self.k else (self.k,)
-        counts = ["n_markets", "seed"] + ([] if lognormal else ["n_bets"])
-        for key, v in [(key, getattr(self, key)) for key in counts] + [("k", k) for k in choices]:
+        for key in ["n_markets", "seed"] + ([] if lognormal else ["n_bets"]):
+            v = getattr(self, key)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_markets < 1:
@@ -133,6 +131,8 @@ class SimConfig:
         for key in ("wager_sigma", "rej_std"):
             if reals[key] < 0:
                 raise ConfigError(f"{key} must be >= 0")
+        # () is one choice, which the outcome count rule refuses
+        choices = self.k if isinstance(self.k, tuple) and self.k else (self.k,)
         try:
             for k in choices:
                 check_outcome_count(k)
@@ -370,6 +370,16 @@ def run_market(
     """Stream ``(wager, side, threshold)`` draws through quote -> rejection
     -> buy and settle.
 
+    The market's quote kernel is bound once, before the loop
+    (:meth:`~uamm_lab.market.Market.bind_quote`, which checks that the
+    market is open), and prices each draw as
+    :meth:`~uamm_lab.market.Market.quote` would, bit for bit, without its
+    call chain or its :class:`~uamm_lab.market.Quote` record; so most draws,
+    rejected at their quote, cost only their legs.  A draw the kernel does
+    not price (a wager off its hot test, or a leg that would drain its pool)
+    goes to the public ``market.quote``, so every error, the zero quote and
+    every bet unfillable at its quote come from there.
+
     A wager is quoted as given, and an accepted bet is one public
     ``market.buy(BETTOR, side, wager, fund=True)``, which computes its fee
     once and funds the bettor with exactly that cost before it executes, so
@@ -396,12 +406,17 @@ def run_market(
     accepted = rejected = unfillable = 0
     log: list[tuple] = []
     engine, market_id = market.engine, market.spec.market_id
-    quote_bet, buy = market.quote, market.buy
+    price = market.bind_quote()  # checks the open phase, once
+    quote, buy = market.quote, market.buy
     for idx, (w, side, threshold) in enumerate(draws):
-        quote = None
+        # the quote's odd, implied price, slippage and fee
+        figures = price(side, w)
         try:
-            quote = quote_bet(side, w)
-            if quote.slippage > threshold:
+            if figures is None:
+                # a draw the kernel does not price: the public quote raises
+                # for it, quotes it zero or finds it unfillable
+                figures = quote(side, w)[2:]
+            if figures[2] > threshold:
                 rejected += 1
                 reason = "threshold"
             else:
@@ -409,14 +424,14 @@ def run_market(
                 accepted += 1
                 reason = ""
         except UnfillableQuote:
-            # at the quote (``quote`` is still None), or at the buy: fixed-point
-            # execution can hit the pool edge the float quote just cleared
+            # at the quote (``figures`` is still None), or at the buy:
+            # fixed-point execution can hit the pool edge the float quote
+            # just cleared
             unfillable += 1
             reason = "unfillable"
         if keep_log:
-            # the quote's odd, implied price, slippage and fee: empty cells
-            # for a bet unfillable at its quote
-            cells = (None,) * 4 if quote is None else quote[2:]
+            # empty cells for a bet unfillable at its quote
+            cells = (None,) * 4 if figures is None else figures
             log.append((engine, market_id, idx, side, w, *cells,
                         0 if reason else 1, reason))
 

@@ -11,7 +11,8 @@ pool dips below TB.
 This module holds only that rule; the market, its ledger and its records
 are shared by every engine (:mod:`uamm_lab.market`).  The rule is written
 once as the reference kernel :func:`swap_out`, and inline in the engine's
-quote kernel (:func:`calc_odds`, in float) and in its buys' leg loop
+bound quote kernel (:func:`bind_odds`, in float, whose one-wager case is
+:func:`calc_odds`) and in its buys' leg loop
 (:meth:`UammMarket._legs`, each leg rounded to int micro-units), which the
 tests hold to it bit for bit.
 
@@ -33,8 +34,7 @@ from operator import mul
 from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, WADS_PER_MICRO, exact_micro,
                          from_micro, from_wad, to_micro, to_wad)
 from .ledger import COLLATERAL, InsufficientBalance
-from .market import (FairPriceVector, Market, Quote, Reserves, UnfillableQuote, new_record,
-                     quote_edge)
+from .market import FairPriceVector, Market, Quote, Reserves, UnfillableQuote, quote_one
 
 
 def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) -> float:
@@ -48,7 +48,7 @@ def swap_out(d_in: float, f_in: float, f_out: float, r_out: float, tb: float) ->
     3. pool below target: constant-product slippage with invariant
        ``x * r_out = tb**2``.
 
-    The reference kernel of the rule: :func:`calc_odds` and
+    The reference kernel of the rule: :func:`bind_odds` and
     :meth:`UammMarket._legs` run it inline, and the tests hold them to it
     bit for bit.
     """
@@ -179,23 +179,23 @@ class PoolState(Reserves):
         return from_micro(paid)
 
 
-def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
-    """Quote the payout for betting ``wager`` collateral on outcome ``i``:
-    the fair-price engine's quote kernel.  Every engine's kernel takes
-    ``(pool, fair, i, wager, fee_rate=0)``; the quote it returns carries no
-    market identity, which :meth:`~uamm_lab.market.Market.quote`'s caller
-    reads from the market.
+def bind_odds(pool, fair: FairPriceVector, fee_rate=0):
+    """The fair-price engine's quote kernel, bound to ``pool``, ``fair`` and
+    the float ``fee_rate``: ``price(i, d)`` returns the ``(odd,
+    implied_price, slippage, fee)`` floats a quote of ``d`` collateral on
+    outcome ``i`` reads, or ``None`` for a draw it does not price: a
+    non-float ``d``, an unknown outcome, a ``d`` not in (0, inf), or a leg
+    that would drain its pool.  :func:`calc_odds` is its one-wager case, and
+    :func:`uamm_lab.sim.run_market` prices each bettor draw through it.
 
-    Runs the swap legs of the buy pipeline in float on the pool's combined
-    reserves and returns only what a bettor reads: the odd, the implied
-    price, the slippage and the fee.  The live pool is never mutated, and no
-    post-trade pool is built: the fair rule never reads an input pool, so
-    only the output pool ``ri`` is read, as ``r[i] / UNIT + r[0] / UNIT``
-    from the int reserves (the float of each, correctly rounded, then their
-    sum), and only it moves.  An unknown outcome or a negative, infinite or
-    NaN wager raises ``ValueError``; a zero wager quotes zero.  The fee is
-    ``fee_rate * d``: ``fee_rate`` is the market's float rate, as
-    :meth:`~uamm_lab.market.Market.quote` passes it, or the default 0.
+    Each call reads ``pool.r_micro`` and ``pool.tb_float`` afresh, so the
+    kernel keeps no cache of pool state and prices the pool as it stands.
+    It runs the swap legs of the buy pipeline in float on the pool's
+    combined reserves and never mutates the pool, nor builds a post-trade
+    one: the fair rule never reads an input pool, so only the output pool
+    ``ri`` is read, as ``r[i] / UNIT + r[0] / UNIT`` from the int reserves
+    (the float of each, correctly rounded, then their sum), and only it
+    moves.  The fee is ``fee_rate * d``.
 
     Each leg is :func:`swap_out`'s piecewise rule written inline, with the
     same float operations in the same order, so a quote equals the one that
@@ -208,6 +208,62 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     takes the branch ``swap_out`` would.  Only a straddling leg can drain
     its pool: a surplus leg pays less than the pool holds above the target,
     and a deficit leg pays the pool less a positive amount.
+    """
+    rates, probs = fair.rates, fair.probs
+    n = len(rates)
+
+    def price(i, d):
+        if type(d) is not float or not (0 < i < n and 0.0 < d < inf):
+            return None
+        r = pool.r_micro
+        # the output pool with the collateral liquidity combined into it
+        ri = r[i] / UNIT + r[0] / UNIT
+        tb = pool.tb_float
+        tt = tb * tb
+        odd = d
+        for rho in rates[i]:
+            delta = rho * d
+            if tb <= ri:
+                if ri - delta > tb:
+                    # above the target: the fair amount
+                    s = delta
+                else:
+                    # straddling the target: partial slippage (an empty pool
+                    # with no target pays 0.0 here, as swap_out's zero branch)
+                    alpha = ri / ((0.0 if tb <= 0.0 else tt / ri) + delta)
+                    s = alpha * delta + (rho - alpha) * (ri - tb)
+                    # NaN too: a leg amount rho * d that overflows to inf
+                    if not s <= ri:
+                        return None
+            elif ri > 0.0:
+                # below the target: constant-product slippage around tb**2
+                s = ri - tt / (tt / ri + delta)
+            else:
+                # an empty pool pays nothing (swap_out's zero branch)
+                s = 0.0
+            ri -= s
+            odd += s
+        implied = d / odd
+        return odd, implied, implied - probs[i - 1], fee_rate * d
+
+    return price
+
+
+def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
+    """Quote the payout for betting ``wager`` collateral on outcome ``i``:
+    the fair-price engine's one-wager quote, the bound kernel
+    :func:`bind_odds` called once through
+    :func:`~uamm_lab.market.quote_one`.  Every engine's one-wager quote
+    takes ``(pool, fair, i, wager, fee_rate=0)``; the quote it returns
+    carries no market identity, which
+    :meth:`~uamm_lab.market.Market.quote`'s caller reads from the market.
+
+    The quote holds what a bettor reads: the odd, the implied price, the
+    slippage and the fee, ``fee_rate * d`` for the float ``d`` of the wager
+    (``fee_rate`` is the market's float rate, as
+    :meth:`~uamm_lab.market.Market.quote` passes it, or the default 0).  An
+    unknown outcome, a negative, infinite or NaN wager, or one that is no
+    number raises ``ValueError``; a zero wager quotes zero.
 
     A wager beyond about 2**53 times the pool raises
     :class:`UnfillableQuote` through float rounding alone: ``x + delta``
@@ -220,43 +276,7 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     output is NaN.  It is the float quote's behaviour, kept as the
     quote's contract until the quote becomes the int execution plan.
     """
-    r = pool.r_micro
-    d = float(wager)
-    if not (0 < i < len(r) and 0.0 < d < inf):
-        return quote_edge(r, fair, i, d)
-    # the output pool with the collateral liquidity combined into it
-    ri = r[i] / UNIT + r[0] / UNIT
-    tb = pool.tb_float
-    tt = tb * tb
-    odd = d
-    for rho in fair.rates[i]:
-        delta = rho * d
-        if tb <= ri:
-            if ri - delta > tb:
-                # above the target: the fair amount
-                s = delta
-            else:
-                # straddling the target: partial slippage (an empty pool
-                # with no target pays 0.0 here, as swap_out's zero branch)
-                alpha = ri / ((0.0 if tb <= 0.0 else tt / ri) + delta)
-                s = alpha * delta + (rho - alpha) * (ri - tb)
-                # NaN too: a leg amount rho * d that overflows to inf
-                if not s <= ri:
-                    raise UnfillableQuote(
-                        f"wager {d} on outcome {i} would drain the pool"
-                    )
-        elif ri > 0.0:
-            # below the target: constant-product slippage around tb**2
-            s = ri - tt / (tt / ri + delta)
-        else:
-            # an empty pool pays nothing (swap_out's zero branch)
-            s = 0.0
-        ri -= s
-        odd += s
-    implied = d / odd
-    return new_record(Quote, (
-        i, d, odd, implied, implied - fair.probs[i - 1], fee_rate * d,
-    ))
+    return quote_one(bind_odds, pool, fair, i, wager, fee_rate)
 
 
 class UammMarket(Market):
@@ -267,6 +287,7 @@ class UammMarket(Market):
     # own attributes, so restoring a traced method by setattr changes nothing
     quote = Market.quote
     buy = Market.buy
+    _bind = staticmethod(bind_odds)
     _odds = staticmethod(calc_odds)
 
     @staticmethod
@@ -278,7 +299,7 @@ class UammMarket(Market):
 
         The output pool is the int ``r[i] + r[0]``, the collateral combined
         into it, read as a float on every leg.  Each leg is :func:`swap_out`'s
-        rule written inline, as in :func:`calc_odds` (same float operations,
+        rule written inline, as in :func:`bind_odds` (same float operations,
         same order, same branch), and its output is rounded half-even to
         micro-units by :func:`~uamm_lab.fixedpoint.to_micro`'s float fast
         path, inline, falling back to ``to_micro`` itself near a tie and

@@ -1,5 +1,7 @@
+import re
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from uamm_lab.ledger import (
     OracleError,
     Phase,
     PhaseError,
+    check_outcome_count,
 )
 
 
@@ -40,6 +43,21 @@ def test_ledger_takes_only_its_spec(name, value):
             ledger.bal_micro) == (Phase.OPEN, None, 0, 0, {})
     # the ledger keeps no fee-payer book: every balance reads to 6 places
     assert not hasattr(ledger, "fee_payers")
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "3", True, None, np.float64(3.0)])
+def test_an_outcome_count_is_an_integer(k):
+    """A bool or a non-integer outcome count is refused by the one shape
+    rule with ``ValueError``, by the spec and by ``build_market`` alike, before
+    any book or leg plan is built; a numpy integer is an outcome count."""
+    from uamm_lab.sim import build_market
+
+    message = re.escape(f"k must be an integer, got {k!r}")
+    for build in (lambda: check_outcome_count(k), lambda: MarketSpec("m", k),
+                  lambda: build_market("uamm", "m", k, (0.5, 0.5), 1_000.0, 0.025)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert MarketSpec("m", np.int64(3)).outcomes == range(1, 4)
 
 
 def test_mint_credits_every_outcome():

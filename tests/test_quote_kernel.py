@@ -1,14 +1,22 @@
 """Each engine's quote kernel equals the leg-by-leg reference pipeline.
 
-:func:`uamm_lab.uamm.calc_odds` and :func:`uamm_lab.baseline.cpmm_odds`
-write their engine's swap rule inline in the leg loop.
-:func:`conftest.reference_quote` runs the same legs through the public swap
-kernels, one call per leg.  For every pool a market can reach and every
-wager, the two must return ``==``-equal quotes whose floats have equal
-``float.hex`` (so ``-0.0`` and ``0.0`` differ), or raise the same exception
-type.
+:func:`uamm_lab.uamm.bind_odds` and :func:`uamm_lab.baseline.bind_cpmm_odds`
+write their engine's swap rule inline in the leg loop of a bound kernel,
+whose one-wager case is the public quote (:func:`uamm_lab.uamm.calc_odds`,
+:func:`uamm_lab.baseline.cpmm_odds`).  :func:`conftest.reference_quote` runs
+the same legs through the public swap kernels, one call per leg.  For every
+pool a market can reach and every wager:
+
+* the public quote and the reference must return ``==``-equal quotes whose
+  floats have equal ``float.hex`` (so ``-0.0`` and ``0.0`` differ), or raise
+  the same exception type;
+* the market's bound kernel (:meth:`~uamm_lab.market.Market.bind_quote`)
+  must return the public quote's last four figures, ``float.hex`` for
+  ``float.hex``, and ``None`` exactly where the public quote raises or
+  quotes an edge input (a zero wager, an unknown outcome).
 """
 
+import functools
 from decimal import Decimal
 
 import pytest
@@ -16,11 +24,11 @@ from conftest import reference_quote
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.baseline import cpmm_odds
+from uamm_lab.baseline import bind_cpmm_odds, cpmm_odds
 from uamm_lab.ledger import MarketSpec
 from uamm_lab.market import Reserves
 from uamm_lab.sim import ENGINE_CLASSES
-from uamm_lab.uamm import FairPriceVector, PoolState, UnfillableQuote, calc_odds
+from uamm_lab.uamm import FairPriceVector, PoolState, UnfillableQuote, bind_odds, calc_odds
 
 #: Zero, a micro-unit, the overround probe's 1e-4 and a wager beyond any pool.
 SPECIAL_WAGERS = (0.0, 1e-6, 1e-4, 1e20)
@@ -60,6 +68,18 @@ def outcome_of(quote, *args):
     except (ValueError, UnfillableQuote) as exc:
         return type(exc)
     return q, tuple(float.hex(x) for x in (q.odd, q.implied_price, q.slippage))
+
+
+def bound_agrees(price, public, i, wager):
+    """Whether the bound kernel ``price`` agrees, for ``wager`` on ``i``,
+    with ``public``, the public quote's :func:`outcome_of`: a quote of a
+    zero ``wager`` field is the edge quote, and a priced quote's wager is
+    positive."""
+    figures = price(i, wager)
+    if isinstance(public, type) or public[0].wager == 0.0:
+        return figures is None
+    return figures is not None and \
+        [float.hex(x) for x in figures] == [float.hex(x) for x in public[0][2:]]
 
 
 def both(market, i, wager, branches=None):
@@ -125,8 +145,10 @@ def test_kernel_quote_equals_reference_pipeline(case):
     engine, weights, funding, moves, outcome, wager = case
     market = build(engine, weights, funding, moves)
     before = market.snapshot()
-    kernel, reference = both(market, (outcome - 1) % len(weights) + 1, wager)
+    i = (outcome - 1) % len(weights) + 1
+    kernel, reference = both(market, i, wager)
     assert kernel == reference
+    assert bound_agrees(market.bind_quote(), kernel, i, wager)
     assert market.snapshot() == before
 
 
@@ -158,15 +180,36 @@ def test_examples_reach_every_branch():
 def test_kernel_equals_reference_on_bare_pools(pool, wager):
     fair = FairPriceVector((0.2, 0.3, 0.5))
     for i in (1, 2, 3):
-        for kernel, engine in ((calc_odds, "uamm"), (cpmm_odds, "cpmm")):
+        for kernel, bind, engine in ((calc_odds, bind_odds, "uamm"),
+                                     (cpmm_odds, bind_cpmm_odds, "cpmm")):
             view = pool if engine == "uamm" else Reserves(r=pool.r)
-            assert outcome_of(kernel, view, fair, i, wager, 0.025) == \
-                outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
+            public = outcome_of(kernel, view, fair, i, wager, 0.025)
+            assert public == outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
+            assert bound_agrees(bind(view, fair, 0.025), public, i, wager)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
 @pytest.mark.parametrize("i,wager", [(0, 1.0), (4, 1.0), (1, -1e-300), (1, float("inf")),
                                      (1, float("nan")), (1, -0.0)])
 def test_kernel_edges_equal_reference(engine, i, wager):
-    kernel, reference = both(build(engine, [1, 2, 3], 1_000, []), i, wager)
+    market = build(engine, [1, 2, 3], 1_000, [])
+    kernel, reference = both(market, i, wager)
     assert kernel == reference
+    assert market.bind_quote()(i, wager) is None
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
+@pytest.mark.parametrize("wager", [True, None, "abc"])
+def test_quote_and_buy_refuse_a_non_number_alike(engine, wager):
+    # a bool is no wager of 1.0, and None no TypeError: the quote refuses
+    # them with the ValueError a buy raises, before any book moves
+    market = build(engine, [1, 2, 3], 1_000, [])
+    before = market.snapshot()
+    for call in (market.quote, functools.partial(market.buy, "bettor")):
+        with pytest.raises(ValueError):
+            call(1, wager)
+    assert market.bind_quote()(1, wager) is None
+    assert market.snapshot() == before
+    # a numeric string and an int still price as their float, unrounded
+    assert market.quote(1, "10.0000004") == market.quote(1, 10.0000004)
+    assert market.quote(1, 10) == market.quote(1, 10.0)
