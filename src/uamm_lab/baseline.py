@@ -7,10 +7,10 @@ engine shares (:mod:`uamm_lab.market`): :class:`CpmmMarket` is a
 :class:`~uamm_lab.market.Market` subclass with the shared ledger, bet
 pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, so
 the conservation invariants are identical.  It supplies only its bound quote
-kernel (:func:`bind_cpmm_odds`, whose one-wager case is :func:`cpmm_odds`)
-and its buys' leg loop (:meth:`CpmmMarket._legs`), both with the product
-rule of the reference kernel :func:`cpmm_swap` written inline, and its
-genesis.  Its pool is a bare
+kernel (:func:`bind_cpmm_odds`, whose one-wager case is the shared
+:meth:`~uamm_lab.market.Market.quote`) and its buys' leg loop
+(:meth:`CpmmMarket._legs`), both with the product rule of the reference
+kernel :func:`cpmm_swap` written inline, and its genesis.  Its pool is a bare
 :class:`~uamm_lab.market.Reserves`: a product-rule pool keeps no LP share
 or target-balance books.
 
@@ -21,10 +21,8 @@ is on its own.
 
 from __future__ import annotations
 
-from math import inf
-
-from .fixedpoint import FAST_LIMIT, PRODUCT_ERROR, UNIT, WADS_PER_MICRO, to_micro
-from .market import Market, Quote, Reserves, UnfillableQuote, quote_one
+from .fixedpoint import FAST_LIMIT, MAX_AMOUNT, PRODUCT_ERROR, UNIT, WADS_PER_MICRO, to_micro
+from .market import Market, Reserves, UnfillableQuote
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
@@ -49,8 +47,11 @@ def bind_cpmm_odds(pool, fair, fee_rate=0):
     :func:`~uamm_lab.uamm.bind_odds` binds the fair-price one, with the same
     ``price(i, d)`` contract: it returns the ``(odd, implied_price,
     slippage, fee)`` floats of a quote, or ``None`` for a non-float ``d``,
-    an unknown outcome or a ``d`` not in (0, inf).  :func:`cpmm_odds` is its
-    one-wager case.
+    an unknown outcome or a ``d`` not in (0,
+    :data:`~uamm_lab.fixedpoint.MAX_AMOUNT`).  Its one-wager case is
+    ``quote_one(bind_cpmm_odds(pool, fair, fee_rate), fair, i, wager)``
+    (:func:`~uamm_lab.market.quote_one`), as
+    :meth:`~uamm_lab.market.Market.quote` calls it on a market's pool.
 
     Each leg is :func:`cpmm_swap`'s product rule written inline, the same
     float operations in the same order.  Each call reads ``pool.r_micro``
@@ -62,7 +63,7 @@ def bind_cpmm_odds(pool, fair, fee_rate=0):
     The rule's zero branch needs no test here: every reserve is ``>= 0``,
     and the formula gives 0.0 for an empty output pool, as the branch does.
     Nor can a leg drain its pool: it pays ``r_out`` less a non-negative
-    amount, so the kernel prices every float wager in (0, inf) on a known
+    amount, so the kernel prices every float wager in its domain on a known
     outcome.  A leg whose formula rounds to zero or below (a wager below the
     rounding of the pools) pays nothing, as :func:`cpmm_swap` holds it at
     0.0, so the odd is never less than ``d`` and the implied price never
@@ -72,7 +73,7 @@ def bind_cpmm_odds(pool, fair, fee_rate=0):
     n = len(others)
 
     def price(i, d):
-        if type(d) is not float or not (0 < i < n and 0.0 < d < inf):
+        if type(d) is not float or not (0 < i < n and 0.0 < d < MAX_AMOUNT):
             return None
         r = pool.r_micro
         c = r[0] / UNIT
@@ -90,16 +91,6 @@ def bind_cpmm_odds(pool, fair, fee_rate=0):
     return price
 
 
-def cpmm_odds(pool, fair, i: int, wager, fee_rate=0) -> Quote:
-    """The constant-product engine's one-wager quote: the bound kernel
-    :func:`bind_cpmm_odds` called once through
-    :func:`~uamm_lab.market.quote_one`, with :func:`~uamm_lab.uamm.calc_odds`'s
-    signature, record (which carries no engine name or market id) and
-    errors.  No wager raises :class:`~uamm_lab.market.UnfillableQuote`
-    here."""
-    return quote_one(bind_cpmm_odds, pool, fair, i, wager, fee_rate)
-
-
 class CpmmMarket(Market):
     """Constant-product betting market over the conditional-token ledger:
     the product rule as bound quote kernel (:func:`bind_cpmm_odds`) and as
@@ -111,7 +102,6 @@ class CpmmMarket(Market):
     quote = Market.quote
     buy = Market.buy
     _bind = staticmethod(bind_cpmm_odds)
-    _odds = staticmethod(cpmm_odds)
 
     @staticmethod
     def _legs(pool, fair, i: int, n: int) -> int:

@@ -41,8 +41,10 @@ The converters:
   half-even to int micro-units.  Its one error contract: a value it cannot
   round raises ``ValueError``, whether ``Decimal`` cannot read it (a bool, a
   non-numeric string, ``None``, a ``Fraction``) or it is NaN, an infinity or
-  of a magnitude of 1e22 or more, which cannot carry six decimals in the
-  28-digit Decimal context.
+  of a magnitude of :data:`MAX_AMOUNT` (1e22) or more, which cannot carry
+  six decimals in the 28-digit Decimal context.  Every float below
+  :data:`MAX_AMOUNT` rounds, so the quote kernels price a float wager only
+  below it, and a quote, a buy and a simulated draw share one wager domain.
 * :func:`amount` is the same rounding as a 6-place Decimal,
   ``PRECISION * to_micro(value)`` taken exactly; a value that rounds to zero
   gives :data:`ZERO`, never ``-0.000000``.
@@ -117,6 +119,10 @@ scaleb_exact = _EXACT.scaleb
 #: The 28-digit context :func:`to_micro` rounds in, whatever the caller's.
 _ROUNDING = Context(prec=28, rounding=ROUND_HALF_EVEN)
 
+#: The smallest magnitude :func:`to_micro` refuses: 22 integer digits and 6
+#: decimals fill the 28-digit context.  An exact float, the bound of every
+#: quote kernel's float wager.
+MAX_AMOUNT = 1e22
 #: Micro-unit products at or above this take the Decimal path.
 FAST_LIMIT = 2.0 ** 50
 #: Twice the largest relative error of one correctly rounded float product.
@@ -128,7 +134,7 @@ def to_micro(value) -> int:
 
     Raises ``ValueError`` for a value ``Decimal`` cannot read (a bool, a
     non-numeric string, a ``Fraction``), NaN, infinities and magnitudes of
-    1e22 or more.
+    :data:`MAX_AMOUNT` or more.
     """
     if type(value) is float:
         y = value * 1e6

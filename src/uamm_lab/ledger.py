@@ -35,8 +35,9 @@ ORACLE = "oracle"
 def non_negative_micro(d, what: str) -> int:
     """``to_micro(d)``, raising ``ValueError`` for a negative ``d``, even one
     that rounds to zero micro-units: the one sign rule, which the ledger's
-    amounts and a :meth:`uamm_lab.market.Market.buy` wager that rounds to
-    zero both follow."""
+    amounts, a quote's wager (:func:`uamm_lab.market.quote_one`) and a
+    :meth:`uamm_lab.market.Market.buy` wager that rounds to zero all
+    follow."""
     n = to_micro(d)
     if n <= 0 and (n or float(d) < 0):
         raise ValueError(f"{what} must be non-negative")

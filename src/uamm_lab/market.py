@@ -16,8 +16,9 @@ pipeline, which has two faces:
   rule written inline in the one float leg loop, so a quote costs its
   arithmetic and one call, not a call per leg.  :meth:`Market.bind_quote`
   binds it for a run of quotes (the simulator binds it once per market run
-  and prices every bettor draw through it), and :meth:`Market.quote` prices
-  one wager through it (:func:`quote_one`) into a :class:`Quote`;
+  and prices every bettor draw through it), and :meth:`Market.quote` is its
+  one-wager case (:func:`quote_one`): it reads the wager by
+  :meth:`Market.buy`'s rules and prices it into a :class:`Quote`;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.  Each engine's execution leg loop
   (``_legs``) runs its swap rule inline too, with the float operations of
@@ -36,9 +37,11 @@ reserves (and the float of its target balance) afresh on every call, and
 its legs and their fair rates from the leg plan the
 :class:`FairPriceVector` builds once per market, so it derives no market
 constant again and keeps no cache of pool state.  It prices only a float
-wager in (0, inf) on a known outcome whose legs all fill, and returns
-``None`` for any other draw; :func:`quote_one` hands such an input to
-:func:`quote_edge` or raises :class:`UnfillableQuote`.
+wager in (0, :data:`~uamm_lab.fixedpoint.MAX_AMOUNT`) on a known outcome
+whose legs all fill, and returns ``None`` for any other draw, so a quote, a
+buy and the simulator share one wager domain: :func:`quote_one` refuses
+such an input with a buy's ``ValueError``, quotes a zero wager zero, or
+raises :class:`UnfillableQuote`.
 
 The books are plain ints: the pool's reserves and fees in micro-units (see
 :class:`Reserves`) and each LP's shares in wads (10**-18 units, see
@@ -46,8 +49,7 @@ The books are plain ints: the pool's reserves and fees in micro-units (see
 caller's Decimal context.
 
 An engine is a subclass of :class:`Market` that supplies its pool type, its
-bound quote kernel and its one-wager quote, the leg loop its buys run, and
-its genesis:
+bound quote kernel, the leg loop its buys run, and its genesis:
 :class:`uamm_lab.uamm.UammMarket` (the fair-price engine) and
 :class:`uamm_lab.baseline.CpmmMarket` (the constant-product baseline).
 """
@@ -75,7 +77,7 @@ class UnfillableQuote(Exception):
 #: class's own ``__new__`` does, without binding them as arguments first.
 new_record = tuple.__new__
 #: ``Phase.OPEN``, read once: an enum member lookup costs several attribute
-#: loads, and every quote and buy checks it.
+#: loads, and every buy checks it.
 _OPEN = Phase.OPEN
 
 
@@ -219,39 +221,30 @@ class Quote(NamedTuple):
         return self.odd / self.wager if self.wager else 0.0
 
 
-def quote_edge(r, fair: FairPriceVector, i: int, d: float) -> Quote:
-    """What :func:`quote_one` does with an input outside the kernel's hot
-    test (a known outcome and a positive finite wager ``d``): raise
-    ``ValueError`` for an unknown outcome or a negative, infinite or NaN
-    wager, and otherwise (a zero wager, ``-0.0`` included) return the zero
-    quote, which moves no pool and charges no fee.  ``r`` is the pool's
-    ``r_micro``."""
-    if not 0 < i < len(r):
-        raise ValueError(f"unknown outcome {i} for a {len(r) - 1}-outcome market")
-    if not 0.0 <= d < math.inf:
-        raise ValueError(f"wager must be finite and non-negative, got {d!r}")
-    return new_record(Quote, (i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
-
-
-def quote_one(bind, pool, fair: FairPriceVector, i: int, wager, fee_rate) -> Quote:
+def quote_one(price, fair: FairPriceVector, i: int, wager) -> Quote:
     """The quote of one ``wager`` on outcome ``i``: the one-wager case of an
-    engine's bound quote kernel, which ``bind(pool, fair, fee_rate)``
-    returns.  Each engine's public quote (``calc_odds``, ``cpmm_odds``) is
-    this call with its own ``bind``.
+    engine's bound quote kernel ``price`` (see :meth:`Market.bind_quote`),
+    under :meth:`Market.buy`'s input rules.  Every public quote
+    (:meth:`Market.quote`, :func:`uamm_lab.uamm.calc_odds`) is this call.
 
-    The wager is priced as ``float(wager)``, unrounded (the off-grid wager
-    rule of :meth:`Market.buy`).  A bool, ``None`` or a non-numeric string
-    raises ``ValueError``, as a buy of it does.  An input outside the
-    kernel's hot test goes to :func:`quote_edge`, and a priced wager the
+    An unknown outcome raises ``ValueError`` with ``buy``'s message, and the
+    wager is read by ``buy``'s reader and sign rule
+    (:func:`~uamm_lab.ledger.non_negative_micro`), so a wager a buy refuses
+    raises the same ``ValueError`` here: a negative one, NaN, an infinity,
+    one of :data:`~uamm_lab.fixedpoint.MAX_AMOUNT` or more, or one that is
+    no number (a bool, ``None``, a ``Fraction``, a non-numeric string).  A
+    zero wager, ``-0.0`` included, quotes zero: it moves no pool and
+    charges no fee.  Any other wager is priced as ``float(wager)``,
+    unrounded (the off-grid wager rule of :meth:`Market.buy`), and one the
     kernel declines (a leg that would drain its pool) raises
     :class:`UnfillableQuote`."""
-    if wager is None or isinstance(wager, bool):
-        raise ValueError(f"wager must be a number, got {wager!r}")
+    if not 1 <= i <= len(fair):
+        raise ValueError(f"unknown outcome {i} for a {len(fair)}-outcome market")
+    non_negative_micro(wager, "wager")
     d = float(wager)
-    r = pool.r_micro
-    if not (0 < i < len(r) and 0.0 < d < math.inf):
-        return quote_edge(r, fair, i, d)
-    figures = bind(pool, fair, fee_rate)(i, d)
+    if not d:
+        return new_record(Quote, (i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
+    figures = price(i, d)
     if figures is None:
         raise UnfillableQuote(f"wager {d} on outcome {i} would drain the pool")
     return new_record(Quote, (i, d, *figures))
@@ -299,15 +292,13 @@ class Market:
     markets share no state and may run in parallel.  An engine subclass
     supplies ``engine`` (its name), ``pool_type``, ``_bind`` (its bound
     quote kernel's binder, called as ``(pool, fair, fee_rate)`` and
-    returning ``price(i, d)``, see :func:`uamm_lab.uamm.bind_odds`),
-    ``_odds`` (its one-wager quote, the same kernel through
-    :func:`quote_one`, called as ``(pool, fair, i, wager, fee_rate)``, see
-    :func:`uamm_lab.uamm.calc_odds`), ``_legs`` (the leg loop :meth:`buy`
-    runs: ``(pool, fair, i, n)`` to the odd in micro-units, see
-    :meth:`uamm_lab.uamm.UammMarket._legs`) and ``_fund`` (its genesis:
-    what adding ``n`` micro-units of liquidity, an int, puts into the pool;
-    it returns the LP shares minted, in int wads); everything else is
-    shared.
+    returning ``price(i, d)``, see :func:`uamm_lab.uamm.bind_odds`; its
+    only quote hook, which :meth:`bind_quote` and :meth:`quote` call),
+    ``_legs`` (the leg loop :meth:`buy` runs: ``(pool, fair, i, n)`` to the
+    odd in micro-units, see :meth:`uamm_lab.uamm.UammMarket._legs`) and
+    ``_fund`` (its genesis: what adding ``n`` micro-units of liquidity, an
+    int, puts into the pool; it returns the LP shares minted, in int wads);
+    everything else is shared.
     """
 
     spec: MarketSpec
@@ -368,9 +359,14 @@ class Market:
     # -- betting ----------------------------------------------------------------
 
     def quote(self, i: int, wager) -> Quote:
-        if self.ledger.phase is not _OPEN:
-            self.ledger.require_open()
-        return self._odds(self.pool, self.fair, i, wager, self._fee_float)
+        """The indicative quote of ``wager`` on outcome ``i``, which moves
+        nothing: :meth:`bind_quote`'s kernel called once through
+        :func:`quote_one`.  The market must be open.  A quote takes the
+        wagers a buy takes and refuses the others with the ``ValueError`` a
+        buy raises; it prices a wager as given, unrounded, by the off-grid
+        wager rule that :meth:`buy` states, and raises
+        :class:`UnfillableQuote` for one that would drain the pool."""
+        return quote_one(self.bind_quote(), self.fair, i, wager)
 
     def bind_quote(self):
         """The engine's quote kernel bound to this market's pool, fair
@@ -378,8 +374,8 @@ class Market:
         :meth:`quote`'s ``odd``, ``implied_price``, ``slippage`` and ``fee``
         for a float wager ``d`` as a plain tuple, bit for bit, or ``None``
         for a draw it does not price (a non-float wager, an unknown outcome,
-        a wager not in (0, inf), a leg that would drain its pool), which
-        :meth:`quote` then decides.
+        a wager not in (0, :data:`~uamm_lab.fixedpoint.MAX_AMOUNT`), a leg
+        that would drain its pool), which :meth:`quote` then decides.
 
         The market must be open, and the kernel checks no phase itself: bind
         it for one run of quotes, as :func:`uamm_lab.sim.run_market` does,

@@ -226,10 +226,11 @@ def _draw_streams(rng, cfg: SimConfig, fair: FairPriceVector,
     """``n`` bettors as ``(wager, side, threshold)`` tuples.
 
     Wagers are whole cents, at least one, and lie on the micro-unit grid:
-    every finite cent-rounded float below 1e22 has ``to_micro(w) / UNIT ==
-    w`` (and ``to_micro(w) == 10_000 * cents`` below 2**33), so
+    every finite cent-rounded float below
+    :data:`~uamm_lab.fixedpoint.MAX_AMOUNT` has ``to_micro(w) / UNIT == w``
+    (and ``to_micro(w) == 10_000 * cents`` below 2**33), so
     :func:`run_market` can quote them as they are.  A non-finite wager, or
-    one of 1e22 or more, raises ``ValueError``.
+    one of ``MAX_AMOUNT`` or more, raises ``ValueError``.
 
     A true-probability side inverts ``fair.cdf`` at one uniform per bettor:
     the stream and the values of ``rng.choice(range(1, k + 1), size=n,
@@ -251,9 +252,9 @@ def _draw_streams(rng, cfg: SimConfig, fair: FairPriceVector,
     if not sum(wagers) < 2.0 ** 33:
         # Below 2**33 a cent-rounded float is within half an ulp (under half a
         # micro-unit) of its whole-cent value; from 2**33 up floats are spaced
-        # more than a micro-unit apart.  Either way a finite draw below 1e22
-        # lies on the grid already, so only inf and 1e22 or more are left for
-        # to_micro to reject, before any bet is made.  Every wager is
+        # more than a micro-unit apart.  Either way a finite draw below
+        # MAX_AMOUNT lies on the grid already, so only inf and MAX_AMOUNT or
+        # more are left for to_micro to reject, before any bet is made.  Every wager is
         # positive, so the sum reaches 2**33 when any wager does, and is NaN
         # or inf when any wager is.
         for w in wagers:
@@ -377,8 +378,9 @@ def run_market(
     call chain or its :class:`~uamm_lab.market.Quote` record; so most draws,
     rejected at their quote, cost only their legs.  A draw the kernel does
     not price (a wager off its hot test, or a leg that would drain its pool)
-    goes to the public ``market.quote``, so every error, the zero quote and
-    every bet unfillable at its quote come from there.
+    goes to the public ``market.quote``, so every error (for a wager a buy
+    refuses, a buy's ``ValueError``), the zero quote and every bet
+    unfillable at its quote come from there.
 
     A wager is quoted as given, and an accepted bet is one public
     ``market.buy(BETTOR, side, wager, fund=True)``, which computes its fee

@@ -12,7 +12,8 @@ This module holds only that rule; the market, its ledger and its records
 are shared by every engine (:mod:`uamm_lab.market`).  The rule is written
 once as the reference kernel :func:`swap_out`, and inline in the engine's
 bound quote kernel (:func:`bind_odds`, in float, whose one-wager case is
-:func:`calc_odds`) and in its buys' leg loop
+:func:`calc_odds` on a bare pool and :meth:`~uamm_lab.market.Market.quote`
+on a market) and in its buys' leg loop
 (:meth:`UammMarket._legs`, each leg rounded to int micro-units), which the
 tests hold to it bit for bit.
 
@@ -28,11 +29,10 @@ from __future__ import annotations
 import copy
 from decimal import Decimal
 from fractions import Fraction
-from math import inf
 from operator import mul
 
-from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, UNIT, WAD, WADS_PER_MICRO, exact_micro,
-                         from_micro, from_wad, to_micro, to_wad)
+from .fixedpoint import (FAST_LIMIT, MAX_AMOUNT, PRODUCT_ERROR, UNIT, WAD, WADS_PER_MICRO,
+                         exact_micro, from_micro, from_wad, to_micro, to_wad)
 from .ledger import COLLATERAL, InsufficientBalance
 from .market import FairPriceVector, Market, Quote, Reserves, UnfillableQuote, quote_one
 
@@ -184,8 +184,9 @@ def bind_odds(pool, fair: FairPriceVector, fee_rate=0):
     the float ``fee_rate``: ``price(i, d)`` returns the ``(odd,
     implied_price, slippage, fee)`` floats a quote of ``d`` collateral on
     outcome ``i`` reads, or ``None`` for a draw it does not price: a
-    non-float ``d``, an unknown outcome, a ``d`` not in (0, inf), or a leg
-    that would drain its pool.  :func:`calc_odds` is its one-wager case, and
+    non-float ``d``, an unknown outcome, a ``d`` not in (0,
+    :data:`~uamm_lab.fixedpoint.MAX_AMOUNT`), or a leg that would drain its
+    pool.  :func:`calc_odds` is its one-wager case, and
     :func:`uamm_lab.sim.run_market` prices each bettor draw through it.
 
     Each call reads ``pool.r_micro`` and ``pool.tb_float`` afresh, so the
@@ -213,7 +214,7 @@ def bind_odds(pool, fair: FairPriceVector, fee_rate=0):
     n = len(rates)
 
     def price(i, d):
-        if type(d) is not float or not (0 < i < n and 0.0 < d < inf):
+        if type(d) is not float or not (0 < i < n and 0.0 < d < MAX_AMOUNT):
             return None
         r = pool.r_micro
         # the output pool with the collateral liquidity combined into it
@@ -251,19 +252,18 @@ def bind_odds(pool, fair: FairPriceVector, fee_rate=0):
 
 def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     """Quote the payout for betting ``wager`` collateral on outcome ``i``:
-    the fair-price engine's one-wager quote, the bound kernel
-    :func:`bind_odds` called once through
-    :func:`~uamm_lab.market.quote_one`.  Every engine's one-wager quote
-    takes ``(pool, fair, i, wager, fee_rate=0)``; the quote it returns
-    carries no market identity, which
-    :meth:`~uamm_lab.market.Market.quote`'s caller reads from the market.
+    the fair-price engine's one-wager quote on a bare pool, the bound
+    kernel :func:`bind_odds` called once through
+    :func:`~uamm_lab.market.quote_one`, as
+    :meth:`~uamm_lab.market.Market.quote` calls it on a market's pool.  The
+    quote carries no market identity.
 
     The quote holds what a bettor reads: the odd, the implied price, the
     slippage and the fee, ``fee_rate * d`` for the float ``d`` of the wager
-    (``fee_rate`` is the market's float rate, as
-    :meth:`~uamm_lab.market.Market.quote` passes it, or the default 0).  An
-    unknown outcome, a negative, infinite or NaN wager, or one that is no
-    number raises ``ValueError``; a zero wager quotes zero.
+    (a market passes its float rate; the default is 0).  An unknown
+    outcome, or a wager a buy refuses (negative, NaN, infinite, of
+    :data:`~uamm_lab.fixedpoint.MAX_AMOUNT` or more, or no number), raises
+    the ``ValueError`` a buy raises; a zero wager quotes zero.
 
     A wager beyond about 2**53 times the pool raises
     :class:`UnfillableQuote` through float rounding alone: ``x + delta``
@@ -276,7 +276,7 @@ def calc_odds(pool, fair: FairPriceVector, i: int, wager, fee_rate=0) -> Quote:
     output is NaN.  It is the float quote's behaviour, kept as the
     quote's contract until the quote becomes the int execution plan.
     """
-    return quote_one(bind_odds, pool, fair, i, wager, fee_rate)
+    return quote_one(bind_odds(pool, fair, fee_rate), fair, i, wager)
 
 
 class UammMarket(Market):
@@ -288,7 +288,6 @@ class UammMarket(Market):
     quote = Market.quote
     buy = Market.buy
     _bind = staticmethod(bind_odds)
-    _odds = staticmethod(calc_odds)
 
     @staticmethod
     def _legs(pool, fair: FairPriceVector, i: int, n: int) -> int:

@@ -23,11 +23,12 @@ from hypothesis.stateful import (
 )
 
 from uamm_lab import sim
-from uamm_lab.baseline import cpmm_odds
+from uamm_lab.baseline import bind_cpmm_odds
 from uamm_lab.fixedpoint import UNIT, ZERO, amount, to_micro
 from uamm_lab.ledger import InsufficientBalance, Phase
-from uamm_lab.market import Reserves
-from uamm_lab.uamm import FairPriceVector, PoolState, UammMarket, UnfillableQuote, calc_odds
+from uamm_lab.market import Reserves, quote_one
+from uamm_lab.uamm import (FairPriceVector, PoolState, UammMarket, UnfillableQuote, bind_odds,
+                           calc_odds)
 
 #: Bet-sized, probe-sized (the overround probe's 1e-4) and zero wagers.
 WAGERS = (amount(12.34), amount(750), 1e-4, Decimal("0.000001"), 0.0)
@@ -66,10 +67,11 @@ def assert_kernel_fresh(market):
     pool, for every outcome and wager, whatever the market's phase."""
     pool, fresh = market.pool, fresh_pool(market.pool)
     assert pool.tb_float == fresh.tb_float
+    fair = market.fair
     for i in market.spec.outcomes:
         for w in WAGERS:
-            assert outcome_of(market._odds, pool, market.fair, i, w) == \
-                outcome_of(market._odds, fresh, market.fair, i, w), (i, w)
+            assert outcome_of(quote_one, market._bind(pool, fair), fair, i, w) == \
+                outcome_of(quote_one, market._bind(fresh, fair), fair, i, w), (i, w)
 
 
 def funded(engine, k=3, funding=2_000.0):
@@ -191,9 +193,9 @@ def test_float_view_contents():
 
     def check(p):
         for i in (1, 2):
-            for kernel in (calc_odds, cpmm_odds):
-                assert outcome_of(kernel, p, fair, i, 0.5) == \
-                    outcome_of(kernel, fresh_pool(p), fair, i, 0.5)
+            for bind in (bind_odds, bind_cpmm_odds):
+                assert outcome_of(quote_one, bind(p, fair), fair, i, 0.5) == \
+                    outcome_of(quote_one, bind(fresh_pool(p), fair), fair, i, 0.5)
 
     for p in (pool, cpmm):
         p.r_micro[1] += 7

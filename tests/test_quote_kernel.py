@@ -2,8 +2,9 @@
 
 :func:`uamm_lab.uamm.bind_odds` and :func:`uamm_lab.baseline.bind_cpmm_odds`
 write their engine's swap rule inline in the leg loop of a bound kernel,
-whose one-wager case is the public quote (:func:`uamm_lab.uamm.calc_odds`,
-:func:`uamm_lab.baseline.cpmm_odds`).  :func:`conftest.reference_quote` runs
+whose one-wager case is the public quote (:func:`uamm_lab.market.quote_one`
+on the bound kernel, as :meth:`~uamm_lab.market.Market.quote` calls it).
+:func:`conftest.reference_quote` runs
 the same legs through the public swap kernels, one call per leg.  For every
 pool a market can reach and every wager:
 
@@ -13,22 +14,23 @@ pool a market can reach and every wager:
 * the market's bound kernel (:meth:`~uamm_lab.market.Market.bind_quote`)
   must return the public quote's last four figures, ``float.hex`` for
   ``float.hex``, and ``None`` exactly where the public quote raises or
-  quotes an edge input (a zero wager, an unknown outcome).
+  quotes a zero wager.
 """
 
 import functools
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from conftest import reference_quote
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uamm_lab.baseline import bind_cpmm_odds, cpmm_odds
+from uamm_lab.baseline import bind_cpmm_odds
 from uamm_lab.ledger import MarketSpec
-from uamm_lab.market import Reserves
+from uamm_lab.market import Reserves, quote_one
 from uamm_lab.sim import ENGINE_CLASSES
-from uamm_lab.uamm import FairPriceVector, PoolState, UnfillableQuote, bind_odds, calc_odds
+from uamm_lab.uamm import FairPriceVector, PoolState, UnfillableQuote, bind_odds
 
 #: Zero, a micro-unit, the overround probe's 1e-4 and a wager beyond any pool.
 SPECIAL_WAGERS = (0.0, 1e-6, 1e-4, 1e20)
@@ -180,10 +182,9 @@ def test_examples_reach_every_branch():
 def test_kernel_equals_reference_on_bare_pools(pool, wager):
     fair = FairPriceVector((0.2, 0.3, 0.5))
     for i in (1, 2, 3):
-        for kernel, bind, engine in ((calc_odds, bind_odds, "uamm"),
-                                     (cpmm_odds, bind_cpmm_odds, "cpmm")):
+        for bind, engine in ((bind_odds, "uamm"), (bind_cpmm_odds, "cpmm")):
             view = pool if engine == "uamm" else Reserves(r=pool.r)
-            public = outcome_of(kernel, view, fair, i, wager, 0.025)
+            public = outcome_of(quote_one, bind(view, fair, 0.025), fair, i, wager)
             assert public == outcome_of(reference_quote, view, fair, i, wager, 0.025, engine)
             assert bound_agrees(bind(view, fair, 0.025), public, i, wager)
 
@@ -199,15 +200,27 @@ def test_kernel_edges_equal_reference(engine, i, wager):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
-@pytest.mark.parametrize("wager", [True, None, "abc"])
+@pytest.mark.parametrize("wager", [
+    True, None, "abc",
+    pytest.param(Fraction(1, 3), id="Fraction(1,3)"),
+    pytest.param(1 + 0j, id="complex"),
+    pytest.param(10**400, id="10**400"),
+    pytest.param(Decimal("1e25"), id="Decimal(1e25)"),
+    pytest.param(1e22, id="1e22"),
+])
 def test_quote_and_buy_refuse_a_non_number_alike(engine, wager):
-    # a bool is no wager of 1.0, and None no TypeError: the quote refuses
-    # them with the ValueError a buy raises, before any book moves
+    # a bool is no wager of 1.0, None no TypeError, and a Fraction, a
+    # complex or an amount too large for the grid no priced quote: the quote
+    # refuses each with the ValueError a buy raises, word for word, before
+    # any book moves, and the bound kernel prices none of them
     market = build(engine, [1, 2, 3], 1_000, [])
     before = market.snapshot()
+    errors = []
     for call in (market.quote, functools.partial(market.buy, "bettor")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             call(1, wager)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
     assert market.bind_quote()(1, wager) is None
     assert market.snapshot() == before
     # a numeric string and an int still price as their float, unrounded

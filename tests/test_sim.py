@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -505,8 +506,21 @@ def test_run_market_rejects_a_non_finite_draw_at_its_quote(engine, wager):
     # the quote raises, so the bettor is neither funded nor sold anything
     market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.025)
     before = market.snapshot()
-    with pytest.raises(ValueError, match="wager must be finite"):
+    with pytest.raises(ValueError, match="amount must be finite"):
         sim.run_market(market, [(wager, 1, 1.0), (10.0, 1, 1.0)], 1)
+    assert market.bets == []
+    assert market.snapshot() == before
+
+
+@pytest.mark.parametrize("engine", ["uamm", "cpmm"])
+@pytest.mark.parametrize("wager", [1e22, Fraction(1, 3)], ids=["1e22", "Fraction(1,3)"])
+def test_run_market_refuses_a_draw_no_buy_could_execute(engine, wager):
+    # rejected at any quote (a threshold of -1.0), the draw is still refused
+    # by the quote with a buy's ValueError, not logged as a priced bet
+    market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.025)
+    before = market.snapshot()
+    with pytest.raises(ValueError, match="^amount "):
+        sim.run_market(market, [(wager, 1, -1.0)], 1, keep_log=True)
     assert market.bets == []
     assert market.snapshot() == before
 

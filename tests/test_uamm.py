@@ -460,7 +460,7 @@ def test_quote_rejects_non_finite_wager(engine, wager):
 
     market = build_market(engine, "m", 2, (0.5, 0.5), 1_000.0, 0.025)
     before = market.snapshot()
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    with pytest.raises(ValueError, match="amount must be finite"):
         market.quote(1, wager)
     assert market.snapshot() == before
 

@@ -19,9 +19,10 @@ and 0 when there is none (2 when ``REF`` cannot be extracted).  The command
 list holds only outputs that a change which declares none must leave as
 they are: every ``simulate`` mode on both engines (one config among them
 drains its pools, so ``bets.csv`` holds empty quote cells), a ``full`` run
-at a five-decimal fee rate (:data:`FEE_CONFIG`), ``quote`` as text, as CSV
-and for a wager that drains the pool (exit 3), and all three ``probe``
-forms.
+at a five-decimal fee rate (:data:`FEE_CONFIG`), ``quote`` as text, as CSV,
+for a wager that drains the pool (exit 3) and for an unknown outcome and a
+negative wager (exit 1, compared on their error text too), and all three
+``probe`` forms.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ COMMANDS = [
      "--out", "out"],
     _QUOTE,
     _QUOTE + ["--format", "csv"],
-    ["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "1000",
-     "--outcome", "1", "--wager", "1e20"],
+    *[["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "1000",
+       "--outcome", outcome, "--wager", wager]
+      for outcome, wager in (("1", "1e20"), ("3", "5"), ("1", "-5"))],
     ["probe"],
     ["probe", "--continuity"],
     ["probe", "--properties"],
