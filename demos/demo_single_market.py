@@ -6,6 +6,7 @@ slippage-driven rejections, balance drift, and the LP's final settlement.
 """
 
 from uamm_lab import SimConfig, amount, build_market
+from uamm_lab.fixedpoint import format_micro
 from uamm_lab.metrics import market_pnl
 from uamm_lab.sim import run_single_market
 
@@ -26,8 +27,9 @@ def main():
     print(f"  accepted  {result.n_accepted}")
     print(f"  rejected  {result.n_rejected} (threshold) "
           f"+ {result.n_unfillable} (unfillable)")
-    print(f"  volume    ${result.volume}")
-    print(f"  fees      ${result.fee}\n")
+    fee = format_micro(result.fee_micro, result.fee_places)
+    print(f"  volume    ${format_micro(result.volume_micro)}")
+    print(f"  fees      ${fee}\n")
 
     print("Pool balance per outcome (collateral + conditional), sampled:")
     for step in (0, 249, 499, 749, 999):
@@ -41,7 +43,7 @@ def main():
     print(f"Outcome {result.winner} won this market.")
     print(f"  impermanent LP PnL (probability-weighted): ${eip:,.2f}")
     print(f"  permanent LP PnL (winner's pool delta):    ${epp:,.2f}")
-    print(f"  fee revenue on top:                        ${result.fee}")
+    print(f"  fee revenue on top:                        ${fee}")
     print("Permanent PnL is the winner's conditional-reserve delta; the buy "
           "pipeline keeps merging the scarcest leg to zero, so single markets "
           "often settle at exactly zero and the profit shows up across many "

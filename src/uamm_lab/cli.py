@@ -53,7 +53,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import metrics, sim
-from .fixedpoint import amount
+from .fixedpoint import amount, format_micro
 from .ledger import InvariantViolation
 from .market import UnfillableQuote
 from .probes import continuity_report, property_report
@@ -185,7 +185,7 @@ PLOT_MARKETS_FIELDS = ("market_index", "eip", "epp", "ev_final")
 # as an empty cell and anything else as its str (%s).  No field can need
 # quoting (a ",", a '"' or a line break): the engine is one of sim.ENGINES,
 # market ids are m%05d, reasons are "", "threshold" or "unfillable",
-# Decimal totals are in fixed point, vectors are ";"-joined float reprs and
+# totals are format_micro text, vectors are ";"-joined float reprs and
 # every other field is an int or a float.
 #: A ``bets.csv`` row, a ``MarketResult.bet_log`` tuple.
 BETS_ROW = "%s,%s,%s,%s,%r,%r,%r,%r,%r,%s,%s\r\n"
@@ -209,11 +209,12 @@ def _bets_text(log) -> str:
 def _market_text(r, pnl) -> str:
     """One ``markets.csv`` row, as text; ``pnl`` is the reprs of the
     market's :func:`metrics.market_pnl` tuple.  The volume and fee are
-    written in fixed-point notation, as ``summary.csv``'s totals are."""
+    written by :func:`~uamm_lab.fixedpoint.format_micro`, as
+    ``summary.csv``'s totals are."""
     return MARKETS_ROW % (
         r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
-        r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
-        format(r.volume, "f"), format(r.fee, "f"), *pnl, r.overround_final,
+        r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable, format_micro(r.volume_micro),
+        format_micro(r.fee_micro, r.fee_places), *pnl, r.overround_final,
         ";".join(map(repr, r.r_start)), ";".join(map(repr, r.r_end)))
 
 

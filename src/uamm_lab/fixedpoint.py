@@ -22,10 +22,14 @@ A bet record and the pool's fee book are ints too: the record keeps its
 wager, fee and odd in micro-units and its treasury shares in wads, and the
 book its fees in micro-units, each read as a Decimal only when a caller asks.
 A fee is ``wager * fee_rate`` rounded half-even to the grid, so it, and the
-book, read to 6 places like every other amount.  Only a run's fee total
-(:func:`uamm_lab.sim.run_market`) reads otherwise: when it equals
-``fee_rate * volume`` exactly, it reads as that product (``0.308500000`` at
-a 0.025 rate), as Decimal arithmetic on exact fees would leave it.
+book, read to 6 places like every other amount.  Only a run's fee total can
+read to more places: when it equals ``fee_rate * volume`` exactly, it is
+written to the places of that product (``0.308500000`` at a 0.025 rate; see
+``MarketResult.fee_places`` in :mod:`uamm_lab.sim`).  A run's totals stay
+ints through the run layer and the metrics fold, and :func:`format_micro`
+is the one owner of their text: ``markets.csv``, ``summary.csv``, the
+rejection sweep's volume, the CLI's summary line and the demos all come
+from it.
 
 Balances, ``locked``, reserves, snapshot lines, share reads, the fee book and
 a bet record's wager, fee and odd are read exactly, whatever the caller's
@@ -58,8 +62,9 @@ The converters:
 * ``n / UNIT`` is the float of ``n`` micro-units.  CPython's int true
   division is correctly rounded, so it equals ``float(PRECISION * n)`` bit
   for bit, at a fraction of the cost.
-* :func:`format_micro` is the text of ``n`` micro-units, equal to
-  ``str(PRECISION * n)``.
+* :func:`format_micro` is the text of ``n`` micro-units, ``str(PRECISION *
+  n)`` at its default 6 places.  Snapshots and the volume write 6 places; a
+  fee total passes its own ``places``.
 
 Rounding a float is the hot case (every swap leg's output is a float), and
 expanding the whole binary float into a Decimal just to round it is slow.
@@ -112,8 +117,6 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 #: ``mul_exact(a, b)``: the exact product of two Decimals or ints, whatever
 #: the caller's context.  Bound once, it costs about as much as ``a * b``.
 mul_exact = _EXACT.multiply
-#: ``add_exact(a, b)``: the exact sum, likewise.
-add_exact = _EXACT.add
 #: ``scaleb_exact(a, n)``: ``a`` times ``10**n``, exactly.
 scaleb_exact = _EXACT.scaleb
 #: The 28-digit context :func:`to_micro` rounds in, whatever the caller's.
@@ -197,7 +200,11 @@ def from_wad(n: int) -> Decimal:
     return mul_exact(WAD_PRECISION, n)
 
 
-def format_micro(n: int) -> str:
-    """``n`` micro-units as 6-place decimal text, ``str(PRECISION * n)``."""
+def format_micro(n: int, places: int = 6) -> str:
+    """``n`` micro-units as decimal text to ``places`` places: the text
+    ``format(d, "f")`` of the Decimal ``d`` of that value and exponent
+    ``-places`` (``str(PRECISION * n)`` at 6 places).  Fewer than 6 places
+    drop trailing digits, and ``n`` must have only zeros there."""
     whole, frac = divmod(abs(n), UNIT)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:06d}"
+    text = f"{'-' if n < 0 else ''}{whole}"
+    return f"{text}.{f'{frac:06d}'[:places]:0<{places}}" if places > 0 else text

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from decimal import Decimal
 
 import numpy as np
 
-from .fixedpoint import add_exact
+from .fixedpoint import format_micro
 
 
 def ev(r_cond, fair) -> float:
@@ -68,7 +67,9 @@ class MetricsReport:
     Its fields are the columns of ``summary.csv``, in order (see
     :meth:`csv_row`); ``rejection_rate``, ``tp`` (total permanent PnL) and
     ``epp_plus_fee`` (permanent PnL per market plus total fee revenue) are
-    derived from the others.
+    derived from the others.  ``volume`` and ``fee_revenue`` are the text
+    :func:`~uamm_lab.fixedpoint.format_micro` writes for the run's int
+    totals (see :class:`MetricsFold`).
     """
 
     engine: str
@@ -78,8 +79,8 @@ class MetricsReport:
     rejected: int
     unfillable: int
     rejection_rate: float = field(init=False)
-    volume: Decimal
-    fee_revenue: Decimal
+    volume: str
+    fee_revenue: str
     ev_mean: float
     eip_mean: float
     eip_std: float
@@ -94,16 +95,13 @@ class MetricsReport:
         self.rejection_rate = ((self.rejected + self.unfillable) / self.total_bets
                                if self.total_bets else 0.0)
         self.tp = self.n_markets * self.epp_mean
+        # the float of the text is the float of the int total, fee_micro / UNIT
         self.epp_plus_fee = self.epp_mean + float(self.fee_revenue)
 
     def csv_row(self) -> dict:
-        """The ``summary.csv`` columns: floats as their ``repr``, Decimals in
-        fixed-point notation (``format(v, "f")``, which reads as ``str`` for
-        every non-zero total, and a zero total at a fee rate of ``0.0`` as
-        ``0.0000000``, not ``0E-7``), the engine and the counts as they
-        are."""
-        return {f.name: repr(v) if isinstance(v, float) else
-                format(v, "f") if isinstance(v, Decimal) else v
+        """The ``summary.csv`` columns: floats as their ``repr``, the engine,
+        the counts and the totals' text as they are."""
+        return {f.name: repr(v) if isinstance(v, float) else v
                 for f in fields(self) for v in [getattr(self, f.name)]}
 
 
@@ -112,16 +110,19 @@ class MetricsFold:
 
     :meth:`add` folds in a market and returns its :func:`market_pnl`
     tuple; :meth:`report` gives the :class:`MetricsReport` of the markets
-    added so far.  The fold keeps the counts and exact sums, plus the five
-    floats per market whose ``np.mean`` / ``np.std`` the report takes, so a
-    run need not keep its market results.
+    added so far.  The fold keeps the counts, the volume and fee sums in
+    int micro-units and the most places any market's fee is written with
+    (the fee total's places), plus the five floats per market whose
+    ``np.mean`` / ``np.std`` the report takes, so a run need not keep its
+    market results.
     """
 
     def __init__(self, engine: str):
         self.engine = engine
-        # bets attempted, accepted, rejected and unfillable, in report order
-        self.bets = [0, 0, 0, 0]
-        self.volume = self.fee = Decimal(0)
+        # bets attempted, accepted, rejected and unfillable, in report order,
+        # then the volume and the fee
+        self.sums = [0] * 6
+        self.fee_places = 0
         # eip, epp, tv_pnl, ev_final and overround_final, in market order
         self.floats = tuple(array("d") for _ in range(5))
 
@@ -129,10 +130,10 @@ class MetricsFold:
         pnl = market_pnl(r)
         for values, x in zip(self.floats, (*pnl, r.overround_final)):
             values.append(x)
-        for i, n in enumerate((r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable)):
-            self.bets[i] += n
-        self.volume = add_exact(self.volume, r.volume)
-        self.fee = add_exact(self.fee, r.fee)
+        for i, n in enumerate((r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
+                               r.volume_micro, r.fee_micro)):
+            self.sums[i] += n
+        self.fee_places = max(self.fee_places, r.fee_places)
         return pnl
 
     def report(self) -> MetricsReport:
@@ -140,7 +141,8 @@ class MetricsFold:
         if not eip:
             raise ValueError("no market results to summarize")
         return MetricsReport(
-            self.engine, len(eip), *self.bets, self.volume, self.fee,
+            self.engine, len(eip), *self.sums[:4], format_micro(self.sums[4]),
+            format_micro(self.sums[5], self.fee_places),
             ev_mean=float(np.mean(ev_final)),
             eip_mean=float(np.mean(eip)), eip_std=float(np.std(eip)),
             epp_mean=float(np.mean(epp)), epp_std=float(np.std(epp)),

@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal
 
 import numpy as np
 
 from .baseline import CpmmMarket
 # build_market rounds its funding as ``amount`` does, without calling it; the
 # name stays here, where perfbench's tracer tests find it
-from .fixedpoint import PRECISION, UNIT, amount, mul_exact, to_micro  # noqa: F401
+from .fixedpoint import UNIT, amount, to_micro  # noqa: F401
 from .ledger import ORACLE, MarketSpec, check_outcome_count, fee_rate_decimal
 from .market import FairPriceVector, UnfillableQuote
 from .metrics import MetricsReport, summarize
@@ -312,6 +311,14 @@ class MarketResult:
     float as its ``repr``), and a bet unfillable at quote time has ``None``
     (an empty cell) for the four quote figures.  ``trajectory``, one dict
     per draw, is filled only by :func:`run_single_market`.
+
+    ``volume_micro`` and ``fee_micro`` are the int micro-units the run's bets
+    moved: the sum of their wagers and what the pool's fee book gained.
+    ``fee_places`` is the number of decimal places the fee is written with
+    (:func:`~uamm_lab.fixedpoint.format_micro`): 6, or the places of
+    ``fee_rate * volume`` (6 less the fee rate's exponent) when the fee
+    equals that product exactly, as it does whenever every fee was exact
+    (any whole-cent wager at a 0.025 rate, ``7.711000000``).
     """
 
     market_id: str
@@ -325,8 +332,9 @@ class MarketResult:
     n_accepted: int
     n_rejected: int
     n_unfillable: int
-    volume: Decimal
-    fee: Decimal
+    volume_micro: int
+    fee_micro: int
+    fee_places: int
     overround_final: float
     bet_log: list[tuple] = field(default_factory=list)
     trajectory: list[dict] = field(default_factory=list)
@@ -392,14 +400,6 @@ def run_market(
     ``market.bets``: the volume sums its ``wager_micro``, and its
     ``post_r`` is the pool after that draw (:func:`run_single_market`
     rebuilds the trajectory from them).
-
-    The result's ``fee`` is what the pool's int fee book
-    (``pool.fee_micro``) gained over the run, the exact sum of the run's
-    record fees.  This is the one place that decides its text: when the sum
-    equals ``fee_rate * volume`` exactly, as it does whenever every fee was
-    exact (any whole-cent wager at a 0.025 rate), it reads as that product,
-    at the fee rate's exponent less 6 (``7.711000000``); otherwise, and for
-    a run with no volume, it reads to 6 places.
     """
     pool = market.pool
     r_start = tuple([x / UNIT for x in pool.r_micro])
@@ -439,10 +439,8 @@ def run_market(
 
     overround = _overround(market)
     r_end = tuple([x / UNIT for x in pool.r_micro])
-    volume = mul_exact(PRECISION, volume)
-    fee = mul_exact(PRECISION, pool.fee_micro - fee_start)
-    if volume and fee == (exact := mul_exact(market.spec.fee_rate, volume)):
-        fee = exact
+    fee = pool.fee_micro - fee_start
+    num, den = market._fee_ratio
     market.close_betting()
     market.resolve(ORACLE, winner)
     return MarketResult(
@@ -457,8 +455,11 @@ def run_market(
         n_accepted=accepted,
         n_rejected=rejected,
         n_unfillable=unfillable,
-        volume=volume,
-        fee=fee,
+        volume_micro=volume,
+        fee_micro=fee,
+        # a fee of exactly fee_rate * volume is written to that product's places
+        fee_places=(6 - market.spec.fee_rate.as_tuple().exponent
+                    if volume and fee * den == volume * num else 6),
         overround_final=overround,
         bet_log=log,
     )
@@ -608,6 +609,6 @@ def run_rejection_sweep(cfg: SimConfig) -> list[dict]:
             "acceptance_rate": 1.0 - report.rejection_rate,
             "eip_mean": report.eip_mean,
             "epp_mean": report.epp_mean,
-            "volume": format(report.volume, "f"),
+            "volume": report.volume,
         })
     return rows

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from uamm_lab import sim
 from uamm_lab.baseline import cpmm_swap
-from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, add_exact, format_micro, mul_exact, to_micro
+from uamm_lab.fixedpoint import PRECISION, UNIT, ZERO, format_micro, mul_exact, to_micro
 from uamm_lab.ledger import COLLATERAL, InsufficientBalance, Phase, PhaseError
 from uamm_lab.market import BetRecord
 from uamm_lab.metrics import summarize
@@ -236,7 +236,7 @@ def reference_buy(market, account, i, wager, branches=None):
     acct[i] += odd
     ledger.locked_micro += n + c - m
     pool.r_micro = rw
-    book = add_exact(pool.fee_accrued, fee)
+    book = Fraction(pool.fee_accrued) + Fraction(fee)
     pool.fee_micro += fee_n
     assert pool.fee_accrued == book and str(pool.fee_accrued) == format_micro(pool.fee_micro)
     s_lp = market._mint_treasury(n)

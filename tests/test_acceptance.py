@@ -225,7 +225,7 @@ def test_criterion_08_full_simulation_summary():
     cfg = sim.full_config(seed=0)
     _, report = sim.run_multi_market(cfg)
     elapsed = time.monotonic() - start
-    fee_exact = report.fee_revenue == Decimal("0.025") * report.volume
+    fee_exact = Decimal(report.fee_revenue) == Decimal("0.025") * Decimal(report.volume)
     at_stake = report.n_markets * cfg.funding
     share = report.epp_plus_fee / at_stake
     bets_ok = abs(report.total_bets - 1203) <= 0.2 * 1203

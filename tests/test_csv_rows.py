@@ -6,12 +6,12 @@ row in its default dialect."""
 import csv
 import io
 import math
-from decimal import Decimal
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm_lab import cli, sim
+from uamm_lab.fixedpoint import format_micro
 
 #: The floats whose text is least like the rest: both infinities, NaN, a
 #: negative zero, a float whose repr has an exponent (``1e+21``) and the
@@ -52,7 +52,7 @@ def test_bets_rows_read_as_csv_writes_them(rows):
 
 
 vectors = st.lists(floats, min_size=2, max_size=6).map(tuple)
-decimals = st.decimals(allow_nan=False, allow_infinity=False)
+micro = st.integers(-(10 ** 30), 10 ** 30)
 
 
 @st.composite
@@ -61,8 +61,9 @@ def market_results(draw):
         market_id=draw(market_ids), engine=draw(engines), k=draw(st.integers(2, 6)),
         fair=draw(vectors), r_start=draw(vectors), r_end=draw(vectors),
         winner=draw(st.integers(1, 6)), n_attempts=draw(counts), n_accepted=draw(counts),
-        n_rejected=draw(counts), n_unfillable=draw(counts), volume=draw(decimals),
-        fee=draw(decimals), overround_final=draw(floats))
+        n_rejected=draw(counts), n_unfillable=draw(counts), volume_micro=draw(micro),
+        fee_micro=draw(micro), fee_places=draw(st.integers(-3, 30)),
+        overround_final=draw(floats))
 
 
 pnls = st.tuples(floats, floats, floats, floats)
@@ -71,13 +72,13 @@ pnls = st.tuples(floats, floats, floats, floats)
 @settings(max_examples=200)
 @given(market_results(), pnls, counts)
 @example(sim.MarketResult("m00000", "uamm", 3, EDGE_FLOATS[:3], EDGE_FLOATS[3:],
-                          EDGE_FLOATS, 2, 0, 0, 0, 0, Decimal("0E-7"),
-                          Decimal("-1.500000000"), math.nan),
+                          EDGE_FLOATS, 2, 0, 0, 0, 0, 0, -1_500_000, 9, math.nan),
          EDGE_FLOATS[2:], 0)
 def test_market_and_plot_rows_read_as_csv_writes_them(r, pnl, index):
     row = (r.engine, r.market_id, r.k, ";".join(map(repr, r.fair)), r.winner,
            r.n_attempts, r.n_accepted, r.n_rejected, r.n_unfillable,
-           format(r.volume, "f"), format(r.fee, "f"), *pnl, r.overround_final,
+           format_micro(r.volume_micro), format_micro(r.fee_micro, r.fee_places), *pnl,
+           r.overround_final,
            ";".join(map(repr, r.r_start)), ";".join(map(repr, r.r_end)))
     assert len(row) == len(cli.MARKETS_FIELDS)
     reprs = tuple(map(repr, pnl))

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from uamm_lab import sim
+from uamm_lab import cli, sim
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
@@ -60,5 +60,25 @@ def test_the_fee_config_reads_fee_totals_both_ways(tmp_path):
     name, text = diff_outputs.FEE_CONFIG
     path = tmp_path / name
     path.write_text(text)
-    places = {-r.fee.as_tuple().exponent for r in sim.iter_markets(sim.load_config(path))}
+    places = {r.fee_places for r in sim.iter_markets(sim.load_config(path))}
     assert places == {6, 11}
+
+
+def test_the_zero_fee_config_reads_fee_totals_to_seven_places(tmp_path):
+    """At the zero-rate config's ``0.0`` every market that traded, and the
+    run, write their fee total as ``0 * volume`` at the rate's exponent less
+    6: ``0.0000000``, the text of ``Decimal("0E-7")``."""
+    name, text = diff_outputs.ZERO_FEE_CONFIG
+    assert diff_outputs.COMMANDS.count(["simulate", "--config", name, "--mode", "multi",
+                                        "--engine", "uamm", "--out", "out"]) == 1
+    path = tmp_path / name
+    path.write_text(text)
+    results, report = sim.run_multi_market(sim.load_config(path))
+    assert results and all(r.volume_micro > 0 for r in results)
+    assert {cli._market_text(r, ("0.0",) * 4).split(",")[10] for r in results} == {"0.0000000"}
+    assert report.fee_revenue == "0.0000000"
+
+
+def test_every_demo_is_compared():
+    demos = {path.name for path in (diff_outputs.ROOT / "demos").glob("*.py")}
+    assert sorted(diff_outputs.DEMOS) == sorted(demos)

@@ -1,6 +1,6 @@
 import math
 import re
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +266,18 @@ def test_format_micro_equals_decimal_str(n):
 @pytest.mark.parametrize("n", [0, 1, 999_999, 1_000_000, 10**27, -1, -1_000_001])
 def test_format_micro_edge_cases(n):
     assert format_micro(n) == str(PRECISION * n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-(10**28) + 1, max_value=10**28 - 1), st.integers(-3, 30))
+def test_format_micro_writes_a_decimal_to_its_places(n, places):
+    """To ``places`` places, ``n`` micro-units (on that grid) read as
+    ``format(d, "f")`` of the Decimal ``d`` of their value at exponent
+    ``-places``: a fee total's text."""
+    n -= n % 10 ** max(6 - places, 0)
+    d = (PRECISION * n).quantize(Decimal(1).scaleb(-places), context=Context(prec=60))
+    assert d.as_tuple().exponent == -places
+    assert format_micro(n, places) == format(d, "f")
 
 
 @settings(max_examples=500, deadline=None)

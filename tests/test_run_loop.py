@@ -11,9 +11,9 @@ the loop's unfillable paths run.  After each run:
 
 * the market's books balance (``check_invariants``);
 * accepted + rejected + unfillable == attempts;
-* the volume and the fee are the exact sums over ``market.bets``; the
-  volume reads to 6 places, and so does the fee unless it equals
-  ``fee_rate * volume`` exactly, when it reads as that product;
+* the volume and the fee are the exact int sums over ``market.bets``; the
+  volume is written to 6 places, and so is the fee unless it equals
+  ``fee_rate * volume`` exactly, when it is written as that product;
 * a draw-by-draw replay on a twin market through the public ``quote`` and an
   unfunded ``buy``, funded with a cost computed here in exact arithmetic,
   decides every draw alike, gives equal records and log rows, and leaves an
@@ -24,13 +24,12 @@ the loop's unfillable paths run.  After each run:
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm_lab import sim
-from uamm_lab.fixedpoint import ZERO, add_exact, mul_exact, to_micro
+from uamm_lab.fixedpoint import format_micro, from_micro, mul_exact, to_micro
 from uamm_lab.metrics import MetricsFold, market_pnl, summarize
 from uamm_lab.uamm import UnfillableQuote
 
@@ -131,13 +130,14 @@ def test_run_market_against_a_public_replay(case):
 
     bets = market.bets
     assert len(bets) == res.n_accepted
-    volume = reduce(add_exact, (r.wager for r in bets), ZERO)
-    fee = reduce(add_exact, (r.fee for r in bets), ZERO)
+    volume = sum(r.wager_micro for r in bets)
+    fee = sum(r.fee_micro for r in bets)
     # the fee's text: the exact product when the sum equals it (as it does
     # whenever every fee was exact), else the sum's 6 places
-    product = mul_exact(Decimal(str(fee_rate)), volume)
-    text = str(product if volume and fee == product else fee)
-    assert (str(res.volume), res.fee, str(res.fee)) == (str(volume), fee, text)
+    product = mul_exact(Decimal(str(fee_rate)), from_micro(volume))
+    text = format(product if volume and from_micro(fee) == product else from_micro(fee), "f")
+    assert (res.volume_micro, res.fee_micro) == (volume, fee)
+    assert format_micro(res.fee_micro, res.fee_places) == text
     assert res.r_end == (bets[-1].post_r if bets else res.r_start)
 
     decided = replay(twin, draws, fee_rate)
@@ -157,4 +157,4 @@ def test_run_market_against_a_public_replay(case):
     assert fold.add(res) == market_pnl(res)
     report = summarize([res], engine)
     assert report.csv_row() == fold.report().csv_row()
-    assert (str(report.volume), str(report.fee_revenue)) == (str(volume), text)
+    assert (report.volume, report.fee_revenue) == (str(from_micro(volume)), text)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import run_seeded_markets
 
 from uamm_lab import metrics, sim
-from uamm_lab.fixedpoint import UNIT, ZERO, amount, mul_exact, to_micro
+from uamm_lab.fixedpoint import UNIT, ZERO, amount, format_micro, from_micro, mul_exact, to_micro
 from uamm_lab.ledger import MAX_OUTCOMES, MarketSpec, check_outcome_count
 from uamm_lab.sim import (
     ConfigError,
@@ -478,7 +478,7 @@ def test_run_market_funds_exactly_what_buy_charges(engine, wager, fee):
     market = sim.build_market(engine, "m", 2, (0.5, 0.5), 1000.0, 0.5)
     res = sim.run_market(market, [(wager, 1, 1.0)], 1)
     assert res.n_accepted == 1
-    assert res.fee == Decimal(fee)
+    assert res.fee_micro == to_micro(fee)
     assert market.ledger.balance(sim.BETTOR) == 0
     market.check_invariants()
 
@@ -495,8 +495,8 @@ def test_run_market_quotes_an_off_grid_wager_as_given_and_executes_it_rounded(en
     assert (row["wager"], row["odd"], row["slippage"]) == (w, quote.odd, quote.slippage)
     twin.deposit(sim.BETTOR, amount("12.654321"))  # 12.345679 plus its fee
     assert market.bets == [twin.buy(sim.BETTOR, 1, w)]
-    assert res.volume == market.bets[0].wager == Decimal("12.345679")
-    assert str(res.fee) == "0.308642"
+    assert res.volume_micro == market.bets[0].wager_micro == 12_345_679
+    assert format_micro(res.fee_micro, res.fee_places) == "0.308642"
     assert twin.ledger.balance(sim.BETTOR) == 0
 
 
@@ -540,8 +540,8 @@ def test_seeded_markets_fund_each_bet_in_micro_units(engine):
         assert market.ledger.balance(sim.BETTOR) == 0
         assert market.ledger.deposited_micro == to_micro(cfg.funding) + sum(
             to_micro(r.wager + r.fee) for r in bets)
-        assert res.volume == sum(r.wager for r in bets)
-        assert str(res.volume) == str(sum((r.wager for r in bets), ZERO))
+        assert res.volume_micro == sum(r.wager_micro for r in bets)
+        assert format_micro(res.volume_micro) == str(sum((r.wager for r in bets), ZERO))
 
 
 def test_a_drained_leg_prices_at_the_cap_in_the_final_overround():
@@ -560,14 +560,14 @@ def test_zero_bet_run_leaves_pool_at_initial_state():
     res = run_single_market(SimConfig(n_bets=0))
     assert res.r_end == res.r_start
     assert res.n_attempts == 0
-    assert res.volume == 0
+    assert res.volume_micro == 0
 
 
 def test_single_market_replay_is_identical():
     a = run_single_market(SimConfig(seed=21, n_bets=200))
     b = run_single_market(SimConfig(seed=21, n_bets=200))
     assert a.r_end == b.r_end
-    assert a.volume == b.volume
+    assert a.volume_micro == b.volume_micro
     assert a.bet_log == b.bet_log
     assert a.trajectory == b.trajectory
     assert a.winner == b.winner
@@ -581,7 +581,7 @@ def test_markets_are_order_independent():
     for r in results:
         s = by_id[r.market_id]
         assert s.r_end == r.r_end
-        assert s.volume == r.volume
+        assert s.volume_micro == r.volume_micro
         assert s.winner == r.winner
 
 
@@ -602,8 +602,8 @@ def test_iter_markets_runs_one_market_per_step(monkeypatch):
     assert calls == []
     for m, r in enumerate(stream):
         assert calls == list(range(m + 1))
-        assert (r.market_id, r.r_end, r.volume) == (
-            results[m].market_id, results[m].r_end, results[m].volume)
+        assert (r.market_id, r.r_end, r.volume_micro) == (
+            results[m].market_id, results[m].r_end, results[m].volume_micro)
     streamed = metrics.summarize(sim.iter_markets(cfg), cfg.engine)
     assert streamed == report
     assert streamed.csv_row() == report.csv_row()
@@ -614,7 +614,7 @@ def test_full_run_degenerates_to_single_market():
     results, _ = run_multi_market(cfg)
     single = run_single_market(cfg)
     assert results[0].r_end == single.r_end
-    assert results[0].volume == single.volume
+    assert results[0].volume_micro == single.volume_micro
     assert results[0].winner == single.winner
 
 
@@ -703,11 +703,11 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
     results, report = run_multi_market(cfg)
     with localcontext(prec=12):
         narrow_results, narrow_report = run_multi_market(cfg)
-    assert str(report.volume) == "43298905.670000"
-    assert str(report.fee_revenue) == "1082472.641750000"
+    assert report.volume == "43298905.670000"
+    assert report.fee_revenue == "1082472.641750000"
     assert narrow_report.csv_row() == report.csv_row()
-    assert ([(str(r.volume), str(r.fee)) for r in narrow_results]
-            == [(str(r.volume), str(r.fee)) for r in results])
+    assert ([(r.volume_micro, r.fee_micro, r.fee_places) for r in narrow_results]
+            == [(r.volume_micro, r.fee_micro, r.fee_places) for r in results])
     # a market's fee is what the pool's fee book gained over the run: on a
     # seeded market, whose book starts empty, the exact sum of the run's
     # record fees, which reads as fee_rate * volume when it equals that
@@ -719,9 +719,10 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
         assert any(bets)
         with localcontext(prec=80):
             sums = [sum((b.fee for b in records), ZERO) for records in bets]
-        assert [r.fee for r in results] == sums
-        assert ([str(r.fee) for r in results]
-                == [str(mul_exact(Decimal("0.0125"), r.volume)) for r in results])
+        assert [from_micro(r.fee_micro) for r in results] == sums
+        assert ([format_micro(r.fee_micro, r.fee_places) for r in results]
+                == [str(mul_exact(Decimal("0.0125"), from_micro(r.volume_micro)))
+                    for r in results])
         market, draws, winner = sim.seeded_market(cfg, 0)
         market.deposit("early", 1_000)
         market.buy("early", 1, "12.34")
@@ -729,7 +730,7 @@ def test_fee_and_volume_sums_do_not_depend_on_the_decimal_context():
         result = sim.run_market(market, draws, winner)
         assert len(market.bets) > first
         with localcontext(prec=80):
-            assert result.fee == sum((b.fee for b in market.bets[first:]), ZERO)
+            assert from_micro(result.fee_micro) == sum((b.fee for b in market.bets[first:]), ZERO)
 
 
 def test_a_market_with_rounded_fees_reads_its_fee_to_six_places():
@@ -746,10 +747,12 @@ def test_a_market_with_rounded_fees_reads_its_fee_to_six_places():
         result = sim.run_market(market, draws, winner)
         exact = [b.fee == mul_exact(rate, b.wager) for b in market.bets]
         assert any(exact) and not all(exact)
-        assert result.fee == sum((b.fee for b in market.bets), ZERO)
-        assert result.fee != mul_exact(rate, result.volume)
-        assert str(result.fee) == f"{result.fee:.6f}"
-        fees.append(str(result.fee))
+        fee = from_micro(result.fee_micro)
+        assert fee == sum((b.fee for b in market.bets), ZERO)
+        assert fee != mul_exact(rate, from_micro(result.volume_micro))
+        text = format_micro(result.fee_micro, result.fee_places)
+        assert text == f"{fee:.6f}"
+        fees.append(text)
     with localcontext(prec=12):
         narrow, _ = run_multi_market(cfg)
-    assert [str(r.fee) for r in narrow] == fees
+    assert [format_micro(r.fee_micro, r.fee_places) for r in narrow] == fees

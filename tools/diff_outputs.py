@@ -5,9 +5,10 @@ Usage::
     python tools/diff_outputs.py REF
 
 ``REF`` is any revision of this repository (a commit, branch or tag).  The
-script extracts ``REF``'s ``src/`` with ``git archive`` into a temporary
-directory and runs each ``uamm-lab`` command of :data:`COMMANDS` twice: once
-from ``REF``'s tree and once from this checkout's ``src/``.  Both runs start
+script extracts ``REF``'s ``src/`` and ``demos/`` with ``git archive`` into a
+temporary directory and runs each ``uamm-lab`` command of :data:`COMMANDS`
+and each demo of :data:`DEMOS` twice: once from ``REF``'s tree and once from
+this checkout's, each demo against its own tree's ``src/``.  Both runs start
 in the same empty working directory, which holds the same config files
 (:data:`CONFIGS`), under the same environment, so their outputs can differ
 only through the code.  It compares the exit code, stdout, stderr and every
@@ -19,10 +20,12 @@ and 0 when there is none (2 when ``REF`` cannot be extracted).  The command
 list holds only outputs that a change which declares none must leave as
 they are: every ``simulate`` mode on both engines (one config among them
 drains its pools, so ``bets.csv`` holds empty quote cells), a ``full`` run
-at a five-decimal fee rate (:data:`FEE_CONFIG`), ``quote`` as text, as CSV,
-for a wager that drains the pool (exit 3) and for an unknown outcome and a
-negative wager (exit 1, compared on their error text too), and all three
-``probe`` forms.
+at a five-decimal fee rate (:data:`FEE_CONFIG`), a ``multi`` run at a zero
+fee rate (:data:`ZERO_FEE_CONFIG`), ``quote`` as text, as CSV, for a wager
+that drains the pool (exit 3) and for an unknown outcome and a negative
+wager (exit 1, compared on their error text too), all three ``probe``
+forms, and the three demos, whose stdout prints a market's and a sweep's
+totals.
 """
 
 from __future__ import annotations
@@ -53,9 +56,13 @@ CONFIGS = {
 #: a wager in whole dimes, so most markets mix exact and rounded fees and
 #: read their fee total to 6 places, while one whose fees sum to exactly
 #: ``fee_rate * volume`` reads it as that product; ``markets.csv``'s fee
-#: column shows both texts (see ``uamm_lab.sim.run_market``).
+#: column shows both texts (see ``uamm_lab.sim.MarketResult``).
 FEE_CONFIG = ("fee02501.cfg", "k = 2,3\nprobs = uniform:0.2,0.8\nn_bets = lognormal:2.0,1.0\n"
               "n_markets = 40\nfee_rate = 0.02501\nseed = 3\n")
+#: A zero fee rate, run in ``multi`` mode: ``0.0`` is the rate ``0`` at
+#: exponent -1, so every fee total of a market that traded, and the run's,
+#: is written to seven places, ``0.0000000``.
+ZERO_FEE_CONFIG = ("fee0.cfg", "fee_rate = 0.0\n" + _SMALL)
 _QUOTE = ["quote", "--k", "3", "--probs", "0.2,0.3,0.5", "--funding", "10000",
           "--outcome", "2", "--wager", "125.5"]
 #: The ``uamm-lab`` argument lists, each run from both trees.
@@ -67,6 +74,8 @@ COMMANDS = [
       for engine in ("uamm", "cpmm")],
     ["simulate", "--config", FEE_CONFIG[0], "--mode", "full", "--engine", "uamm",
      "--out", "out"],
+    ["simulate", "--config", ZERO_FEE_CONFIG[0], "--mode", "multi", "--engine", "uamm",
+     "--out", "out"],
     _QUOTE,
     _QUOTE + ["--format", "csv"],
     *[["quote", "--k", "2", "--probs", "0.5,0.5", "--funding", "1000",
@@ -76,28 +85,38 @@ COMMANDS = [
     ["probe", "--continuity"],
     ["probe", "--properties"],
 ]
+#: The demo scripts, each run from ``demos/`` of its own tree.
+DEMOS = ["demo_single_market.py", "demo_uamm_vs_cpmm.py", "demo_probability_sweep.py"]
 
 
-def extract_src(ref: str, dest: Path) -> Path:
-    """Extract ``ref``'s ``src/`` into ``dest``; return the ``src`` path."""
-    archive = subprocess.run(["git", "archive", "--format=tar", ref, "src"], cwd=ROOT,
-                             capture_output=True, check=True).stdout
+def extract_tree(ref: str, dest: Path) -> Path:
+    """Extract ``ref``'s ``src/`` and ``demos/`` into ``dest``; return
+    ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref, "src", "demos"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return dest / "src"
+    return dest
 
 
-def run(src: Path, work: Path, args: list[str]) -> dict[str, bytes]:
-    """Run ``uamm-lab args`` from the package under ``src`` in a fresh
-    ``work`` directory: its exit code, stdout, stderr and every file in
-    ``work`` afterwards, by name."""
+def label(job) -> str:
+    """How a report names a job: a :data:`COMMANDS` entry (an argument
+    list) or a :data:`DEMOS` entry (a script name)."""
+    return f"demos/{job}" if isinstance(job, str) else f"uamm-lab {' '.join(job)}"
+
+
+def run(tree: Path, work: Path, job) -> dict[str, bytes]:
+    """Run a job, ``uamm-lab`` with a :data:`COMMANDS` entry's arguments or
+    the :data:`DEMOS` script in ``tree``'s ``demos/``, with the package under
+    ``tree``'s ``src/`` in a fresh ``work`` directory: its exit code, stdout,
+    stderr and every file in ``work`` afterwards, by name."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
-    for name, text in (*CONFIGS.items(), FEE_CONFIG):
+    for name, text in (*CONFIGS.items(), FEE_CONFIG, ZERO_FEE_CONFIG):
         (work / name).write_text(text)
     env = {k: v for k, v in os.environ.items() if k != "UAMM_LAB_SEED"}
-    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, "-m", "uamm_lab.cli", *args], cwd=work,
-                          env=env, capture_output=True)
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    args = [str(tree / "demos" / job)] if isinstance(job, str) else ["-m", "uamm_lab.cli", *job]
+    proc = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
     outputs = {"exit code": b"%d" % proc.returncode, "stdout": proc.stdout,
                "stderr": proc.stderr}
     for path in sorted(work.rglob("*")):
@@ -129,20 +148,21 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            ref_src = extract_src(args[0], Path(tmp))
+            ref_tree = extract_tree(args[0], Path(tmp))
         except subprocess.CalledProcessError as exc:
-            print(f"error: cannot extract src/ of {args[0]!r}: "
+            print(f"error: cannot extract src/ and demos/ of {args[0]!r}: "
                   f"{exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
         work = Path(tmp) / "work"
         count = 0
-        for command in COMMANDS:
-            ref = run(ref_src, work, command)
-            new = run(ROOT / "src", work, command)
+        for job in (*COMMANDS, *DEMOS):
+            ref = run(ref_tree, work, job)
+            new = run(ROOT, work, job)
             for line in differences(ref, new):
-                print(f"uamm-lab {' '.join(command)}: {line}")
+                print(f"{label(job)}: {line}")
                 count += 1
-    print(f"{len(COMMANDS)} commands, {count} differences against {args[0]}")
+    print(f"{len(COMMANDS)} commands and {len(DEMOS)} demos, "
+          f"{count} differences against {args[0]}")
     return 1 if count else 0
 
 
