@@ -8,11 +8,12 @@ engine shares (:mod:`uamm_lab.market`): :class:`CpmmMarket` is a
 pipeline (mint, combine, swap each non-chosen leg, merge) and lifecycle, so
 the conservation invariants are identical.  It supplies only its bound quote
 kernel (:func:`bind_cpmm_odds`, whose one-wager case is the shared
-:meth:`~uamm_lab.market.Market.quote`) and its buys' leg loop
-(:meth:`CpmmMarket._legs`), both with the product rule of the reference
-kernel :func:`cpmm_swap` written inline, and its genesis.  Its pool is a bare
-:class:`~uamm_lab.market.Reserves`: a product-rule pool keeps no LP share
-or target-balance books.
+:meth:`~uamm_lab.market.Market.quote`), which runs the float product rule of
+the reference kernel :func:`cpmm_swap` inline, its buys' leg loop
+(:meth:`CpmmMarket._legs`), which computes each leg as the exact product
+rule in ints, rounded half-even to micro-units once, and its genesis.  Its
+pool is a bare :class:`~uamm_lab.market.Reserves`: a product-rule pool keeps
+no LP share or target-balance books.
 
 Initial reserves are seeded proportional to ``1 / f_k`` so that the implied
 prices at launch equal the true outcome probabilities; after that the pool
@@ -21,19 +22,20 @@ is on its own.
 
 from __future__ import annotations
 
-from .fixedpoint import FAST_LIMIT, MAX_AMOUNT, PRODUCT_ERROR, UNIT, WADS_PER_MICRO, to_micro
-from .market import Market, Reserves, UnfillableQuote
+from .fixedpoint import MAX_AMOUNT, UNIT, WADS_PER_MICRO, to_micro
+from .market import Market, Reserves
 
 
 def cpmm_swap(d_in: float, r_in: float, r_out: float) -> float:
     """Output amount under the product rule: r_out - r_in*r_out/(r_in + d_in).
 
-    The reference kernel of the rule: :func:`bind_cpmm_odds` and
-    :meth:`CpmmMarket._legs` run it inline, and the tests hold them to it bit
-    for bit.  An input below the rounding of ``r_in`` leaves ``r_in + d_in
-    == r_in``, and the formula then gives ``r_out`` less its own rounding,
-    which can be a negative ulp; the output is held at 0.0 there, as the
-    exact rule's output is never negative."""
+    The reference kernel of the float rule: :func:`bind_cpmm_odds` runs it
+    inline, and the tests hold the kernel to it bit for bit.  A buy's legs
+    (:meth:`CpmmMarket._legs`) are the exact rule instead, in ints.  An
+    input below the rounding of ``r_in`` leaves ``r_in + d_in == r_in``, and
+    the formula then gives ``r_out`` less its own rounding, which can be a
+    negative ulp; the output is held at 0.0 there, as the exact rule's
+    output is never negative."""
     if d_in < 0:
         raise ValueError("swap input must be non-negative")
     if d_in == 0.0 or r_out <= 0.0:
@@ -93,8 +95,9 @@ def bind_cpmm_odds(pool, fair, fee_rate=0):
 
 class CpmmMarket(Market):
     """Constant-product betting market over the conditional-token ledger:
-    the product rule as bound quote kernel (:func:`bind_cpmm_odds`) and as
-    buy leg loop (:meth:`_legs`), over a bare :class:`~uamm_lab.market.Reserves`."""
+    the product rule as float bound quote kernel (:func:`bind_cpmm_odds`)
+    and as exact int buy leg loop (:meth:`_legs`), over a bare
+    :class:`~uamm_lab.market.Reserves`."""
 
     engine = "cpmm"
     pool_type = Reserves
@@ -107,31 +110,28 @@ class CpmmMarket(Market):
     def _legs(pool, fair, i: int, n: int) -> int:
         """:meth:`~uamm_lab.market.Market.buy`'s swap legs under the product
         rule, as :meth:`~uamm_lab.uamm.UammMarket._legs` runs the fair-price
-        rule: :func:`cpmm_swap`'s formula inline on the int pools ``r[j] +
-        r[0]`` and ``r[i] + r[0]`` (each input pool read before the bettor's
-        ``n`` is added to it), every output rounded half-even to micro-units
-        by ``to_micro``'s float fast path, inline."""
+        rule: the odd, in micro-units, that a wager of ``n`` micro-units on
+        ``i`` pays.
+
+        Each leg is the exact product rule in ints, rounded half-even to
+        micro-units once, with one ``divmod`` as a buy's fee is rounded:
+        ``ri * n / (r[j] + r[0] + n)`` for the output pool ``ri`` (first
+        ``r[i] + r[0]``, then less each leg paid) and the input pool
+        ``r[j] + r[0]`` read before the bettor's ``n`` is added to it.  No
+        leg can drain its pool, so the loop raises nothing: ``n`` is at most
+        the denominator, so the exact leg is at most ``ri``, and all of it
+        only from an empty input pool, with no remainder to round up."""
         r = pool.r_micro
         c = r[0]
         ri = r[i] + c
-        d = n / UNIT
         odd = n
         for j in fair.others[i]:
-            ro = ri / UNIT
-            rj = (r[j] + c) / UNIT
-            s = ro - (rj * ro) / (rj + d)
-            # to_micro(s), its float fast path inline
-            y = s * 1e6
-            if 0.0 < y < FAST_LIMIT:
-                m = round(y)
-                if 0.5 - abs(y - m) <= y * PRODUCT_ERROR:
-                    m = to_micro(s)
-            else:
-                m = to_micro(s)
-            if not 0 <= m <= ri:
-                raise UnfillableQuote
-            ri -= m
-            odd += m
+            den = r[j] + c + n
+            q, rest = divmod(ri * n, den)
+            if 2 * rest > den or (2 * rest == den and q & 1):
+                q += 1
+            ri -= q
+            odd += q
         return odd
 
     def _fund(self, account: str, n: int) -> int:

@@ -66,10 +66,11 @@ The converters:
   n)`` at its default 6 places.  Snapshots and the volume write 6 places; a
   fee total passes its own ``places``.
 
-Rounding a float is the hot case (every swap leg's output is a float), and
-expanding the whole binary float into a Decimal just to round it is slow.
-:func:`to_micro` therefore has two paths.  It rounds a positive float ``x``
-as ``round(x * 1e6)`` when that provably gives the same result as
+Rounding a float is the hot case (every wager the simulator draws and every
+fair-price swap leg's output is a float), and expanding the whole binary
+float into a Decimal just to round it is slow.  :func:`to_micro` therefore
+has two paths.  It rounds a positive float ``x`` as ``round(x * 1e6)`` when
+that provably gives the same result as
 ``Decimal(x).quantize(PRECISION, ROUND_HALF_EVEN)``:
 
 * ``1e6`` is exact in binary, so ``y = x * 1e6`` is the exact product
@@ -86,13 +87,15 @@ Everything else (zero and ``-0.0``, negatives, floats near a tie or of
 ``2**50 / 1e6`` (about 1.1e9) and more, and every Decimal, int and string)
 takes the exact path, ``Decimal.quantize`` in the 28-digit context.
 
-The float fast path is :func:`to_micro`'s float branch and three inline
+The float fast path is :func:`to_micro`'s float branch and two inline
 copies of it: the wager rounding of :meth:`uamm_lab.market.Market.buy` and
-each engine's buy leg loop (``_legs`` in :mod:`uamm_lab.uamm` and
-:mod:`uamm_lab.baseline`), so that a float wager or a leg pays no call.
-Each copy falls back to :func:`to_micro` itself where the test fails.  Its
-two bounds are public for them: :data:`FAST_LIMIT` (``2**50``) and
-:data:`PRODUCT_ERROR` (``2**-52``).
+the fair-price engine's buy leg loop
+(:meth:`uamm_lab.uamm.UammMarket._legs`), so that a float wager or a leg
+pays no call.  Each copy falls back to :func:`to_micro` itself where the
+test fails.  Its two bounds are public for them: :data:`FAST_LIMIT`
+(``2**50``) and :data:`PRODUCT_ERROR` (``2**-52``).  The constant-product
+engine's legs need no float rounding: each is its exact rule in ints,
+rounded half-even once (:meth:`uamm_lab.baseline.CpmmMarket._legs`).
 """
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN

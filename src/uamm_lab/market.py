@@ -21,10 +21,12 @@ pipeline, which has two faces:
   :meth:`Market.buy`'s rules and prices it into a :class:`Quote`;
 * execution (:meth:`Market.buy`) in int micro-unit arithmetic against the
   ledger, so conservation stays exact.  Each engine's execution leg loop
-  (``_legs``) runs its swap rule inline too, with the float operations of
-  its public swap kernel, and rounds each leg to micro-units; the merge is
-  int algebra on the reserves, and the bet's record and the pool's fee book
-  hold ints, read as Decimals on demand.
+  (``_legs``) runs its swap rule inline too, and each leg is a whole number
+  of micro-units: the fair-price loop runs the float operations of its
+  public swap kernel and rounds each leg half-even, and the product-rule
+  loop computes each leg as its exact rule in ints, rounded half-even once.
+  The merge is int algebra on the reserves, and the bet's record and the
+  pool's fee book hold ints, read as Decimals on demand.
 
 Each face's public method returns a record, a :class:`Quote` or a
 :class:`BetRecord`: named tuples, built straight from the tuple of their
@@ -63,8 +65,9 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import NamedTuple
 
-from .fixedpoint import (FAST_LIMIT, PRODUCT_ERROR, PRECISION, UNIT, ZERO, exact_micro,
-                         format_micro, from_micro, from_wad, mul_exact, to_micro)
+from .fixedpoint import (FAST_LIMIT, MAX_AMOUNT, PRODUCT_ERROR, PRECISION, UNIT, ZERO,
+                         exact_micro, format_micro, from_micro, from_wad, mul_exact,
+                         to_micro)
 from .ledger import (COLLATERAL, ConditionalLedger, InsufficientBalance, MarketSpec, Phase,
                      non_negative_micro)
 
@@ -76,6 +79,9 @@ class UnfillableQuote(Exception):
 #: Builds a record from the tuple of its field values, as a NamedTuple
 #: class's own ``__new__`` does, without binding them as arguments first.
 new_record = tuple.__new__
+#: The largest float below :data:`~uamm_lab.fixedpoint.MAX_AMOUNT`, the
+#: largest wager a quote kernel prices.
+_TOP_WAGER = math.nextafter(MAX_AMOUNT, 0.0)
 #: ``Phase.OPEN``, read once: an enum member lookup costs several attribute
 #: loads, and every buy checks it.
 _OPEN = Phase.OPEN
@@ -164,9 +170,11 @@ class Reserves:
     exactly (see :meth:`uamm_lab.uamm.PoolState.remove`).  :attr:`r` reads
     and replaces the reserves as collateral amounts.
 
-    The quote kernels and buy leg loops read ``r_micro`` directly, as
-    ``n / UNIT`` floats, and the fair-price engine's read :attr:`tb_float`,
-    the float of the target balance: 0.0 for a pool without one.
+    The quote kernels and buy leg loops read ``r_micro`` directly: the
+    kernels and the fair-price leg loop as ``n / UNIT`` floats, the
+    product-rule leg loop as the ints themselves.  The fair-price engine's
+    read :attr:`tb_float` too, the float of the target balance: 0.0 for a
+    pool without one.
 
     The fee book is an int too: ``fee_micro``, the fees :meth:`Market.buy`
     has charged, in micro-units, read by :attr:`fee_accrued`.
@@ -237,11 +245,19 @@ def quote_one(price, fair: FairPriceVector, i: int, wager) -> Quote:
     charges no fee.  Any other wager is priced as ``float(wager)``,
     unrounded (the off-grid wager rule of :meth:`Market.buy`), and one the
     kernel declines (a leg that would drain its pool) raises
-    :class:`UnfillableQuote`."""
+    :class:`UnfillableQuote`.
+
+    The wager's domain is decided once, on the micro-units the reader
+    returns, so a quote prices every wager a buy executes.  A wager below
+    :data:`~uamm_lab.fixedpoint.MAX_AMOUNT` whose float rounds up to it (a
+    ``Decimal("9999999999999999999999.5")``) is priced as the largest float
+    below it, the kernel's own bound."""
     if not 1 <= i <= len(fair):
         raise ValueError(f"unknown outcome {i} for a {len(fair)}-outcome market")
     non_negative_micro(wager, "wager")
     d = float(wager)
+    if d >= MAX_AMOUNT:
+        d = _TOP_WAGER
     if not d:
         return new_record(Quote, (i, 0.0, 0.0, fair.probs[i - 1], 0.0, 0.0))
     figures = price(i, d)
@@ -388,13 +404,16 @@ class Market:
     def buy(self, account: str, i: int, wager, *, fund: bool = False) -> BetRecord:
         """Execute a bet: fee on top, mint, combine, swap legs, merge, pay out.
 
-        Tokens move as int micro-units: the engine's ``_legs`` reads each
-        combined reserve ``r[k] + r[0]`` as an ``n / UNIT`` float and rounds
-        each leg's output half-even to micro-units before the next leg.  No
-        scratch pool is built: once every leg is fillable, the merge is int
-        algebra on the odd (in effect every conditional pool gains
-        ``r[0] + n`` and pool ``i`` pays the odd; the uniform set all of them
-        then hold returns to collateral), written to one new reserve list.
+        Tokens move as int micro-units: the engine's ``_legs`` pays each leg
+        from the combined reserves ``r[k] + r[0]`` as a whole number of
+        micro-units, rounded half-even before the next leg (the fair-price
+        rule in float on ``n / UNIT`` reads, the product rule exactly in
+        ints), and raises :class:`UnfillableQuote` for a leg that would
+        drain its pool, which only a fair-price leg can.  No scratch pool is
+        built: once every leg is fillable, the merge is int algebra on the
+        odd (in effect every conditional pool gains ``r[0] + n`` and pool
+        ``i`` pays the odd; the uniform set all of them then hold returns to
+        collateral), written to one new reserve list.
         The fee is ``wager * fee_rate`` exactly when that lies on the grid
         (any whole-cent wager at a 0.025 rate), and is otherwise rounded
         half-even to the grid, so that the ledger can hold what the bettor is
@@ -421,9 +440,9 @@ class Market:
         inline: it opens the account if need be and moves its collateral
         and the ledger's ``deposited_micro`` by the cost, as that method
         does.  A float wager is rounded by :func:`~uamm_lab.fixedpoint.to_micro`'s
-        float fast path, inline, as the ``_legs`` loops round each leg, and
-        by ``to_micro`` itself near a tie, outside the fast path's range and
-        for any other type.  The returned :class:`BetRecord` holds int
+        float fast path, inline, as the fair-price ``_legs`` rounds each
+        leg, and by ``to_micro`` itself near a tie, outside the fast path's
+        range and for any other type.  The returned :class:`BetRecord` holds int
         amounts (its ``wager_micro`` is the rounded wager) and reads them as
         Decimals through its properties.
         """

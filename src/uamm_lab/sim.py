@@ -318,7 +318,9 @@ class MarketResult:
     (:func:`~uamm_lab.fixedpoint.format_micro`): 6, or the places of
     ``fee_rate * volume`` (6 less the fee rate's exponent) when the fee
     equals that product exactly, as it does whenever every fee was exact
-    (any whole-cent wager at a 0.025 rate, ``7.711000000``).
+    (any whole-cent wager at a 0.025 rate, ``7.711000000``).  A fee is never
+    written to fewer than 6 places, so a rate of positive exponent
+    (``Decimal("0E+3")``) writes 6, as the volume does.
     """
 
     market_id: str
@@ -458,7 +460,7 @@ def run_market(
         volume_micro=volume,
         fee_micro=fee,
         # a fee of exactly fee_rate * volume is written to that product's places
-        fee_places=(6 - market.spec.fee_rate.as_tuple().exponent
+        fee_places=(6 - min(market.spec.fee_rate.as_tuple().exponent, 0)
                     if volume and fee * den == volume * num else 6),
         overround_final=overround,
         bet_log=log,

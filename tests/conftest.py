@@ -123,6 +123,36 @@ def six_places(text):
     return six
 
 
+def exact_swap_out(d, f_in, f_out, r_out, tb) -> Fraction:
+    """:func:`~uamm_lab.uamm.swap_out`'s rule in exact rationals: every
+    argument is read as the exact ``Fraction`` of its value (a float's exact
+    binary value, so the fair rate is the exact ratio of the stored
+    probabilities), the branches are tested in ``swap_out``'s order, and the
+    output is a ``Fraction``, never rounded."""
+    d, r_out, tb = Fraction(d), Fraction(r_out), Fraction(tb)
+    if d == 0 or r_out <= 0:
+        return Fraction(0)
+    rho = Fraction(f_in) / Fraction(f_out)
+    delta = rho * d
+    x = 0 if tb <= 0 else tb * tb / r_out
+    if r_out - delta <= tb <= r_out:
+        alpha = r_out / (x + delta)
+        return alpha * delta + (rho - alpha) * (r_out - tb)
+    if tb <= r_out:
+        return delta
+    return r_out - tb * tb / (x + delta)
+
+
+def exact_cpmm_swap(d, r_in, r_out) -> Fraction:
+    """:func:`~uamm_lab.baseline.cpmm_swap`'s product rule in exact
+    rationals: ``r_out - r_in * r_out / (r_in + d)`` of the exact
+    ``Fraction`` of each argument, never rounded."""
+    d, r_in, r_out = Fraction(d), Fraction(r_in), Fraction(r_out)
+    if d == 0 or r_out <= 0:
+        return Fraction(0)
+    return r_out - r_in * r_out / (r_in + d)
+
+
 def reference_quote(pool, fair, i, wager, fee_rate=0, engine="uamm", branches=None):
     """A quote computed leg by leg through the public swap kernels.
 
@@ -167,14 +197,16 @@ def reference_buy(market, account, i, wager, branches=None):
     public swap kernels.
 
     The execution pipeline as it ran before each engine had its own leg
-    loop: the reserves combined into a scratch copy, one
-    ``to_micro(swap_out(...))`` (UAMM) or ``to_micro(cpmm_swap(...))`` (CPMM)
-    per leg, each leg reading its pools as ``n / UNIT`` floats of the
-    scratch copy, and the merge of the smallest conditional pool back into
-    collateral.  The fee is the exact Decimal ``wager * fee_rate``, rounded
-    half-even to the grid when it lies off it, and is summed into the fee
-    book as a Decimal; the int fee fields are read off those Decimals, and
-    the record and the book must read their values, to 6 places.  It commits
+    loop: the reserves combined into a scratch copy, one leg per other
+    outcome, and the merge of the smallest conditional pool back into
+    collateral.  A UAMM leg is ``to_micro(swap_out(...))``, reading its pools
+    as ``n / UNIT`` floats of the scratch copy; a CPMM leg is the exact
+    product rule (:func:`exact_cpmm_swap`) on the scratch copy's micro-units,
+    rounded half-even to micro-units once.  The fee is the exact Decimal
+    ``wager * fee_rate``, rounded half-even to the grid when it lies off it,
+    and is summed into the fee book as a Decimal; the int fee fields are
+    read off those Decimals, and the record and the book must read their
+    values, to 6 places.  It commits
     to ``market`` as ``buy`` does, so the two must leave equal records and
     snapshots and raise the same exceptions.
     ``branches``, a list, collects the :func:`swap_branch` of every UAMM
@@ -218,7 +250,8 @@ def reference_buy(market, account, i, wager, branches=None):
         if j == i:
             continue
         if market.engine == "cpmm":
-            s = to_micro(cpmm_swap(df, rw[j] / UNIT, rw[i] / UNIT))
+            s = round(exact_cpmm_swap(Fraction(n, UNIT), Fraction(rw[j], UNIT),
+                                      Fraction(rw[i], UNIT)) * UNIT)  # half-even
         else:
             if branches is not None:
                 branches.append(swap_branch(df, f[j - 1], fi, rw[i] / UNIT, tb))

@@ -1,15 +1,17 @@
 """Each engine's buy equals the leg-by-leg reference pipeline.
 
-:meth:`uamm_lab.market.Market.buy` runs its engine's leg loop (``_legs``),
-which writes the swap rule inline and rounds each leg with ``to_micro``'s
-float fast path inline, and merges in int algebra without a scratch pool.
-:func:`conftest.reference_buy` runs the pipeline it replaced: a scratch copy
-of the combined reserves, one ``to_micro`` of a public swap kernel call per
-leg, and the min-merge.  For every pool a market can reach and every wager,
-the two must return ``repr``-equal records whose floats have equal
-``float.hex`` (so ``-0.0`` and ``0.0`` differ), leave equal snapshots, or
-raise the same exception type with the same text; both markets' books must
-balance after every buy.
+:meth:`uamm_lab.market.Market.buy` runs its engine's leg loop (``_legs``)
+and merges in int algebra without a scratch pool.  The fair-price loop
+writes the swap rule inline in float and rounds each leg with ``to_micro``'s
+float fast path inline; the product-rule loop computes each leg in ints.
+:func:`conftest.reference_buy` runs the pipeline they replaced: a scratch
+copy of the combined reserves, one leg per other outcome (``to_micro`` of a
+:func:`~uamm_lab.uamm.swap_out` call on the UAMM, the exact product rule
+rounded half-even on the CPMM), and the min-merge.  For every pool a market
+can reach and every wager, the two must return ``repr``-equal records whose
+floats have equal ``float.hex`` (so ``-0.0`` and ``0.0`` differ), leave equal
+snapshots, or raise the same exception type with the same text; both
+markets' books must balance after every buy.
 """
 
 import math

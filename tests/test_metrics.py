@@ -121,12 +121,14 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 def decimal_totals(fee_rate: Decimal, books):
     """``(market texts, volume text, fee text, fee float)`` by the Decimal
     rule, for ``books``, one ``(volume, fee)`` pair of micro-units per
-    market."""
+    market: a fee is written to the places of ``fee_rate * volume`` when it
+    equals that product, and never to fewer than 6."""
     texts, volume_sum, fee_sum = [], Decimal(0), Decimal(0)
     for volume_micro, fee_micro in books:
         volume = _EXACT.multiply(PRECISION, volume_micro)
         fee = _EXACT.multiply(PRECISION, fee_micro)
-        if volume and fee == (exact := _EXACT.multiply(fee_rate, volume)):
+        exact = _EXACT.multiply(fee_rate, volume)
+        if volume and fee == exact and exact.as_tuple().exponent < -6:
             fee = exact
         texts.append((format(volume, "f"), format(fee, "f")))
         volume_sum = _EXACT.add(volume_sum, volume)

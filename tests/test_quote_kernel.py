@@ -18,6 +18,7 @@ pool a market can reach and every wager:
 """
 
 import functools
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm_lab.baseline import bind_cpmm_odds
+from uamm_lab.fixedpoint import MAX_AMOUNT
 from uamm_lab.ledger import MarketSpec
 from uamm_lab.market import Reserves, quote_one
 from uamm_lab.sim import ENGINE_CLASSES
@@ -226,3 +228,18 @@ def test_quote_and_buy_refuse_a_non_number_alike(engine, wager):
     # a numeric string and an int still price as their float, unrounded
     assert market.quote(1, "10.0000004") == market.quote(1, 10.0000004)
     assert market.quote(1, 10) == market.quote(1, 10.0)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
+def test_a_wager_below_max_amount_whose_float_rounds_to_it_is_quoted(engine):
+    # the quote reads the wager's domain off its micro-units, as a buy does,
+    # so it prices a wager the buy executes even where its float is the
+    # bound itself: as the largest float below it
+    market = build(engine, [1, 1], 1_000, [])
+    wager = Decimal("9999999999999999999999.5")
+    assert float(wager) == MAX_AMOUNT
+    quote = market.quote(1, wager)
+    assert quote.wager == math.nextafter(MAX_AMOUNT, 0.0)
+    assert quote == market.quote(1, quote.wager)
+    assert market.buy("bettor", 1, wager, fund=True).wager_micro == \
+        9_999_999_999_999_999_999_999_500_000
